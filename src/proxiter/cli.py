@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import random
 import sys
 from typing import Optional
 
@@ -18,6 +19,7 @@ from .errors import ProxiterError
 from .instances import (
     ALIASES,
     CYCLIC,
+    CYCLIC_RESIDUAL_TOL,
     PAIRS,
     SYSTEMS,
     certify_cyclic,
@@ -97,7 +99,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         if args.format == "csv":
             system = cyclic3_reduce(ct, seed=args.seed)
-            quads = system.p.draw(__import__("random").Random(args.seed), 1)
+            quads = system.p.draw(random.Random(args.seed), 1)
             paired, _ = run_paired(system, quads[0], args.steps, args.tol)
             _write_csv(paired, args.out)
             return EXIT_OK if result is not None else EXIT_UNDECIDED
@@ -138,11 +140,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ct = entry.build()
         worst, arg = certify_cyclic(ct, samples=args.samples, seed=args.seed)
         payload = {"summed_residual_min": worst}
-        if worst < -1e-10:
+        if worst < -CYCLIC_RESIDUAL_TOL:
             payload["witness"] = [format_point(p) for p in arg]
             _emit(_report("verify", args, verdict="refuted", **payload), args.out)
             return EXIT_REFUTED
-        system = cyclic3_reduce(ct, samples=args.samples, seed=args.seed)
+        system = cyclic3_reduce(ct, certificate=(worst, arg))
         cert = verify_contraction(system, args.samples, args.seed, depth=args.depth)
         payload["reduction"] = cert.to_dict()
         verdict = "certified-on-samples" if cert.certified else "refuted"

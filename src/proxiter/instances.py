@@ -81,8 +81,12 @@ def example1_T(x: float) -> float:
     """First-side point map: doubles on odd bands, quarters the remainder on even."""
     if x < 0:
         raise InvalidInputError("example1_T needs a nonnegative argument")
-    a = alpha_parity(x)
-    return 2.0 * x * a + 0.25 * (x - pow2_floor(x)) * (1 - a)
+    if x == 0:
+        a, band = 0, 0.0
+    else:
+        e = floor_log2(x)
+        a, band = e % 2, math.ldexp(1.0, e)  # alpha_parity(x), pow2_floor(x)
+    return 2.0 * x * a + 0.25 * (x - band) * (1 - a)
 
 
 def example1_Tb(y: float) -> float:
@@ -417,7 +421,11 @@ ONE_ATOM = Atom("one")
 
 
 def cyclic3_reduce(
-    ct: CyclicTriple, *, samples: int = 1000, seed: int = 0
+    ct: CyclicTriple,
+    *,
+    samples: int = 1000,
+    seed: int = 0,
+    certificate: Optional[tuple[float, Optional[tuple[Point, Point, Point]]]] = None,
 ) -> ExternalFactorSystem:
     """Rebuild a cyclic triple as a paired system on the product space.
 
@@ -425,9 +433,12 @@ def cyclic3_reduce(
     cubed map; second-side points pair the other two regions; the second
     penalty charges the cross gap inside a second-side point.  The composed
     constant is k cubed.  Construction refuses when the sampled summed
-    residual dips below the certification slack.
+    residual dips below the certification slack.  ``certificate`` is a
+    finished ``certify_cyclic`` result to judge instead of sampling again.
     """
-    worst, arg = certify_cyclic(ct, samples, seed)
+    if certificate is None:
+        certificate = certify_cyclic(ct, samples, seed)
+    worst, arg = certificate
     if worst < -CYCLIC_RESIDUAL_TOL:
         raise RefutedError(
             f"refuted at construction: summed-contraction residual {worst:.3g} at {arg}"

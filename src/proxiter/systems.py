@@ -161,6 +161,27 @@ def s_value(system: ExternalFactorSystem, *, samples: int = 2048, seed: int = 0)
     return resolve_constants(system, samples, seed).s
 
 
+def _one_step_sides(
+    system: ExternalFactorSystem, q: Quadruple, ta_out: Point, tb_out: Point
+) -> tuple[float, float]:
+    """Both sides of the contraction inequality at q, before the constants.
+
+    Returns (rho(x, y) + f_A(u) + f_B(v), rho(T_A, T_B) + f_A(H_A) + f_B(H_B))
+    given the already evaluated T_A and T_B outputs at q.  The sums run left
+    to right, so every residual built from them is bit-identical however the
+    caller reached q.
+    """
+    space = system.pair.space
+    f_a, f_b = system.f_a.fn, system.f_b.fn
+    before = distance(space, q.x, q.y) + f_a(q.u) + f_b(q.v)
+    after = (
+        distance(space, ta_out, tb_out)
+        + f_a(system.h_a(q.x, q.u))
+        + f_b(system.h_b(q.y, q.v))
+    )
+    return before, after
+
+
 def contraction_residual(
     system: ExternalFactorSystem,
     q: Quadruple,
@@ -176,16 +197,10 @@ def contraction_residual(
         raise InvalidInputError(f"quadruple not in P: {q}")
     if constants is None:
         constants = resolve_constants(system)
-    rho = distance(system.pair.space, q.x, q.y)
-    lhs = (
-        distance(system.pair.space, system.t_a(q.x, q.u), system.t_b(q.y, q.v))
-        + system.f_a.fn(system.h_a(q.x, q.u))
-        + system.f_b.fn(system.h_b(q.y, q.v))
+    before, after = _one_step_sides(
+        system, q, system.t_a(q.x, q.u), system.t_b(q.y, q.v)
     )
-    rhs = system.lam * (rho + system.f_a.fn(q.u) + system.f_b.fn(q.v)) + (
-        1.0 - system.lam
-    ) * constants.s
-    return rhs - lhs
+    return system.lam * before + (1.0 - system.lam) * constants.s - after
 
 
 def check_p_invariance(
@@ -272,8 +287,16 @@ def verify_contraction(
 
     The inequality is checked on every sampled quadruple, the infima are
     checked finite, and P-invariance is probed on a few quadruples to the
-    given depth.  Any residual below -RESIDUAL_TOL refutes, and the worst
-    quadruple is returned as a witness.
+    given depth.  Each sample tests P once and evaluates each map once.
+    The first failing condition, in this order, gives the refutation reason:
+
+    - ``infimum-not-finite``: an infimum of f_A or f_B is not finite;
+    - ``p-invariance-failed``: a probe left P; the probed quadruple is the
+      witness;
+    - ``non-finite-residual``: a residual is NaN or infinite; the first such
+      quadruple is the witness;
+    - ``negative-residual``: a residual is below -RESIDUAL_TOL; the worst
+      quadruple is the witness.
     """
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
@@ -285,21 +308,29 @@ def verify_contraction(
 
     infima_finite = math.isfinite(constants.inf_a) and math.isfinite(constants.inf_b)
 
+    p_contains, t_a, t_b = system.p.contains, system.t_a, system.t_b
+    region_a, region_b = system.pair.a, system.pair.b
+    lam = system.lam
+    floor = (1.0 - lam) * constants.s
     min_res = math.inf
     arg_min: Optional[Quadruple] = None
+    non_finite: Optional[Quadruple] = None
     for raw in quads:
         q = Quadruple(*raw)
-        if not system.in_p(q):
+        if not p_contains(q.x, q.y, q.u, q.v):
             raise InvalidInputError(f"relation sampler produced a non-member quadruple: {q}")
-        ta_out = system.t_a(q.x, q.u)
-        tb_out = system.t_b(q.y, q.v)
-        if not system.pair.a.contains(ta_out):
-            raise DomainViolationError(f"T_A output {ta_out} left region {system.pair.a.name}")
-        if not system.pair.b.contains(tb_out):
-            raise DomainViolationError(f"T_B output {tb_out} left region {system.pair.b.name}")
-        res = contraction_residual(system, q, constants)
+        ta_out = t_a(q.x, q.u)
+        tb_out = t_b(q.y, q.v)
+        if not region_a.contains(ta_out):
+            raise DomainViolationError(f"T_A output {ta_out} left region {region_a.name}")
+        if not region_b.contains(tb_out):
+            raise DomainViolationError(f"T_B output {tb_out} left region {region_b.name}")
+        before, after = _one_step_sides(system, q, ta_out, tb_out)
+        res = lam * before + floor - after
         if res < min_res:
             min_res, arg_min = res, q
+        if non_finite is None and not math.isfinite(res):
+            non_finite = q
 
     p_ok = True
     p_witness: Optional[Quadruple] = None
@@ -313,6 +344,8 @@ def verify_contraction(
         verdict, reason, witness = "refuted", "infimum-not-finite", None
     elif not p_ok:
         verdict, reason, witness = "refuted", "p-invariance-failed", p_witness
+    elif non_finite is not None:
+        verdict, reason, witness = "refuted", "non-finite-residual", non_finite
     elif min_res < -RESIDUAL_TOL:
         verdict, reason, witness = "refuted", "negative-residual", arg_min
     else:
@@ -354,16 +387,13 @@ def estimate_min_lambda(
     best: Optional[float] = None
     for raw in quads:
         q = Quadruple(*raw)
-        rho = distance(system.pair.space, q.x, q.y)
-        denom = rho + system.f_a.fn(q.u) + system.f_b.fn(q.v) - constants.s
+        before, after = _one_step_sides(
+            system, q, system.t_a(q.x, q.u), system.t_b(q.y, q.v)
+        )
+        denom = before - constants.s
         if denom <= DEGENERATE_DENOM:
             continue
-        lhs = (
-            distance(system.pair.space, system.t_a(q.x, q.u), system.t_b(q.y, q.v))
-            + system.f_a.fn(system.h_a(q.x, q.u))
-            + system.f_b.fn(system.h_b(q.y, q.v))
-        )
-        ratio = (lhs - constants.s) / denom
+        ratio = (after - constants.s) / denom
         if best is None or ratio > best:
             best = ratio
     if best is None:

@@ -120,6 +120,27 @@ def test_verify_cyclic_affine(capsys):
     assert payload["reduction"]["verdict"] == "certified-on-samples"
 
 
+def test_verify_cyclic_certifies_once(capsys, monkeypatch):
+    import proxiter.cli as cli
+    import proxiter.instances as instances
+
+    calls = []
+    original = instances.certify_cyclic
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "certify_cyclic", counted)
+    monkeypatch.setattr(instances, "certify_cyclic", counted)
+    code, out, _ = run_cli(
+        capsys, "verify", "--instance", "cyclic3-affine", "--samples", "500"
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"] == "certified-on-samples"
+    assert len(calls) == 1
+
+
 def test_scan_uniqueness_grid(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--kind", "uniqueness", "--instance", "e1",

@@ -21,6 +21,17 @@ def test_alpha_parity_small_cases():
         px.alpha_parity(-1.0)
 
 
+def test_example1_T_matches_parity_composition():
+    # one exponent per call reproduces 2x*a + (x - pow2_floor(x))/4 * (1 - a) bit for bit
+    rng = random.Random(13)
+    xs = [rng.uniform(0.0, 100.0) for _ in range(20000)]
+    xs += [0.0, 5e-324, 1.0, 2.0, 1e308]
+    for x in xs:
+        a = px.alpha_parity(x)
+        old = 2.0 * x * a + 0.25 * (x - px.pow2_floor(x)) * (1 - a)
+        assert px.example1_T(x).hex() == old.hex(), x
+
+
 def test_alpha_parity_doubling_flips():
     rng = random.Random(99)
     for _ in range(100000):

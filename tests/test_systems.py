@@ -1,6 +1,7 @@
 """Certification layer: floor value, residuals, campaigns, tightness probes."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -90,6 +91,86 @@ def test_verify_contraction_refutes_lowered_lambda():
 def test_verify_contraction_banach_at_lipschitz():
     report = px.verify_contraction(banach(lambda x: (0.9 * x[0],), 0.9), 2000, seed=3)
     assert report.certified
+
+
+KERNEL_SYSTEMS = {
+    "e1": px.example1_system,
+    "e1-lam-0.5": lambda: dataclasses.replace(px.example1_system(), lam=0.5),
+    "e1-product": px.example1_product_system,
+    "banach-affine": px.banach_affine_system,
+    "cyclic3-affine-reduction": lambda: px.cyclic3_reduce(px.affine_cyclic_example()),
+    "permissive": make_permissive_system,
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_SYSTEMS))
+def test_verify_contraction_matches_reference_residuals(name):
+    system = KERNEL_SYSTEMS[name]()
+    # the campaign's minimum and witness are exactly those of the public
+    # reference residual over the same sampled quadruples
+    samples, seed = 1500, 7
+    constants = px.resolve_constants(system, seed=seed)
+    report = px.verify_contraction(
+        system, samples, seed, constants=constants, invariance_probes=0
+    )
+    quads = system.p.draw(random.Random(seed), samples)
+    residuals = [px.contraction_residual(system, q, constants) for q in quads]
+    lowest = min(residuals)
+    assert report.min_residual == lowest
+    if report.reason == "negative-residual":
+        assert report.witness == px.Quadruple(*quads[residuals.index(lowest)])
+    else:
+        assert report.certified and report.witness is None
+    if name == "e1-lam-0.5":
+        assert report.reason == "negative-residual"
+
+
+@pytest.mark.parametrize("name", list(KERNEL_SYSTEMS))
+def test_verify_contraction_evaluates_each_map_once_per_sample(name):
+    system = KERNEL_SYSTEMS[name]()
+    counts = {"t_a": 0, "h_a": 0, "t_b": 0, "h_b": 0, "p": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    counted_system = dataclasses.replace(
+        system,
+        t_a=counted("t_a", system.t_a),
+        h_a=counted("h_a", system.h_a),
+        t_b=counted("t_b", system.t_b),
+        h_b=counted("h_b", system.h_b),
+        p=dataclasses.replace(system.p, contains=counted("p", system.p.contains)),
+    )
+    samples = 300
+    px.verify_contraction(counted_system, samples, seed=2, invariance_probes=0)
+    assert counts == {key: samples for key in counts}
+
+
+def test_verify_contraction_non_finite_residual_refutes():
+    system = px.SYSTEMS["banach-half"].build()
+    broken = dataclasses.replace(
+        system, f_a=px.ExternalFactor(lambda c: math.nan, system.f_a.inf_value)
+    )
+    report = px.verify_contraction(broken, 200, seed=4)
+    assert report.verdict == "refuted"
+    assert report.reason == "non-finite-residual"
+    assert report.witness == px.Quadruple(*broken.p.draw(random.Random(4), 200)[0])
+    # min_residual keeps its meaning: NaN residuals never lower it
+    assert report.min_residual == math.inf
+
+
+def test_verify_contraction_reason_order():
+    # an infinite infimum outranks a non-finite residual
+    system = px.SYSTEMS["banach-half"].build()
+    broken = dataclasses.replace(
+        system, f_a=px.ExternalFactor(lambda c: math.nan, math.inf)
+    )
+    report = px.verify_contraction(broken, 50, seed=4)
+    assert report.reason == "infimum-not-finite"
 
 
 def test_estimate_min_lambda_e1_matches_tightness_oracle():
