@@ -589,6 +589,10 @@ def affine_cyclic_example() -> CyclicTriple:
     The map carries each segment onto the near half of the next one, halving
     the outward parameter, so the summed contraction holds with k = 1/2 and
     the best-proximity points are the three inner endpoints.
+
+    The spokes point at 90, 210 and 330 degrees, and the sector boundaries
+    at 30, 150 and 270 degrees lie 60 degrees from every spoke, so a point
+    near spoke j is in sector j; the map tests that one spoke only.
     """
     r = 1.0 / math.sqrt(3.0)
     angles = [math.pi / 2.0 + j * 2.0 * math.pi / 3.0 for j in range(3)]
@@ -602,21 +606,27 @@ def affine_cyclic_example() -> CyclicTriple:
         segment_region(inner[j], outer[j], name=f"spoke-{j + 1}") for j in range(3)
     )
     m = 0.5
-
-    def param(p: Point, j: int) -> float:
-        t = (p[0] - inner[j][0]) * unit[j][0] + (p[1] - inner[j][1]) * unit[j][1]
-        return min(1.0, max(0.0, t))
+    # per spoke: its membership test, inner endpoint and unit vector, then the
+    # next spoke's inner endpoint and unit vector
+    spokes = tuple(
+        (regions[j].contains, *inner[j], *unit[j], *inner[(j + 1) % 3], *unit[(j + 1) % 3])
+        for j in range(3)
+    )
+    sqrt3 = math.sqrt(3.0)
 
     def t(p: Point) -> Point:
-        for j in range(3):
-            if regions[j].contains(p):
-                nxt = (j + 1) % 3
-                s = m * param(p, j)
-                return (
-                    inner[nxt][0] + s * unit[nxt][0],
-                    inner[nxt][1] + s * unit[nxt][1],
-                )
-        raise InvalidInputError(f"point {p} is on none of the three segments")
+        x, y = p
+        # spoke-1's sector spans 30..150 degrees; below it the negative y-axis
+        # splits spoke-2's sector from spoke-3's
+        j = 0 if sqrt3 * y > abs(x) else (1 if x < 0.0 else 2)
+        contains, e0, e1, u0, u1, f0, f1, w0, w1 = spokes[j]
+        if not contains(p):
+            raise InvalidInputError(f"point {p} is on none of the three segments")
+        # the outward parameter clamped as min(1.0, max(0.0, s)), then halved
+        s = (x - e0) * u0 + (y - e1) * u1
+        s = s if s > 0.0 else 0.0
+        s = m * (s if s < 1.0 else 1.0)
+        return (f0 + s * w0, f1 + s * w1)
 
     return CyclicTriple(space, regions, t, m, (1.0, 1.0, 1.0))
 

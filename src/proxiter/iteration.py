@@ -228,7 +228,10 @@ def run_paired(
     trace_b = IterationTrace(space, tuple(ys), tuple(vs), tuple(fb_vals))
     paired = PairedTrace(trace_a, trace_b, tuple(rho))
 
-    limit = detect_limit(trace_a, tol, window=window)
+    # a limit is reported only when both sides settled
+    limit = None
+    if stop_reason == "tolerance-met":
+        limit = detect_limit(trace_a, tol, window=window)
     if limit is None:
         report = ConvergenceReport(
             None, None, None, None, None, paired.steps, stop_reason, constants.dist

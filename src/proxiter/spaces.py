@@ -66,6 +66,13 @@ def vector_space(dim: int, metric: str = "sum") -> MetricSpace:
     if metric == "sum":
         def d(x: Point, y: Point) -> float:
             return sum(abs(a - b) for a, b in zip(x, y))
+    elif metric == "euclidean" and dim == 2:
+        sqrt = math.sqrt
+
+        def d(x: Point, y: Point) -> float:
+            x0, x1 = x
+            y0, y1 = y
+            return sqrt((x0 - y0) ** 2 + (x1 - y1) ** 2)
     elif metric == "euclidean":
         def d(x: Point, y: Point) -> float:
             return math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
@@ -165,12 +172,36 @@ def singleton_region(p: Union[float, Sequence[float]], name: Optional[str] = Non
 
 
 def segment_region(a: Sequence[float], b: Sequence[float], name: Optional[str] = None) -> Region:
-    """Closed straight segment between two points of R^d (Euclidean test)."""
+    """Closed straight segment between two points of R^d (Euclidean test).
+
+    In the plane the projection, the clamp and the distance are unrolled into
+    scalar arithmetic in the generic formula's operation order, so both give
+    the same bits; other dimensions use the generic formula.
+    """
     pa, pb = as_point(a), as_point(b)
     direction = tuple(q - p for p, q in zip(pa, pb))
     length2 = sum(d * d for d in direction)
     if length2 <= 0.0:
         raise InvalidInputError("degenerate segment")
+
+    if len(pa) == len(pb) == 2:
+        o0, o1 = pa
+        d0, d1 = direction
+        sqrt = math.sqrt
+
+        def contains(p: Point) -> bool:
+            c0, c1 = p
+            t = ((c0 - o0) * d0 + (c1 - o1) * d1) / length2
+            # max(0.0, t) then min(1.0, t), NaN and -0.0 included
+            t = t if t > 0.0 else 0.0
+            t = t if t < 1.0 else 1.0
+            return sqrt((c0 - (o0 + t * d0)) ** 2 + (c1 - (o1 + t * d1)) ** 2) <= GEOMETRY_TOL
+
+        def draw(rng: random.Random, n: int) -> list[Point]:
+            rand = rng.random
+            return [(o0 + t * d0, o1 + t * d1) for t in [rand() for _ in range(n)]]
+
+        return Region(name or "segment", contains, draw, complete=True)
 
     def project(p: Point) -> float:
         return sum((c - o) * d for c, o, d in zip(p, pa, direction)) / length2

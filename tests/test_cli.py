@@ -1,10 +1,11 @@
 """Command line contract: exit codes, report shapes, CSV output."""
 
 import json
+import math
 
 import pytest
 
-from proxiter.cli import main
+from proxiter.cli import _emit, main
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +60,57 @@ def test_run_undecided_exit_code(capsys):
         "--steps", "5", "--tol", "1e-12",
     )
     assert code == 2
+
+
+def test_run_reports_no_limit_when_one_side_never_settles(capsys, tmp_path):
+    # side A halves toward 0 and settles; side B flips sign forever
+    spec = {
+        "name": "settle-and-flip",
+        "space": {"kind": "real"},
+        "regions": {"a": {"lo": -1e9, "hi": 1e9, "sample_lo": -50, "sample_hi": 50}},
+        "maps": {
+            "t_a": {"name": "affine", "slope": 0.5},
+            "t_b": {"name": "affine", "slope": -1.0},
+        },
+        "lambda": 0.5,
+        "x0": 1.0,
+        "y0": 1.0,
+    }
+    path = tmp_path / "flip.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run_cli(capsys, "run", "--instance", str(path), "--steps", "200")
+    report = json.loads(out)["report"]
+    assert code == 2
+    assert report["stop_reason"] == "max-steps"
+    assert report["limit"] is None and report["proximity_residual"] is None
+
+
+def test_run_with_no_steps_reports_no_limit(capsys):
+    code, out, _ = run_cli(capsys, "run", "--instance", "banach-half", "--steps", "0")
+    report = json.loads(out)["report"]
+    assert code == 2
+    assert report["stop_reason"] == "max-steps" and report["steps"] == 0
+    assert report["limit"] is None
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_emit_writes_strict_json(capsys):
+    _emit({"min_residual": math.inf, "values": [math.nan, -math.inf, 0.5], "n": 3}, None)
+    payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert payload == {"min_residual": "Infinity", "values": ["NaN", "-Infinity", 0.5], "n": 3}
+
+
+def test_emit_keeps_finite_report_bytes(capsys, tmp_path):
+    payload = {"b": [1.0, 0.1, None], "a": {"x": -2.5e-300, "s": "text"}}
+    expected = json.dumps(payload, indent=2, sort_keys=True)
+    _emit(payload, None)
+    assert capsys.readouterr().out == expected + "\n"
+    out = tmp_path / "report.json"
+    _emit(payload, str(out))
+    assert out.read_text() == expected + "\n"
 
 
 def test_run_rejects_point_outside_region(capsys):

@@ -1,5 +1,6 @@
 """Built-in instances: dyadic parity map, degenerate systems, products, cyclic triples."""
 
+import dataclasses
 import json
 import math
 import random
@@ -173,6 +174,74 @@ def test_affine_triple_pairwise_distances():
         j = (i + 1) % 3
         cross_min = min(d(a, b) for a in samples[i] for b in samples[j])
         assert cross_min >= ct.dists[i] - 1e-9
+
+
+def _counting_affine_triple(monkeypatch):
+    """The affine triple with each spoke's membership test logging its name."""
+    calls = []
+    segment_region = px.instances.segment_region
+
+    def counting_segment(*args, **kwargs):
+        region = segment_region(*args, **kwargs)
+
+        def contains(p):
+            calls.append(region.name)
+            return region.contains(p)
+
+        return dataclasses.replace(region, contains=contains)
+
+    monkeypatch.setattr(px.instances, "segment_region", counting_segment)
+    return px.affine_cyclic_example(), calls
+
+
+def _spoke_geometry():
+    """Inner endpoints and outward unit vectors of the affine triple's spokes."""
+    r = 1.0 / math.sqrt(3.0)
+    angles = [math.pi / 2.0 + j * 2.0 * math.pi / 3.0 for j in range(3)]
+    inner = [(r * math.cos(a), r * math.sin(a)) for a in angles]
+    unit = [(math.cos(a), math.sin(a)) for a in angles]
+    return inner, unit
+
+
+def test_affine_spoke_map_tests_one_spoke(monkeypatch):
+    ct, calls = _counting_affine_triple(monkeypatch)
+    inner, unit = _spoke_geometry()
+
+    def scan_map(p):
+        # reference: test the spokes in order, as the map once did
+        for j in range(3):
+            if ct.regions[j].contains(p):
+                s = (p[0] - inner[j][0]) * unit[j][0] + (p[1] - inner[j][1]) * unit[j][1]
+                s = ct.k * min(1.0, max(0.0, s))
+                n = (j + 1) % 3
+                return (inner[n][0] + s * unit[n][0], inner[n][1] + s * unit[n][1])
+        raise AssertionError("reference found no spoke")
+
+    for j, region in enumerate(ct.regions):
+        outer = (inner[j][0] + unit[j][0], inner[j][1] + unit[j][1])
+        nx, ny = -unit[j][1], unit[j][0]
+        for p in region.draw(random.Random(j), 200) + [inner[j], outer]:
+            # on the spoke, and just inside the tolerance on either side
+            for off in (0.0, 9e-10, -9e-10):
+                q = (p[0] + off * nx, p[1] + off * ny)
+                calls.clear()
+                image = ct.t(q)
+                assert calls == [region.name]
+                assert image == scan_map(q)
+
+
+def test_affine_spoke_map_refuses_points_on_no_spoke(monkeypatch):
+    ct, calls = _counting_affine_triple(monkeypatch)
+    inner, unit = _spoke_geometry()
+    boundary = (0.8 * math.cos(math.pi / 6.0), 0.8 * math.sin(math.pi / 6.0))
+    on_spoke2 = (inner[1][0] + 0.5 * unit[1][0], inner[1][1] + 0.5 * unit[1][1])
+    off_spoke2 = (on_spoke2[0] - 1e-6 * unit[1][1], on_spoke2[1] + 1e-6 * unit[1][0])
+    assert ct.regions[1].contains(on_spoke2)
+    for p in [(0.0, 0.0), boundary, off_spoke2]:
+        calls.clear()
+        with pytest.raises(px.InvalidInputError):
+            ct.t(p)
+        assert len(calls) == 1
 
 
 def test_cyclic_reduction_certifies():

@@ -2,8 +2,11 @@
 
 import math
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proxiter as px
 
@@ -162,3 +165,119 @@ def test_segment_and_circle_regions():
     assert circ.contains((1.0, 0.0))
     assert not circ.contains((0.5, 0.0))
     assert all(circ.contains(p) for p in px.sample_region(circ, 50, seed=2))
+
+
+# reference: the generic zip/sum formulas that every dimension once used
+
+
+def _generic_segment(a, b):
+    direction = tuple(q - p for p, q in zip(a, b))
+    length2 = sum(d * d for d in direction)
+
+    def at(t):
+        return tuple(o + t * d for o, d in zip(a, direction))
+
+    def contains(p):
+        t = min(1.0, max(0.0, sum((c - o) * d for c, o, d in zip(p, a, direction)) / length2))
+        q = at(t)
+        return math.sqrt(sum((c - d) ** 2 for c, d in zip(p, q))) <= px.GEOMETRY_TOL
+
+    return at, contains
+
+
+def _generic_euclidean(x, y):
+    return math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def _outcome(fn, *args):
+    """The result's bits, or the exception type (x ** 2 overflow raises)."""
+    try:
+        return _bits([fn(*args)])
+    except OverflowError as exc:
+        return type(exc)
+
+
+coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+# on the segment, about one tolerance off it either way, or well off it
+normal_offset = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1e-9, -1e-9, 1e-9 * (1 - 1e-12), -1e-9 * (1 + 1e-12)]),
+    st.floats(min_value=-2e-9, max_value=2e-9),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    a=st.tuples(coord, coord),
+    b=st.tuples(coord, coord),
+    t=st.one_of(st.floats(min_value=-0.5, max_value=1.5), st.sampled_from([0.0, 1.0])),
+    off=normal_offset,
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_plane_segment_matches_generic_formula(a, b, t, off, seed):
+    length = math.dist(a, b)
+    if length < 1e-6:
+        return
+    at, contains = _generic_segment(a, b)
+    seg = px.segment_region(a, b)
+    nx, ny = (a[1] - b[1]) / length, (b[0] - a[0]) / length
+    q = at(t)
+
+    def shifted(h):
+        return (q[0] + h * nx, q[1] + h * ny)
+
+    points = [q, shifted(off), a, b]
+    if contains(q):
+        # the two offsets one step apart where the generic answer flips
+        lo, hi = 0.0, 4e-9
+        while math.nextafter(lo, hi) < hi:
+            mid = lo + (hi - lo) / 2.0
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if contains(shifted(mid)) else (lo, mid)
+        points += [shifted(lo), shifted(hi)]
+    for point in points:
+        assert seg.contains(point) == contains(point)
+    rng = random.Random(seed)
+    expected = [at(rng.random()) for _ in range(20)]
+    drawn = seg.draw(random.Random(seed), 20)
+    assert [_bits(p) for p in drawn] == [_bits(p) for p in expected]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+    st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+)
+def test_plane_euclidean_metric_matches_generic_formula(x, y):
+    metric = px.vector_space(2, "euclidean").metric
+    assert _outcome(metric, x, y) == _outcome(_generic_euclidean, x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.tuples(coord, coord, coord),
+    b=st.tuples(coord, coord, coord),
+    t=st.floats(min_value=-0.5, max_value=1.5),
+    off=normal_offset,
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_space_segment_keeps_generic_formula(a, b, t, off, seed):
+    if math.dist(a, b) < 1e-6:
+        return
+    at, contains = _generic_segment(a, b)
+    seg = px.segment_region(a, b)
+    q = at(t)
+    p = (q[0] + off, q[1], q[2])
+    for point in (q, p, a, b):
+        assert seg.contains(point) == contains(point)
+    rng = random.Random(seed)
+    expected = [at(rng.random()) for _ in range(20)]
+    assert [_bits(p) for p in seg.draw(random.Random(seed), 20)] == [_bits(p) for p in expected]
+    metric = px.vector_space(3, "euclidean").metric
+    assert _outcome(metric, a, p) == _outcome(_generic_euclidean, a, p)
