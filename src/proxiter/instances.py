@@ -25,6 +25,7 @@ from .spaces import (
     circle_region,
     compose_spaces,
     distance,
+    format_point,
     interval,
     product_region,
     product_space,
@@ -191,6 +192,36 @@ def estimate_lipschitz(
     return best
 
 
+def _single_atom_system(
+    name: str, pair: SetPair, t_a: Callable, t_b: Callable, lam: float, inf_a: float, inf_b: float
+) -> ExternalFactorSystem:
+    """One-atom external set, zero penalties with the given infima, membership-product P."""
+    atom = Atom("unit")
+    region_a, region_b = pair.a, pair.b
+
+    def p_contains(x: Point, y: Point, u: CElement, v: CElement) -> bool:
+        return region_a.contains(x) and region_b.contains(y) and u == atom and v == atom
+
+    def p_draw(rng: random.Random, n: int) -> list[Quadruple]:
+        xs = region_a.draw(rng, n)
+        ys = region_b.draw(rng, n)
+        return [Quadruple(x, y, atom, atom) for x, y in zip(xs, ys)]
+
+    return ExternalFactorSystem(
+        name=name,
+        pair=pair,
+        c_universe=CUniverse("single atom", lambda rng, n: [atom] * n),
+        t_a=t_a,
+        h_a=lambda x, c: atom,
+        t_b=t_b,
+        h_b=lambda y, c: atom,
+        f_a=ExternalFactor(lambda c: 0.0, inf_a),
+        f_b=ExternalFactor(lambda c: 0.0, inf_b),
+        p=RelationP(p_contains, p_draw),
+        lam=lam,
+    )
+
+
 def banach_system(
     map_fn: Callable[[Point], Point],
     space: MetricSpace,
@@ -216,30 +247,9 @@ def banach_system(
             f"refuted at construction: sampled displacement ratio {est:.6g} "
             f"exceeds declared constant {lipschitz}"
         )
-    atom = Atom("unit")
     pair = SetPair(space, region, region, dist_ab=0.0)
-
-    def p_contains(x: Point, y: Point, u: CElement, v: CElement) -> bool:
-        return region.contains(x) and region.contains(y) and u == atom and v == atom
-
-    def p_draw(rng: random.Random, n: int) -> list[Quadruple]:
-        xs = region.draw(rng, n)
-        ys = region.draw(rng, n)
-        return [Quadruple(x, y, atom, atom) for x, y in zip(xs, ys)]
-
-    return ExternalFactorSystem(
-        name=name,
-        pair=pair,
-        c_universe=CUniverse("single atom", lambda rng, n: [atom] * n),
-        t_a=lambda x, c: map_fn(x),
-        h_a=lambda x, c: atom,
-        t_b=lambda y, c: map_fn(y),
-        h_b=lambda y, c: atom,
-        f_a=ExternalFactor(lambda c: 0.0, 0.0),
-        f_b=ExternalFactor(lambda c: 0.0, 0.0),
-        p=RelationP(p_contains, p_draw),
-        lam=lipschitz,
-    )
+    t = lambda x, c: map_fn(x)  # noqa: E731
+    return _single_atom_system(name, pair, t, t, lipschitz, 0.0, 0.0)
 
 
 def _whole_line_region() -> Region:
@@ -457,14 +467,8 @@ def cyclic3_reduce(
     def t3(p: Point) -> Point:
         return ct.t(ct.t(ct.t(p)))
 
-    def t_a(x: Point, c: CElement) -> Point:
-        return t3(x[:d]) + t3(x[d:])
-
-    def t_b(y: Point, c: CElement) -> Point:
-        return t3(y[:d]) + t3(y[d:])
-
-    def h_b(y: Point, c: CElement) -> CElement:
-        return t_b(y, c)
+    def t(p: Point, c: CElement) -> Point:
+        return t3(p[:d]) + t3(p[d:])
 
     def f_b_fn(c: CElement) -> float:
         if isinstance(c, Atom):
@@ -503,10 +507,10 @@ def cyclic3_reduce(
         name="cyclic3-reduction",
         pair=pair,
         c_universe=CUniverse("second-side pairs plus one atom", c_draw),
-        t_a=t_a,
+        t_a=t,
         h_a=lambda x, c: ONE_ATOM,
-        t_b=t_b,
-        h_b=h_b,
+        t_b=t,
+        h_b=t,
         f_a=ExternalFactor(lambda c: 0.0, 0.0),
         f_b=ExternalFactor(f_b_fn, d23),
         p=RelationP(p_contains, p_draw),
@@ -523,8 +527,6 @@ class BestProximityResult:
     cycle_residuals: tuple[float, float, float]
 
     def to_dict(self) -> dict:
-        from .spaces import format_point
-
         return {
             "z": [format_point(p) for p in self.z],
             "gap_residuals": list(self.gap_residuals),
@@ -903,30 +905,12 @@ def load_instance_json(path: str) -> SystemInstance:
     lam = float(spec["lambda"])
     dist = float(spec.get("dist", 0.0))
     infima = spec.get("infima", {"a": 0.0, "b": 0.0})
-    atom = Atom("unit")
     pair = SetPair(space, region_a, region_b, dist_ab=dist)
-
-    def p_contains(x, y, u, v):
-        return region_a.contains(x) and region_b.contains(y) and u == atom and v == atom
-
-    def p_draw(rng: random.Random, n: int) -> list[Quadruple]:
-        xs = region_a.draw(rng, n)
-        ys = region_b.draw(rng, n)
-        return [Quadruple(x, y, atom, atom) for x, y in zip(xs, ys)]
-
     name = spec.get("name", "json-instance")
-    system = ExternalFactorSystem(
-        name=name,
-        pair=pair,
-        c_universe=CUniverse("single atom", lambda rng, n: [atom] * n),
-        t_a=lambda x, c: (ta(x[0]),),
-        h_a=lambda x, c: atom,
-        t_b=lambda y, c: (tb(y[0]),),
-        h_b=lambda y, c: atom,
-        f_a=ExternalFactor(lambda c: 0.0, float(infima.get("a", 0.0))),
-        f_b=ExternalFactor(lambda c: 0.0, float(infima.get("b", 0.0))),
-        p=RelationP(p_contains, p_draw),
-        lam=lam,
+    inf_a = float(infima.get("a", 0.0))
+    inf_b = float(infima.get("b", 0.0))
+    system = _single_atom_system(
+        name, pair, lambda x, c: (ta(x[0]),), lambda y, c: (tb(y[0]),), lam, inf_a, inf_b
     )
     x0 = as_point(spec.get("x0", sample_region(region_a, 1, 0)[0]))
     y0 = as_point(spec.get("y0", sample_region(region_b, 1, 1)[0]))
@@ -937,5 +921,5 @@ def load_instance_json(path: str) -> SystemInstance:
         x0,
         y0,
         _atom_quadruple,
-        lambda s: (y0, atom),
+        lambda s: (y0, Atom("unit")),
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DomainViolationError,
@@ -12,12 +12,14 @@ from .errors import (
     NotAnInfimumSequenceError,
     NumericFailureError,
 )
-from .spaces import MetricSpace, Point, Region, SetPair, distance, set_distance
+from .spaces import MetricSpace, Point, Region, SetPair, distance, format_point, set_distance
 from .systems import (
     CElement,
     ExternalFactorSystem,
     Quadruple,
     SystemConstants,
+    _orbit,
+    format_celement,
     resolve_constants,
 )
 
@@ -70,8 +72,6 @@ class ConvergenceReport:
     dist: float
 
     def to_dict(self) -> dict:
-        from .spaces import format_point
-
         return {
             "limit": None if self.limit is None else format_point(self.limit),
             "proximity_residual": self.proximity_residual,
@@ -123,9 +123,7 @@ def iterate(
         raise DomainViolationError(f"initial point {x} outside region {region.name}", step=0)
     points, celements = [x], [u]
     f_values = [f(u)] if f is not None else [0.0]
-    for k in range(1, steps + 1):
-        x_next = t(x, u)
-        u_next = h(x, u)
+    for k, (x_next, u_next) in zip(range(1, steps + 1), _orbit(t, h, x, u)):
         _check_finite(x_next, k)
         if region is not None and not region.contains(x_next):
             raise DomainViolationError(
@@ -134,8 +132,14 @@ def iterate(
         points.append(x_next)
         celements.append(u_next)
         f_values.append(f(u_next) if f is not None else 0.0)
-        x, u = x_next, u_next
     return IterationTrace(space, tuple(points), tuple(celements), tuple(f_values))
+
+
+def _settled(space: MetricSpace, points: Sequence[Point], tol: float, window: int) -> bool:
+    """Whether the last min(window, n) of the n successive distances are all < tol."""
+    n = len(points) - 1
+    tail = range(n - min(window, n), n)
+    return all(distance(space, points[i], points[i + 1]) < tol for i in tail)
 
 
 def detect_limit(
@@ -146,14 +150,7 @@ def detect_limit(
     A trace shorter than the window is judged on all its transitions; a
     single-state trace is vacuously settled.
     """
-    n = trace.steps
-    if n == 0:
-        return trace.points[0]
-    w = min(window, n)
-    for i in range(n - w, n):
-        if distance(trace.space, trace.points[i], trace.points[i + 1]) >= tol:
-            return None
-    return trace.points[-1]
+    return trace.points[-1] if _settled(trace.space, trace.points, tol, window) else None
 
 
 def run_paired(
@@ -191,11 +188,9 @@ def run_paired(
 
     settled = 0
     stop_reason = "max-steps"
-    for k in range(1, max_steps + 1):
-        x, u = xs[-1], us[-1]
-        y, v = ys[-1], vs[-1]
-        x_next, u_next = system.t_a(x, u), system.h_a(x, u)
-        y_next, v_next = system.t_b(y, v), system.h_b(y, v)
+    orbit_a = _orbit(system.t_a, system.h_a, q0.x, q0.u)
+    orbit_b = _orbit(system.t_b, system.h_b, q0.y, q0.v)
+    for k, (x_next, u_next), (y_next, v_next) in zip(range(1, max_steps + 1), orbit_a, orbit_b):
         _check_finite(x_next, k)
         _check_finite(y_next, k)
         if not region_a.contains(x_next):
@@ -206,8 +201,8 @@ def run_paired(
             raise DomainViolationError(
                 f"T_B output {y_next} left region {region_b.name} at step {k}", step=k
             )
-        da = distance(space, x, x_next)
-        db = distance(space, y, y_next)
+        da = distance(space, xs[-1], x_next)
+        db = distance(space, ys[-1], y_next)
         xs.append(x_next)
         us.append(u_next)
         ys.append(y_next)
@@ -228,16 +223,15 @@ def run_paired(
     trace_b = IterationTrace(space, tuple(ys), tuple(vs), tuple(fb_vals))
     paired = PairedTrace(trace_a, trace_b, tuple(rho))
 
-    # a limit is reported only when both sides settled
-    limit = None
-    if stop_reason == "tolerance-met":
-        limit = detect_limit(trace_a, tol, window=window)
-    if limit is None:
+    # a limit is reported only when both sides settled; the streak that ended
+    # the run already holds the settle rule over the final window
+    if stop_reason != "tolerance-met":
         report = ConvergenceReport(
             None, None, None, None, None, paired.steps, stop_reason, constants.dist
         )
         return paired, report
 
+    limit = xs[-1]
     w = min(window, len(ys) - 1) or 1
     tail_rho = [distance(space, limit, y) for y in ys[-w:]]
     rho_tail = sum(tail_rho) / len(tail_rho)
@@ -395,9 +389,6 @@ def write_trace_csv(paired: PairedTrace, fh) -> None:
     Coordinates are semicolon-joined and printed with 17 significant digits
     so that values round-trip exactly.
     """
-    from .spaces import format_point
-    from .systems import format_celement
-
     fh.write("n,x_n,u_n,y_n,v_n,rho_xy,f_a_u,f_b_v\n")
     for n in range(len(paired.a.points)):
         row = [

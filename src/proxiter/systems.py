@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .errors import (
     DomainViolationError,
@@ -161,6 +161,18 @@ def s_value(system: ExternalFactorSystem, *, samples: int = 2048, seed: int = 0)
     return resolve_constants(system, samples, seed).s
 
 
+def _orbit(t: Callable, h: Callable, x: Point, u: CElement) -> Iterator[tuple]:
+    """Yield (x_1, u_1), (x_2, u_2), ... of x_{n+1} = t(x_n, u_n), u_{n+1} = h(x_n, u_n).
+
+    Endless: callers zip it with a range, so no map is called past the budget.
+    """
+    while True:
+        x_next = t(x, u)
+        u_next = h(x, u)
+        yield x_next, u_next
+        x, u = x_next, u_next
+
+
 def _one_step_sides(
     system: ExternalFactorSystem, q: Quadruple, ta_out: Point, tb_out: Point
 ) -> tuple[float, float]:
@@ -214,18 +226,16 @@ def check_p_invariance(
     q = Quadruple(*q)
     if not system.in_p(q):
         raise InvalidInputError(f"quadruple not in P: {q}")
-    xs, us = [q.x], [q.u]
-    ys, vs = [q.y], [q.v]
-    for _ in range(depth):
-        x, u = xs[-1], us[-1]
-        xs.append(system.t_a(x, u))
-        us.append(system.h_a(x, u))
-        y, v = ys[-1], vs[-1]
-        ys.append(system.t_b(y, v))
-        vs.append(system.h_b(y, v))
+    side_a, side_b = [(q.x, q.u)], [(q.y, q.v)]
+    orbit_a = _orbit(system.t_a, system.h_a, q.x, q.u)
+    orbit_b = _orbit(system.t_b, system.h_b, q.y, q.v)
+    for _, a, b in zip(range(depth), orbit_a, orbit_b):
+        side_a.append(a)
+        side_b.append(b)
     for n in range(depth + 1):
         for m in range(depth + 1):
-            if not system.p.contains(xs[n], ys[m], us[n], vs[m]):
+            (x, u), (y, v) = side_a[n], side_b[m]
+            if not system.p.contains(x, y, u, v):
                 return False, (n, m)
     return True, None
 

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import InvalidInputError
-from .iteration import PairedTrace
+from .errors import InvalidInputError, NumericFailureError
+from .iteration import PairedTrace, _settled
 from .spaces import Point, SetPair, distance, format_point, set_distance
 from .systems import ExternalFactorSystem, resolve_constants
 
@@ -37,25 +37,33 @@ class TailSupTable:
         return self.values[k - self.k_min]
 
 
+def _not_nan(fn: Callable[[int, int], float], n: int, m: int) -> float:
+    value = fn(n, m)
+    if math.isnan(value):
+        raise NumericFailureError(f"tail value at (n, m) = ({n}, {m}) is NaN")
+    return value
+
+
 def tail_sup(fn: Callable[[int, int], float], k: int, horizon: int) -> float:
-    """Finite-horizon stand-in for the limsup-style tail quantity."""
+    """Finite-horizon stand-in for the limsup-style tail quantity; NaN raises."""
     if k > horizon:
         raise InvalidInputError("empty index window: k exceeds the horizon")
-    return max(fn(n, m) for n in range(k, horizon + 1) for m in range(k, horizon + 1))
+    indices = range(k, horizon + 1)
+    return max(_not_nan(fn, n, m) for n in indices for m in indices)
 
 
 def tail_sup_table(
     fn: Callable[[int, int], float], horizon: int, k_min: int = 0
 ) -> TailSupTable:
-    """All tail sups in one backward sweep; nonincreasing in k by construction."""
+    """All tail sups in one backward sweep; nonincreasing in k; NaN raises."""
     if k_min > horizon:
         raise InvalidInputError("empty index window: k_min exceeds the horizon")
     values = [0.0] * (horizon - k_min + 1)
     running = -math.inf
     for k in range(horizon, k_min - 1, -1):
         edge = max(
-            max(fn(k, m) for m in range(k, horizon + 1)),
-            max(fn(n, k) for n in range(k, horizon + 1)),
+            max(_not_nan(fn, k, m) for m in range(k, horizon + 1)),
+            max(_not_nan(fn, n, k) for n in range(k, horizon + 1)),
         )
         running = max(running, edge)
         values[k - k_min] = running
@@ -136,7 +144,7 @@ def check_l1_bound(
     )
     for n in range(1, paired.steps + 1):
         lhs = distance(space, paired.a.points[n], y1) + paired.a.f_values[n]
-        if lhs > rhs + slack:
+        if not (lhs <= rhs + slack):
             return False
     return True
 
@@ -185,7 +193,7 @@ def check_l2_bound(
         for nn in range(1, horizon + 1):
             decay = lam ** (min(mm, nn) - 1)
             bound = decay * m_const + (1.0 - decay) * s
-            if _u_value(paired, system, mm, nn) > bound + slack:
+            if not (_u_value(paired, system, mm, nn) <= bound + slack):
                 first = (mm, nn)
                 break
         if first is not None:
@@ -210,22 +218,6 @@ def _aitken_limit(points: Sequence[Point]) -> Point:
         val = c - (c - b) ** 2 / denom
         out.append(val if math.isfinite(val) else c)
     return tuple(round(v, 12) for v in out)
-
-
-def _window_settled(points: Sequence[Point], pair: SetPair, tol: float, window: int) -> bool:
-    n = len(points) - 1
-    if n < 1:
-        return True
-    w = min(window, n)
-    return all(
-        distance(pair.space, points[i], points[i + 1]) < tol for i in range(n - w, n)
-    )
-
-
-def _limit_estimate(points: Sequence[Point], pair: SetPair) -> Point:
-    if len(points) >= 3:
-        return _aitken_limit(points)
-    return points[-1]
 
 
 def _validate_members(points: Sequence[Point], region, label: str) -> None:
@@ -291,9 +283,9 @@ def cd_falsify(
         )
         if abs(sup - dist) > tol:
             continue  # cross distances never reach the pair gap: not admissible
-        if not _window_settled(xs, pair, tol, window):
+        if not _settled(pair.space, xs, tol, window):
             return CDCounterexample(i, xs, ys, "no-cauchy-window", None)
-        limit = _limit_estimate(xs, pair)
+        limit = _aitken_limit(xs) if len(xs) >= 3 else xs[-1]
         if not pair.a.contains(limit):
             return CDCounterexample(i, xs, ys, "limit-escapes-region", limit)
     return None

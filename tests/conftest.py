@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -89,6 +90,22 @@ def make_two_fixed_point_system() -> ExternalFactorSystem:
         f_b=ExternalFactor(lambda c: 0.0, 0.0),
         p=RelationP(p_contains, p_draw),
         lam=0.9,
+    )
+
+
+def logged_maps(system: ExternalFactorSystem, log: list) -> ExternalFactorSystem:
+    """The system with each of t_a, h_a, t_b, h_b appending its name to log."""
+
+    def logged(name, fn):
+        def call(p, c):
+            log.append(name)
+            return fn(p, c)
+
+        return call
+
+    names = ("t_a", "h_a", "t_b", "h_b")
+    return dataclasses.replace(
+        system, **{name: logged(name, getattr(system, name)) for name in names}
     )
 
 

@@ -1,11 +1,15 @@
 """Command line contract: exit codes, report shapes, CSV output."""
 
+import io
 import json
 import math
+import random
 
 import pytest
 
+import proxiter as px
 from proxiter.cli import _emit, main
+from proxiter.instances import ONE_ATOM
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +56,24 @@ def test_run_csv_trace(capsys):
     first = lines[1].split(",")
     assert first[1] == "3" and first[3] == "-2"
     assert float(lines[2].split(",")[1]) == 6.0
+
+
+@pytest.mark.parametrize("name", ["cyclic3-affine", "cyclic3-singleton"])
+def test_cyclic_csv_is_the_solved_first_rotation(capsys, name):
+    # the CSV replays rotation 0 of cyclic3_solve from the very same start
+    ct = px.CYCLIC[name].build()
+    for seed in (0, 5):
+        code, out, _ = run_cli(
+            capsys, "run", "--instance", name, "--seed", str(seed), "--format", "csv"
+        )
+        assert code == 0
+        rng = random.Random(seed)  # cyclic3_solve draws rotation i from seed + 17 * i
+        g, b, c = (region.draw(rng, 1)[0] for region in ct.regions)
+        system = px.cyclic3_reduce(ct, seed=seed)
+        paired, _ = px.run_paired(system, px.Quadruple(g + g, b + c, ONE_ATOM, b + c), 500, 1e-9)
+        expected = io.StringIO()
+        px.write_trace_csv(paired, expected)
+        assert out == expected.getvalue()
 
 
 def test_run_undecided_exit_code(capsys):

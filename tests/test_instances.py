@@ -346,3 +346,45 @@ def test_load_instance_json(tmp_path):
     q0 = entry.quadruple(system, entry.default_x0, entry.default_y0)
     _, report = px.run_paired(system, q0, 300, 1e-10)
     assert report.limit[0] == pytest.approx(4.0, abs=1e-8)  # x = x/2 + 2
+
+
+def test_json_instance_with_two_regions_keeps_its_system(tmp_path):
+    spec = {
+        "name": "two-regions",
+        "space": {"kind": "real"},
+        "regions": {
+            "a": {"lo": 0.0, "hi": 10.0, "name": "[0,10]"},
+            "b": {"lo": 20.0, "hi": 30.0, "name": "[20,30]"},
+        },
+        "maps": {
+            "t_a": {"name": "affine", "slope": 0.5},
+            "t_b": {"name": "affine", "slope": 0.5, "offset": 12.5},
+        },
+        "lambda": 0.5,
+        "dist": 10.0,
+        "infima": {"a": 0.25, "b": 0.5},
+    }
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(spec))
+    entry = px.load_instance_json(str(path))
+    system = entry.build()
+    unit = px.Atom("unit")
+    assert system.name == "two-regions" and system.lam == 0.5
+    assert (system.pair.a.name, system.pair.b.name, system.pair.dist_ab) == (
+        "[0,10]", "[20,30]", 10.0,
+    )
+    assert (system.f_a.inf_value, system.f_b.inf_value) == (0.25, 0.5)
+    assert (system.f_a.fn(unit), system.f_b.fn(unit)) == (0.0, 0.0)
+    assert system.p.draw(random.Random(3), 3) == [
+        px.Quadruple((2.3796462709189137,), (26.039200385961944,), unit, unit),
+        px.Quadruple((5.442292252959518,), (26.25720304108054,), unit, unit),
+        px.Quadruple((3.6995516654807927,), (20.65528859239813,), unit, unit),
+    ]
+    assert system.c_universe.draw(random.Random(0), 2) == [unit, unit]
+    assert system.t_a((4.0,), unit) == (2.0,) and system.t_b((22.0,), unit) == (23.5,)
+    assert system.h_a((4.0,), unit) == unit and system.h_b((22.0,), unit) == unit
+    assert system.p.contains((1.0,), (21.0,), unit, unit)
+    assert not system.p.contains((11.0,), (21.0,), unit, unit)
+    assert not system.p.contains((1.0,), (1.0,), unit, unit)
+    assert (entry.default_x0, entry.default_y0) == ((8.444218515250482,), (21.34364244112401,))
+    assert entry.witness(system) == ((21.34364244112401,), unit)

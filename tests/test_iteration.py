@@ -1,10 +1,14 @@
 """Iteration engine: traces, paired runs, limits, weak fixation, uniqueness."""
 
+import dataclasses
+import math
 import random
 
 import pytest
 
 import proxiter as px
+from conftest import logged_maps
+
 E1_Q0 = px.Quadruple((3.0,), (-2.0,), (3.0,), (-2.0,))
 
 
@@ -348,3 +352,96 @@ def test_trace_csv_round_trip(tmp_path):
         assert int(fields[0]) == i
         assert float(fields[1]) == paired.a.points[i][0]  # 17g round-trips exactly
         assert float(fields[5]) == paired.rho_xy[i]
+
+
+# ---------------------------------------------------------------------------
+# one orbit per side: map calls, check order and the settle rule
+
+
+def test_iterate_calls_each_map_once_per_step():
+    log = []
+
+    def t(x, c):
+        log.append("t")
+        return (x[0] / 2.0,)
+
+    def h(x, c):
+        log.append("h")
+        return c
+
+    for steps in (0, 1, 7):
+        log.clear()
+        trace = px.iterate(t, h, ((8.0,), (0.0,)), steps, space=px.real_line())
+        assert trace.steps == steps
+        assert log == ["t", "h"] * steps
+
+
+@pytest.mark.parametrize("max_steps", [0, 5, 500])
+def test_run_paired_calls_each_map_once_per_step(max_steps):
+    log = []
+    system = logged_maps(px.banach_half_system(), log)
+    q0 = px.Quadruple((8.0,), (0.0,), px.Atom("unit"), px.Atom("unit"))
+    _, report = px.run_paired(system, q0, max_steps, 1e-9)
+    if max_steps == 500:
+        assert report.stop_reason == "tolerance-met" and report.steps < max_steps
+    else:
+        assert report.stop_reason == "max-steps" and report.steps == max_steps
+    assert log == ["t_a", "h_a", "t_b", "h_b"] * report.steps
+
+
+def test_run_paired_calls_stop_at_the_divergence_guard():
+    log = []
+    base = px.banach_half_system()
+    system = logged_maps(dataclasses.replace(base, t_b=lambda y, c: (y[0] * 1e4,)), log)
+    q0 = px.Quadruple((1.0,), (1.0,), px.Atom("unit"), px.Atom("unit"))
+    _, report = px.run_paired(system, q0, 50, 1e-9)
+    assert report.stop_reason == "divergence-guard" and report.steps == 4
+    assert log == ["t_a", "h_a", "t_b", "h_b"] * 4
+
+
+def test_run_paired_non_finite_side_b_outranks_side_a_leaving():
+    # at step 2, x = 13 leaves [0, 10] while y turns NaN
+    region_a = px.interval(0.0, 10.0, name="[0,10]")
+    region_b = px.interval(-math.inf, math.inf, name="R")
+    atom = px.Atom("unit")
+    system = px.ExternalFactorSystem(
+        name="leave-and-overflow",
+        pair=px.SetPair(px.real_line(), region_a, region_b, dist_ab=0.0),
+        c_universe=px.CUniverse("single atom", lambda rng, n: [atom] * n),
+        t_a=lambda x, c: (x[0] + 4.0,),
+        h_a=lambda x, c: atom,
+        t_b=lambda y, c: (math.nan,) if y[0] == 2.0 else (y[0] + 1.0,),
+        h_b=lambda y, c: atom,
+        f_a=px.ExternalFactor(lambda c: 0.0, 0.0),
+        f_b=px.ExternalFactor(lambda c: 0.0, 0.0),
+        p=px.RelationP(lambda x, y, u, v: True, lambda rng, n: []),
+        lam=0.5,
+    )
+    q0 = px.Quadruple((5.0,), (1.0,), atom, atom)
+    with pytest.raises(px.NumericFailureError, match="step 2"):
+        px.run_paired(system, q0, 10, 1e-9)
+    with pytest.raises(px.NumericFailureError, match="step 2"):
+        px.iterate(
+            system.t_b, system.h_b, ((1.0,), atom), 10, space=px.real_line(), region=region_a
+        )
+
+
+def _trace(*xs):
+    points = tuple((x,) for x in xs)
+    return px.IterationTrace(px.real_line(), points, points, (0.0,) * len(points))
+
+
+def test_detect_limit_short_traces_and_empty_window():
+    # one state is vacuously settled, whatever the window
+    for window in (0, 1, 10):
+        assert px.detect_limit(_trace(3.0), 1e-6, window=window) == (3.0,)
+    # shorter than the window: every transition is judged
+    assert px.detect_limit(_trace(0.0, 5.0, 5.0), 1e-6) is None
+    assert px.detect_limit(_trace(5.0, 5.0, 5.0), 1e-6) == (5.0,)
+    # a window of one judges the last transition only
+    assert px.detect_limit(_trace(0.0, 5.0, 5.0), 1e-6, window=1) == (5.0,)
+    # an empty window is vacuously settled
+    assert px.detect_limit(_trace(0.0, 5.0, 9.0), 1e-6, window=0) == (9.0,)
+    # a displacement equal to tol is not settled
+    assert px.detect_limit(_trace(0.0, 1.0), 1.0) is None
+    assert px.detect_limit(_trace(0.0, 1.0), 1.0 + 2**-52) == (1.0,)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import proxiter as px
-from conftest import make_permissive_system
+from conftest import logged_maps, make_permissive_system
 
 E1_Q0 = px.Quadruple((3.0,), (-2.0,), (3.0,), (-2.0,))
 
@@ -249,6 +249,14 @@ def test_check_p_invariance_restricted_relation_fails():
     ok, failure = px.check_p_invariance(restricted, q0, 1)
     assert not ok
     assert failure is not None and max(failure) == 1
+
+
+@pytest.mark.parametrize("depth", [-1, 0, 1, 6])
+def test_check_p_invariance_calls_each_map_once_per_step(depth):
+    log = []
+    system = logged_maps(px.example1_system(), log)
+    assert px.check_p_invariance(system, E1_Q0, depth) == (True, None)
+    assert log == ["t_a", "h_a", "t_b", "h_b"] * max(0, depth)
 
 
 def test_p_invariance_monotone_in_depth():

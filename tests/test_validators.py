@@ -1,5 +1,6 @@
 """Bound checks, tail-sup tables, and the property falsifiers."""
 
+import math
 import random
 
 import pytest
@@ -60,6 +61,18 @@ def test_tail_sup_table_nonincreasing_property(xs):
     assert all(a >= b - 1e-12 for a, b in zip(table.values, table.values[1:]))
 
 
+def test_tail_sup_raises_on_nan_naming_the_index_pair():
+    def fn(n, m):
+        return math.nan if (n, m) == (4, 2) else 1.0 / (1 + n + m)
+
+    for k in (0, 2):
+        with pytest.raises(px.NumericFailureError, match=r"\(4, 2\)"):
+            px.tail_sup(fn, k, 6)
+    with pytest.raises(px.NumericFailureError, match=r"\(4, 2\)"):
+        px.tail_sup_table(fn, 6)
+    assert px.tail_sup(fn, 5, 6) == 1.0 / 11
+
+
 def test_split_limit_validate_converging_pair():
     xs = [1.0 / n for n in range(1, 200)]
     ys = [2.0 + 1.0 / n for n in range(1, 200)]
@@ -111,6 +124,32 @@ def test_check_l1_bound_negative_control():
     paired, _ = px.run_paired(system, q0, 400, 1e-9)
     assert px.check_l1_bound(paired, system)
     assert not px.check_l1_bound(paired, system, lam=0.4)
+
+
+def _nan_trace(system, at):
+    """A hand-made five-step trace with f_A NaN at index at, else a converged pair."""
+    space = system.pair.space
+    atom = px.Atom("unit")
+    xs = tuple((8.0 / 2**n,) for n in range(6))
+    ys = tuple((0.0,) for _ in range(6))
+    fa = tuple(math.nan if n == at else 0.0 for n in range(6))
+    a = px.IterationTrace(space, xs, (atom,) * 6, fa)
+    b = px.IterationTrace(space, ys, (atom,) * 6, (0.0,) * 6)
+    return px.PairedTrace(a, b, tuple(abs(x[0]) for x in xs))
+
+
+def test_check_l1_bound_fails_on_nan_values():
+    system = px.banach_half_system()
+    assert px.check_l1_bound(_nan_trace(system, None), system)
+    assert not px.check_l1_bound(_nan_trace(system, 3), system)
+    assert not px.check_l1_bound(_nan_trace(system, 3), system, lam=0.25, s=0.0)
+
+
+def test_check_l2_bound_fails_on_nan_values():
+    system = px.banach_half_system()
+    assert px.check_l2_bound(_nan_trace(system, None), system).ok
+    cert = px.check_l2_bound(_nan_trace(system, 3), system)
+    assert not cert.ok and cert.first_violation == (3, 1)
 
 
 def test_check_l2_bound_e1_no_violation():
@@ -232,6 +271,25 @@ def test_cd_falsify_flags_no_cauchy_window():
 
     found = px.cd_falsify(pair, gen, 3, 1e-6)
     assert found is not None and found.reason == "no-cauchy-window"
+
+
+def test_cd_falsify_short_candidates_and_empty_window():
+    pair = px.circle_origin_pair()
+    hop = [(1.0, 0.0), (-1.0, 0.0)]
+    origin = [(0.0, 0.0)] * 50
+
+    def gen_of(xs):
+        return lambda i: (xs, origin[: len(xs)])
+
+    # two terms, shorter than the window: the one transition is judged
+    found = px.cd_falsify(pair, gen_of(hop), 1, 1e-6)
+    assert found.reason == "no-cauchy-window" and found.limit_estimate is None
+    # two settled terms: the last term is the limit, and it is on the circle
+    assert px.cd_falsify(pair, gen_of([(1.0, 0.0)] * 2), 1, 1e-6) is None
+    # an empty window is vacuously settled; the extrapolated limit escapes
+    found = px.cd_falsify(pair, gen_of(hop * 25), 1, 1e-6, window=0)
+    assert found.reason == "limit-escapes-region"
+    assert found.limit_estimate == (0.0, 0.0)
 
 
 def test_uc_falsify_none_on_interval_pair():
