@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import math
-import random
 import sys
 from typing import Optional
 
@@ -23,9 +22,9 @@ from .instances import (
     CYCLIC_RESIDUAL_TOL,
     PAIRS,
     SYSTEMS,
+    _cyclic3_solve,
     certify_cyclic,
     cyclic3_reduce,
-    cyclic3_solve,
     list_instances,
     load_instance_json,
     pair_cd_generator,
@@ -33,7 +32,7 @@ from .instances import (
 )
 from .iteration import make_infimum_sequence, run_paired, uniqueness_scan, write_trace_csv
 from .spaces import format_point, parse_point
-from .systems import verify_contraction
+from .systems import resolve_constants, verify_contraction
 from .validators import cd_falsify, check_l1_bound, check_l2_bound, uc_falsify
 
 EXIT_OK = 0
@@ -109,15 +108,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ProxiterError("pair instances support the scan command only")
 
     if kind == "cyclic":
-        ct = entry.build()
-        result = cyclic3_solve(
-            ct, max_steps=args.steps, tol=args.tol, seed=args.seed
-        )
+        result, first = _cyclic3_solve(entry.build(), None, args.steps, args.tol, 1000, args.seed)
         if args.format == "csv":
-            system = cyclic3_reduce(ct, seed=args.seed)
-            quads = system.p.draw(random.Random(args.seed), 1)
-            paired, _ = run_paired(system, quads[0], args.steps, args.tol)
-            _write_csv(paired, args.out)
+            _write_csv(first, args.out)
             return EXIT_OK if result is not None else EXIT_UNDECIDED
         if result is None:
             _emit(_report("run", args, outcome="undecided"), args.out)
@@ -170,14 +163,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     system = entry.build()
     if args.lam is not None:
         system = dataclasses.replace(system, lam=args.lam)
-    cert = verify_contraction(system, args.samples, args.seed, depth=args.depth)
+    consts = resolve_constants(system, seed=args.seed)
+    cert = verify_contraction(system, args.samples, args.seed, depth=args.depth, constants=consts)
     payload = {"certification": cert.to_dict()}
     bounds_ok = None
     if cert.certified:
         q0 = entry.quadruple(system, entry.default_x0, entry.default_y0)
-        paired, _ = run_paired(system, q0, 300, 1e-9)
-        l1 = check_l1_bound(paired, system) if paired.steps >= 2 else True
-        l2 = check_l2_bound(paired, system)
+        paired, _ = run_paired(system, q0, 300, 1e-9, constants=consts)
+        l1 = check_l1_bound(paired, system, s=consts.s) if paired.steps >= 2 else True
+        l2 = check_l2_bound(paired, system, s=consts.s)
         bounds_ok = bool(l1 and l2.ok)
         payload["bounds"] = {
             "l1_ok": bool(l1),
@@ -221,7 +215,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         if not args.grid:
             raise ProxiterError("uniqueness scans need --grid lo:hi:step")
         q0 = entry.quadruple(system, entry.default_x0, entry.default_y0)
-        _, report = run_paired(system, q0, 500, args.tol)
+        consts = resolve_constants(system, seed=args.seed)
+        _, report = run_paired(system, q0, 500, args.tol, constants=consts)
         if report.limit is None:
             _emit(_report("scan", args, outcome="undecided"), args.out)
             return EXIT_UNDECIDED
@@ -236,7 +231,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 continue
             try:
                 seq = make_infimum_sequence(
-                    system, beta, witness, lambda n, b=beta: b, 12, f_tol=1e-9
+                    system, beta, witness, lambda n, b=beta: b, 12, f_tol=1e-9, constants=consts
                 )
             except ProxiterError:
                 skipped += 1

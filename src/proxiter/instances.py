@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError, RefutedError
+from .iteration import run_paired
 from .spaces import (
     MetricSpace,
     Point,
@@ -36,6 +38,7 @@ from .spaces import (
     vector_space,
 )
 from .systems import (
+    RESIDUAL_TOL,
     Atom,
     CElement,
     CPair,
@@ -46,8 +49,8 @@ from .systems import (
     RelationP,
 )
 
-#: slack for the summing-contraction residual gate, matching RESIDUAL_TOL
-CYCLIC_RESIDUAL_TOL = 1e-10
+#: slack for the summing-contraction residual gate, the certification slack
+CYCLIC_RESIDUAL_TOL = RESIDUAL_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +128,7 @@ def example1_system() -> ExternalFactorSystem:
     def t_a(x: Point, c: CElement) -> Point:
         return (example1_T(x[0]),)
 
-    def h_a(x: Point, c: CElement) -> CElement:
-        return (example1_T(x[0]),)
-
     def t_b(y: Point, c: CElement) -> Point:
-        return (example1_Tb(y[0]),)
-
-    def h_b(y: Point, c: CElement) -> CElement:
         return (example1_Tb(y[0]),)
 
     def p_contains(x: Point, y: Point, u: CElement, v: CElement) -> bool:
@@ -159,9 +156,9 @@ def example1_system() -> ExternalFactorSystem:
         pair=pair,
         c_universe=CUniverse("union of both half-lines", c_draw),
         t_a=t_a,
-        h_a=h_a,
+        h_a=t_a,
         t_b=t_b,
-        h_b=h_b,
+        h_b=t_b,
         f_a=ExternalFactor(lambda c: example1_fa(c[0]), 0.0),
         f_b=ExternalFactor(lambda c: example1_fb(c[0]), 0.0),
         p=RelationP(p_contains, p_draw),
@@ -291,52 +288,32 @@ def product_system(
         raise InvalidInputError("product systems need explicit dimensions")
     pair = product_space(s1.pair, s2.pair)
 
-    def split(p: Point) -> tuple[Point, Point]:
-        return p[:d1], p[d1:]
-
     def need_pair(c: CElement) -> CPair:
         if not isinstance(c, CPair):
             raise InvalidInputError("product external elements must be component pairs")
         return c
 
-    def t_a(x: Point, c: CElement) -> Point:
-        x1, x2 = split(x)
-        cp = need_pair(c)
-        return s1.t_a(x1, cp.left) + s2.t_a(x2, cp.right)
+    # each factor's map runs on its own component; points join with +, C elements as CPair
+    def lift(m1: Callable, m2: Callable, join: Callable) -> Callable:
+        def lifted(p: Point, c: CElement):
+            cp = need_pair(c)
+            return join(m1(p[:d1], cp.left), m2(p[d1:], cp.right))
 
-    def h_a(x: Point, c: CElement) -> CElement:
-        x1, x2 = split(x)
-        cp = need_pair(c)
-        return CPair(s1.h_a(x1, cp.left), s2.h_a(x2, cp.right))
+        return lifted
 
-    def t_b(y: Point, c: CElement) -> Point:
-        y1, y2 = split(y)
-        cp = need_pair(c)
-        return s1.t_b(y1, cp.left) + s2.t_b(y2, cp.right)
+    def sum_factor(g1: ExternalFactor, g2: ExternalFactor) -> ExternalFactor:
+        def fn(c: CElement) -> float:
+            cp = need_pair(c)
+            return g1.fn(cp.left) + g2.fn(cp.right)
 
-    def h_b(y: Point, c: CElement) -> CElement:
-        y1, y2 = split(y)
-        cp = need_pair(c)
-        return CPair(s1.h_b(y1, cp.left), s2.h_b(y2, cp.right))
-
-    def f_a_fn(c: CElement) -> float:
-        cp = need_pair(c)
-        return s1.f_a.fn(cp.left) + s2.f_a.fn(cp.right)
-
-    def f_b_fn(c: CElement) -> float:
-        cp = need_pair(c)
-        return s1.f_b.fn(cp.left) + s2.f_b.fn(cp.right)
-
-    def add_or_none(a: Optional[float], b: Optional[float]) -> Optional[float]:
-        return None if a is None or b is None else a + b
+        infs = (g1.inf_value, g2.inf_value)
+        return ExternalFactor(fn, None if None in infs else infs[0] + infs[1])
 
     def p_contains(x: Point, y: Point, u: CElement, v: CElement) -> bool:
         if not isinstance(u, CPair) or not isinstance(v, CPair):
             return False
-        x1, x2 = split(x)
-        y1, y2 = split(y)
-        return s1.p.contains(x1, y1, u.left, v.left) and s2.p.contains(
-            x2, y2, u.right, v.right
+        return s1.p.contains(x[:d1], y[:d1], u.left, v.left) and s2.p.contains(
+            x[d1:], y[d1:], u.right, v.right
         )
 
     def p_draw(rng: random.Random, n: int) -> list[Quadruple]:
@@ -356,12 +333,12 @@ def product_system(
         name=f"{s1.name}x{s2.name}",
         pair=pair,
         c_universe=CUniverse(f"{s1.c_universe.name} x {s2.c_universe.name}", c_draw),
-        t_a=t_a,
-        h_a=h_a,
-        t_b=t_b,
-        h_b=h_b,
-        f_a=ExternalFactor(f_a_fn, add_or_none(s1.f_a.inf_value, s2.f_a.inf_value)),
-        f_b=ExternalFactor(f_b_fn, add_or_none(s1.f_b.inf_value, s2.f_b.inf_value)),
+        t_a=lift(s1.t_a, s2.t_a, operator.add),
+        h_a=lift(s1.h_a, s2.h_a, CPair),
+        t_b=lift(s1.t_b, s2.t_b, operator.add),
+        h_b=lift(s1.h_b, s2.h_b, CPair),
+        f_a=sum_factor(s1.f_a, s2.f_a),
+        f_b=sum_factor(s1.f_b, s2.f_b),
         p=RelationP(p_contains, p_draw),
         lam=max(s1.lam, s2.lam),
     )
@@ -550,8 +527,11 @@ def cyclic3_solve(
     Returns None (undecided) when any rotation misses the confirmation
     window within max_steps.
     """
-    from .iteration import run_paired
+    return _cyclic3_solve(ct, starts, max_steps, tol, samples, seed)[0]
 
+
+def _cyclic3_solve(ct: CyclicTriple, starts, max_steps, tol, samples, seed) -> tuple:
+    """``cyclic3_solve``'s result and the PairedTrace of its first rotation."""
     d = ct.space.dim
     zs: list[Point] = []
     for i in range(3):
@@ -565,9 +545,11 @@ def cyclic3_solve(
         b = rotated.regions[1].draw(rng, 1)[0]
         c = rotated.regions[2].draw(rng, 1)[0]
         q0 = Quadruple(g + g, b + c, ONE_ATOM, b + c)
-        _, report = run_paired(system, q0, max_steps, tol)
+        paired, report = run_paired(system, q0, max_steps, tol)
+        if i == 0:
+            first = paired
         if report.limit is None:
-            return None
+            return None, first
         zs.append(report.limit[:d])
     z1, z2, z3 = zs
     metric = ct.space.metric
@@ -582,7 +564,7 @@ def cyclic3_solve(
         metric(ct.t(z2), z3),
         metric(ct.t(z3), z1),
     )
-    return BestProximityResult((z1, z2, z3), gaps, cycles)
+    return BestProximityResult((z1, z2, z3), gaps, cycles), first
 
 
 def affine_cyclic_example() -> CyclicTriple:
@@ -883,8 +865,17 @@ def load_instance_json(path: str) -> SystemInstance:
     sides, zero penalties with supplied infima, an exact distance, and a
     declared constant.  The relation is the membership product.
     """
-    with open(path) as fh:
-        spec = json.load(fh)
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: cannot read the instance file: {exc}") from exc
+
+    def number(field: str, value) -> float:
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"{path}: field {field!r} must be a number, got {value!r}")
     space_kind = spec.get("space", {}).get("kind", "real")
     if space_kind != "real":
         raise InvalidInputError(f"unsupported space kind {space_kind!r}")
@@ -902,13 +893,13 @@ def load_instance_json(path: str) -> SystemInstance:
         return _JSON_MAPS[name](**m)
 
     ta, tb = scalar_map("t_a"), scalar_map("t_b")
-    lam = float(spec["lambda"])
-    dist = float(spec.get("dist", 0.0))
+    lam = number("lambda", spec.get("lambda"))
+    dist = number("dist", spec.get("dist", 0.0))
     infima = spec.get("infima", {"a": 0.0, "b": 0.0})
     pair = SetPair(space, region_a, region_b, dist_ab=dist)
     name = spec.get("name", "json-instance")
-    inf_a = float(infima.get("a", 0.0))
-    inf_b = float(infima.get("b", 0.0))
+    inf_a = number("infima.a", infima.get("a", 0.0))
+    inf_b = number("infima.b", infima.get("b", 0.0))
     system = _single_atom_system(
         name, pair, lambda x, c: (ta(x[0]),), lambda y, c: (tb(y[0]),), lam, inf_a, inf_b
     )

@@ -12,15 +12,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError, NumericFailureError
-from .iteration import PairedTrace, _settled
-from .spaces import Point, SetPair, distance, format_point, set_distance
-from .systems import ExternalFactorSystem, resolve_constants
+from .iteration import CONFIRM_WINDOW, PairedTrace, _settled
+from .spaces import Point, Region, SetPair, distance, format_point, set_distance
+from .systems import RESIDUAL_TOL, ExternalFactorSystem, resolve_constants
 
-#: slack used by the bound checks, matching the certification residual slack
-BOUND_SLACK = 1e-10
+#: slack used by the bound checks, the certification residual slack
+BOUND_SLACK = RESIDUAL_TOL
 
-#: length of the trailing window used for tail estimates
-TAIL_WINDOW = 10
+#: length of the trailing window used for tail estimates, the confirmation window
+TAIL_WINDOW = CONFIRM_WINDOW
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,13 @@ def split_limit_validate(
     return True
 
 
+def _bound_constants(system: ExternalFactorSystem, lam, s) -> tuple[float, float]:
+    lam = system.lam if lam is None else lam
+    if not (0.0 <= lam < 1.0):
+        raise InvalidInputError("the constant must lie in [0,1)")
+    return lam, resolve_constants(system).s if s is None else s
+
+
 def _u_value(paired: PairedTrace, system: ExternalFactorSystem, m: int, n: int) -> float:
     rho = distance(system.pair.space, paired.a.points[m], paired.b.points[n])
     return rho + paired.a.f_values[m] + paired.b.f_values[n]
@@ -129,10 +136,7 @@ def check_l1_bound(
     """
     if paired.steps < 2:
         raise InvalidInputError("need at least two steps for the boundedness check")
-    lam = system.lam if lam is None else lam
-    if not (0.0 <= lam < 1.0):
-        raise InvalidInputError("the constant must lie in [0,1)")
-    s = resolve_constants(system).s if s is None else s
+    lam, s = _bound_constants(system, lam, s)
     space = system.pair.space
     y1, y2 = paired.b.points[1], paired.b.points[2]
     q = distance(space, y1, y2) + lam * paired.b.f_values[1] - paired.b.f_values[2]
@@ -179,10 +183,7 @@ def check_l2_bound(
     """
     if paired.steps < 1:
         raise InvalidInputError("need at least one step")
-    lam = system.lam if lam is None else lam
-    if not (0.0 <= lam < 1.0):
-        raise InvalidInputError("the constant must lie in [0,1)")
-    s = resolve_constants(system).s if s is None else s
+    lam, s = _bound_constants(system, lam, s)
     horizon = paired.steps
     m_const = max(
         max(_u_value(paired, system, k, 1) for k in range(1, horizon + 1)),
@@ -220,10 +221,16 @@ def _aitken_limit(points: Sequence[Point]) -> Point:
     return tuple(round(v, 12) for v in out)
 
 
-def _validate_members(points: Sequence[Point], region, label: str) -> None:
-    for p in points:
-        if not region.contains(p):
-            raise InvalidInputError(f"generator produced {p} outside region {label}")
+def _intake(candidate: Sequence, regions: Sequence[Region]) -> tuple[tuple[Point, ...], ...]:
+    """A generated candidate as point tuples, each at least 2 terms long and in its region."""
+    seqs = tuple(tuple(tuple(p) for p in seq) for seq in candidate)
+    if min(len(seq) for seq in seqs) < 2:
+        raise InvalidInputError("candidate sequences must have at least 2 terms")
+    for seq, region in zip(seqs, regions):
+        for p in seq:
+            if not region.contains(p):
+                raise InvalidInputError(f"generator produced {p} outside region {region.name}")
+    return seqs
 
 
 @dataclass(frozen=True)
@@ -269,13 +276,7 @@ def cd_falsify(
         raise InvalidInputError("budget must be >= 1")
     dist, _ = set_distance(pair, samples, seed)
     for i in range(budget):
-        xs_raw, ys_raw = gen(i)
-        xs = tuple(tuple(p) for p in xs_raw)
-        ys = tuple(tuple(p) for p in ys_raw)
-        if len(xs) < 2 or len(ys) < 2:
-            raise InvalidInputError("candidate sequences must have at least 2 terms")
-        _validate_members(xs, pair.a, pair.a.name)
-        _validate_members(ys, pair.b, pair.b.name)
+        xs, ys = _intake(gen(i), (pair.a, pair.b))
         horizon = min(len(xs), len(ys)) - 1
         k_tail = max(0, horizon - window)
         sup = tail_sup(
@@ -325,28 +326,27 @@ def uc_falsify(
 
     Admissible: rho(x_n, y_n) and rho(z_n, y_n) both reach dist(A,B) within
     tol at the tail.  A counterexample keeps rho(x_n, z_n) above 10*tol
-    through the whole trailing window.
+    through the whole trailing window.  A NaN distance raises, naming the
+    candidate index.
     """
     if budget < 1:
         raise InvalidInputError("budget must be >= 1")
     dist, _ = set_distance(pair, samples, seed)
+
+    def rho(i: int, p: Point, q: Point) -> float:
+        value = distance(pair.space, p, q)
+        if math.isnan(value):
+            raise NumericFailureError(f"candidate {i}: distance from {p} to {q} is NaN")
+        return value
+
     for i in range(budget):
-        xs_raw, zs_raw, ys_raw = gen(i)
-        xs = tuple(tuple(p) for p in xs_raw)
-        zs = tuple(tuple(p) for p in zs_raw)
-        ys = tuple(tuple(p) for p in ys_raw)
+        xs, zs, ys = _intake(gen(i), (pair.a, pair.a, pair.b))
         n = min(len(xs), len(zs), len(ys))
-        if n < 2:
-            raise InvalidInputError("candidate sequences must have at least 2 terms")
-        _validate_members(xs, pair.a, pair.a.name)
-        _validate_members(zs, pair.a, pair.a.name)
-        _validate_members(ys, pair.b, pair.b.name)
-        if abs(distance(pair.space, xs[n - 1], ys[n - 1]) - dist) > tol:
+        if abs(rho(i, xs[n - 1], ys[n - 1]) - dist) > tol:
             continue
-        if abs(distance(pair.space, zs[n - 1], ys[n - 1]) - dist) > tol:
+        if abs(rho(i, zs[n - 1], ys[n - 1]) - dist) > tol:
             continue
-        w = min(window, n)
-        sep = [distance(pair.space, xs[j], zs[j]) for j in range(n - w, n)]
-        if min(sep) > 10.0 * tol:
-            return UCCounterexample(i, xs, zs, ys, min(sep))
+        sep = min(rho(i, xs[j], zs[j]) for j in range(n - min(window, n), n))
+        if sep > 10.0 * tol:
+            return UCCounterexample(i, xs, zs, ys, sep)
     return None

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import proxiter as px
+from proxiter import cli, instances, iteration, systems, validators
 from proxiter.cli import _emit, main
 from proxiter.instances import ONE_ATOM
 
@@ -293,3 +294,69 @@ def test_json_instance_file_via_cli(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", "--instance", str(path))
     assert code == 0
     assert float(json.loads(out)["report"]["limit"]) == pytest.approx(4.0, abs=1e-8)
+
+
+GOOD_SPEC = {
+    "regions": {"a": {"lo": -10.0, "hi": 10.0}},
+    "maps": {"t_a": {"name": "affine", "slope": 0.5}, "t_b": {"name": "affine", "slope": 0.5}},
+    "lambda": 0.5,
+}
+
+
+@pytest.mark.parametrize(
+    "case, needle",
+    [
+        ("no-lambda", "'lambda'"),
+        ("lambda-abc", "'lambda'"),
+        ("invalid-json", "cannot read"),
+        ("missing-file", "No such file"),
+    ],
+)
+def test_bad_instance_file_is_an_error_not_a_traceback(capsys, tmp_path, case, needle):
+    path = tmp_path / f"{case}.json"
+    spec = {k: v for k, v in GOOD_SPEC.items() if k != "lambda"}
+    if case == "lambda-abc":
+        spec["lambda"] = "abc"
+    if case == "invalid-json":
+        path.write_text("{not json")
+    elif case != "missing-file":
+        path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "run", "--instance", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(path) in err and needle in err
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Wrap every module binding of one function; returns the list of calls."""
+    calls = []
+    original = getattr(px, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--instance", "e1", "--samples", "300", "--seed", "3"),
+        ("scan", "--kind", "uniqueness", "--instance", "e1", "--grid", "0:20:0.5"),
+    ],
+)
+def test_one_constants_resolution_per_command(capsys, monkeypatch, argv):
+    calls = _count_calls(monkeypatch, "resolve_constants", (cli, systems, iteration, validators))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_cyclic_csv_reuses_the_solve_run(capsys, monkeypatch):
+    reduce_calls = _count_calls(monkeypatch, "cyclic3_reduce", (cli, instances))
+    run_calls = _count_calls(monkeypatch, "run_paired", (cli, instances, iteration))
+    code, _, _ = run_cli(capsys, "run", "--instance", "cyclic3-singleton", "--format", "csv")
+    assert code == 0
+    assert len(reduce_calls) == len(run_calls) == 3  # one per rotation

@@ -153,6 +153,38 @@ def test_product_rejects_non_pair_external_elements():
         prod.t_a((3.0, 5.0), (3.0, 5.0))
 
 
+def test_product_maps_lift_each_factor_onto_its_component():
+    e1 = px.example1_system()
+    prod = px.example1_product_system()
+    x, u = (3.0, 5.0), px.CPair((3.0,), (5.0,))
+    y, v = (-2.0, -3.0), px.CPair((-2.0,), (-3.0,))
+    assert prod.t_a(x, u) == e1.t_a((3.0,), (3.0,)) + e1.t_a((5.0,), (5.0,))
+    assert prod.h_a(x, u) == px.CPair(e1.h_a((3.0,), (3.0,)), e1.h_a((5.0,), (5.0,)))
+    assert prod.t_b(y, v) == e1.t_b((-2.0,), (-2.0,)) + e1.t_b((-3.0,), (-3.0,))
+    assert prod.h_b(y, v) == px.CPair(e1.h_b((-2.0,), (-2.0,)), e1.h_b((-3.0,), (-3.0,)))
+    for fn in (prod.h_a, prod.t_b, prod.h_b):
+        with pytest.raises(px.InvalidInputError):
+            fn(y, (3.0,))
+
+
+def test_product_penalties_add_and_an_unknown_infimum_stays_unknown():
+    e1 = px.example1_system()
+    known = dataclasses.replace(
+        e1, f_a=px.ExternalFactor(e1.f_a.fn, 0.25), f_b=px.ExternalFactor(e1.f_b.fn, 0.5)
+    )
+    unknown = dataclasses.replace(e1, f_a=px.ExternalFactor(e1.f_a.fn, None))
+    prod = px.product_system(known, known)
+    assert (prod.f_a.inf_value, prod.f_b.inf_value) == (0.5, 1.0)
+    c = px.CPair((3.0,), (-2.0,))
+    assert prod.f_a.fn(c) == e1.f_a.fn((3.0,)) + e1.f_a.fn((-2.0,)) == 12.0
+    assert prod.f_b.fn(c) == e1.f_b.fn((3.0,)) + e1.f_b.fn((-2.0,))
+    for mixed in (px.product_system(known, unknown), px.product_system(unknown, known)):
+        assert mixed.f_a.inf_value is None
+        assert mixed.f_b.inf_value == 0.5  # 0.5 + 0.0
+    with pytest.raises(px.InvalidInputError):
+        prod.f_b.fn((3.0,))
+
+
 def test_singleton_triple_equality_case():
     ct = px.singleton_cyclic_example()
     worst, _ = px.certify_cyclic(ct, 100, seed=0)

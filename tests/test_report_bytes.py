@@ -57,6 +57,7 @@ MATRIX = [
     ("verify", "--instance", "e1", "--samples", "200", "--depth", "-1"),
     ("verify", "--instance", "e1", "--samples", "300", "--lambda", "0.5"),
     ("verify", "--instance", "e1-product", "--samples", "200"),
+    ("verify", "--instance", "e1-product", "--samples", "200", "--lambda", "0.5"),
     ("verify", "--instance", "banach-half", "--samples", "300"),
     ("verify", "--instance", "banach-affine", "--samples", "300", "--depth", "-1"),
     ("verify", "--instance", "banach-affine", "--samples", "300", "--lambda", "0.3"),
@@ -68,6 +69,7 @@ MATRIX = [
     ("scan", "--kind", "uc", "--instance", "e1-pair", "--budget", "40"),
     ("scan", "--kind", "cd", "--instance", "open-interval-pair", "--budget", "40"),
     ("scan", "--kind", "uc", "--instance", "open-interval-pair", "--budget", "40"),
+    ("scan", "--kind", "cd", "--instance", "circle-origin-pair", "--budget", "40"),
 ]
 
 EXPECTED = {
@@ -88,6 +90,7 @@ EXPECTED = {
     "verify --instance e1 --samples 200 --depth -1": "e5ff9c1bde965f1a8b51b5b825b814d03f390f54fb7e948d96cbf561e6350566",
     "verify --instance e1 --samples 300 --lambda 0.5": "362e4005193315b926455ff6e71952f8b79c72982e195712859b2cb399915c6e",
     "verify --instance e1-product --samples 200": "da52b41151673c47b394e04d7413d2fab1687cd0863aa9a0dc74ffa12e75453c",
+    "verify --instance e1-product --samples 200 --lambda 0.5": "c1e6a7be3e335d462deaeb5b4db19ca7da882feb459eaf314817b2c500f7bc1c",
     "verify --instance banach-half --samples 300": "2dc2b034e820bd01ffb0fb6b5c5585dc7dfd7a7377f5263368d2eaecdd224168",
     "verify --instance banach-affine --samples 300 --depth -1": "ec79f4756d52604b298dcfa1a5ba1420595d46159f0f3c80bc0c48c4b6460397",
     "verify --instance banach-affine --samples 300 --lambda 0.3": "928fc8ccc0b7aa8f51053f76ef5f7e2b1828fcab08865bdb97f04ec3e31e97f4",
@@ -99,6 +102,7 @@ EXPECTED = {
     "scan --kind uc --instance e1-pair --budget 40": "acd337618e054da64aefb0e5cc6b7a760afce2227ef0dc37ae8bc235afc029b2",
     "scan --kind cd --instance open-interval-pair --budget 40": "a24b58c237fa82c9a582ba4f21e404012c2a3aa0f1e48721efefa38e0e594018",
     "scan --kind uc --instance open-interval-pair --budget 40": "9859c71b1ed8ddb346e37c033cf132dd4e30aa1f590fee24265400a7d412446e",
+    "scan --kind cd --instance circle-origin-pair --budget 40": "69a5f849afd747712cf19fa07fab59c6ac4363247b95a369b3580d5ef6935bbb",
 }
 
 

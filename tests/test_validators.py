@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -338,3 +339,50 @@ def test_randomized_convergent_fixtures():
         table = px.tail_sup_table(lambda n, m: xs[n] + ys[m], 39)
         assert all(a >= b - 1e-12 for a, b in zip(table.values, table.values[1:]))
         assert abs(table.at(35) - (fx + fy)) <= 1e-3
+
+
+def _uc_gen_of(xs, zs, ys):
+    return lambda i: (xs, zs, ys)
+
+
+def test_uc_falsify_rejects_short_candidates_and_empty_budget():
+    pair = px.example1_pair()
+    ok = [(1.0,)] * 5
+    ys = [(-1.0,)] * 5
+    with pytest.raises(px.InvalidInputError, match="at least 2 terms"):
+        px.uc_falsify(pair, _uc_gen_of([(1.0,)], ok, ys), 3, 1e-6)
+    with pytest.raises(px.InvalidInputError, match="budget"):
+        px.uc_falsify(pair, _uc_gen_of(ok, ok, ys), 0, 1e-6)
+
+
+@pytest.mark.parametrize("which", ["xs", "zs", "ys"])
+def test_uc_falsify_rejects_out_of_region_points(which):
+    pair = px.example1_pair()
+    seqs = {"xs": [(1.0,)] * 5, "zs": [(2.0,)] * 5, "ys": [(-1.0,)] * 5}
+    seqs[which] = seqs[which][:4] + [(-0.5,)]  # in neither half-line
+    region = pair.b.name if which == "ys" else pair.a.name
+    with pytest.raises(px.InvalidInputError, match=re.escape(region)):
+        px.uc_falsify(pair, _uc_gen_of(seqs["xs"], seqs["zs"], seqs["ys"]), 3, 1e-6)
+
+
+@pytest.mark.parametrize("nan_between", ["cross", "separation"])
+def test_uc_falsify_raises_on_nan_distance_naming_the_candidate(nan_between):
+    # the metric is NaN between two points of A (separation) or towards
+    # -1.5 in B (cross); candidates 0 and 1 are not admissible, candidate 2
+    # reaches the NaN
+    def metric(p, q):
+        if nan_between == "separation" and p[0] >= 0 and q[0] >= 0:
+            return math.nan
+        if nan_between == "cross" and q == (-1.5,):
+            return math.nan
+        return abs(p[0] - q[0])
+
+    space = px.MetricSpace("nan-line", 1, metric)
+    pair = px.SetPair(space, px.interval(0.0, 1.0), px.interval(-2.0, -1.0), 1.0)
+
+    def gen(i):
+        ys = [(-2.0,)] * 12 if i < 2 else [(-1.5 if nan_between == "cross" else -1.0,)] * 12
+        return [(0.0,)] * 12, [(0.0,)] * 12, ys
+
+    with pytest.raises(px.NumericFailureError, match="candidate 2"):
+        px.uc_falsify(pair, gen, 5, 1e-6)
