@@ -122,7 +122,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     x0 = parse_point(args.x0) if args.x0 is not None else entry.default_x0
     y0 = parse_point(args.y0) if args.y0 is not None else entry.default_y0
     q0 = entry.quadruple(system, x0, y0)
-    paired, report = run_paired(system, q0, args.steps, args.tol)
+    consts = resolve_constants(system, seed=args.seed)
+    paired, report = run_paired(system, q0, args.steps, args.tol, constants=consts)
     if args.format == "csv":
         _write_csv(paired, args.out)
     else:

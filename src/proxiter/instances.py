@@ -78,7 +78,7 @@ def alpha_parity(x: float) -> int:
         raise InvalidInputError("alpha_parity needs a nonnegative argument")
     if x == 0:
         return 0
-    return floor_log2(x) % 2
+    return (math.frexp(x)[1] - 1) % 2  # floor_log2(x) % 2, inlined on the hot path
 
 
 def example1_T(x: float) -> float:
@@ -88,7 +88,7 @@ def example1_T(x: float) -> float:
     if x == 0:
         a, band = 0, 0.0
     else:
-        e = floor_log2(x)
+        e = math.frexp(x)[1] - 1  # floor_log2(x)
         a, band = e % 2, math.ldexp(1.0, e)  # alpha_parity(x), pow2_floor(x)
     return 2.0 * x * a + 0.25 * (x - band) * (1 - a)
 
@@ -100,8 +100,10 @@ def example1_Tb(y: float) -> float:
 
 
 def example1_fa(c: float) -> float:
+    # alpha_parity(c) inlined without its zero case: at c = +-0 the product
+    # is +-0 whichever parity frexp's exponent gives (likewise in example1_fb)
     if c >= 0:
-        return 4.0 * c * alpha_parity(c)
+        return 4.0 * c * ((math.frexp(c)[1] - 1) % 2)
     if c <= -1:
         return 0.0
     raise InvalidInputError(f"{c} is outside the external set")
@@ -111,7 +113,7 @@ def example1_fb(c: float) -> float:
     if c >= 0:
         return 0.0
     if c <= -1:
-        return -4.0 * (c + 1.0) * alpha_parity(-c - 1.0)
+        return -4.0 * (c + 1.0) * ((math.frexp(-c - 1.0)[1] - 1) % 2)
     raise InvalidInputError(f"{c} is outside the external set")
 
 
@@ -445,7 +447,13 @@ def cyclic3_reduce(
         return ct.t(ct.t(ct.t(p)))
 
     def t(p: Point, c: CElement) -> Point:
-        return t3(p[:d]) + t3(p[d:])
+        left, right = p[:d], p[d:]
+        # a diagonal point maps its one half once; +0.0 and -0.0 compare
+        # equal yet may map apart, so halves holding a zero take two calls
+        if left == right and 0.0 not in left:
+            image = t3(left)
+            return image + image
+        return t3(left) + t3(right)
 
     def f_b_fn(c: CElement) -> float:
         if isinstance(c, Atom):
@@ -834,28 +842,14 @@ def list_instances() -> list[tuple[str, str, str]]:
 # ---------------------------------------------------------------------------
 # JSON-described instances (degenerate external-factor shape)
 
-_JSON_MAPS: dict[str, Callable[..., Callable[[float], float]]] = {
-    "affine": lambda slope=1.0, offset=0.0: (lambda x: slope * x + offset),
-    "identity": lambda: (lambda x: x),
+#: map name -> (parameters with their defaults, factory taking them by name)
+_JSON_MAPS: dict[str, tuple[dict[str, float], Callable[..., Callable[[float], float]]]] = {
+    "affine": (
+        {"slope": 1.0, "offset": 0.0},
+        lambda slope, offset: (lambda x: slope * x + offset),
+    ),
+    "identity": ({}, lambda: (lambda x: x)),
 }
-
-
-def _region_from_json(spec: dict) -> Region:
-    kind = spec.get("kind", "interval")
-    if kind != "interval":
-        raise InvalidInputError(f"unsupported region kind {kind!r}")
-    lo = float(spec.get("lo", -math.inf))
-    hi = float(spec.get("hi", math.inf))
-    return interval(
-        lo,
-        hi,
-        closed_lo=bool(spec.get("closed_lo", True)),
-        closed_hi=bool(spec.get("closed_hi", True)),
-        sample_lo=spec.get("sample_lo"),
-        sample_hi=spec.get("sample_hi"),
-        complete=spec.get("complete"),
-        name=spec.get("name"),
-    )
 
 
 def load_instance_json(path: str) -> SystemInstance:
@@ -863,7 +857,8 @@ def load_instance_json(path: str) -> SystemInstance:
 
     Supported shape: one real region per side, named scalar maps for both
     sides, zero penalties with supplied infima, an exact distance, and a
-    declared constant.  The relation is the membership product.
+    declared constant.  The relation is the membership product.  A malformed
+    description raises InvalidInputError naming the file and the field.
     """
     try:
         with open(path) as fh:
@@ -876,26 +871,69 @@ def load_instance_json(path: str) -> SystemInstance:
             return float(value)
         except (TypeError, ValueError):
             raise InvalidInputError(f"{path}: field {field!r} must be a number, got {value!r}")
-    space_kind = spec.get("space", {}).get("kind", "real")
+
+    def section(field: str, value) -> dict:
+        if not isinstance(value, dict):
+            raise InvalidInputError(f"{path}: field {field!r} must be an object, got {value!r}")
+        return value
+
+    def region(key: str, rspec) -> Region:
+        rspec = section(f"regions.{key}", rspec)
+        kind = rspec.get("kind", "interval")
+        if kind != "interval":
+            raise InvalidInputError(
+                f"{path}: field 'regions.{key}.kind': unsupported region kind {kind!r}"
+            )
+        bounds = {
+            k: number(f"regions.{key}.{k}", rspec[k])
+            for k in ("sample_lo", "sample_hi")
+            if rspec.get(k) is not None
+        }
+        return interval(
+            number(f"regions.{key}.lo", rspec.get("lo", -math.inf)),
+            number(f"regions.{key}.hi", rspec.get("hi", math.inf)),
+            closed_lo=bool(rspec.get("closed_lo", True)),
+            closed_hi=bool(rspec.get("closed_hi", True)),
+            complete=rspec.get("complete"),
+            name=rspec.get("name"),
+            **bounds,
+        )
+
+    spec = section("(top level)", spec)
+    space_kind = section("space", spec.get("space", {})).get("kind", "real")
     if space_kind != "real":
-        raise InvalidInputError(f"unsupported space kind {space_kind!r}")
+        raise InvalidInputError(
+            f"{path}: field 'space.kind': unsupported space kind {space_kind!r}"
+        )
     space = real_line()
-    regions = spec.get("regions", {})
-    region_a = _region_from_json(regions.get("a", {}))
-    region_b = _region_from_json(regions.get("b", regions.get("a", {})))
-    maps = spec.get("maps", {})
+    regions = section("regions", spec.get("regions", {}))
+    region_a = region("a", regions.get("a", {}))
+    key_b = "b" if "b" in regions else "a"  # one region serves both sides
+    region_b = region(key_b, regions.get(key_b, {}))
+    maps = section("maps", spec.get("maps", {}))
 
     def scalar_map(key: str) -> Callable[[float], float]:
-        m = dict(maps.get(key, {"name": "identity"}))
+        m = dict(section(f"maps.{key}", maps.get(key, {"name": "identity"})))
+        if "name" not in m:
+            raise InvalidInputError(f"{path}: field 'maps.{key}.name' is missing")
         name = m.pop("name")
-        if name not in _JSON_MAPS:
-            raise InvalidInputError(f"unknown map name {name!r}")
-        return _JSON_MAPS[name](**m)
+        if not isinstance(name, str) or name not in _JSON_MAPS:
+            raise InvalidInputError(f"{path}: field 'maps.{key}.name': unknown map name {name!r}")
+        params, build = _JSON_MAPS[name]
+        for param in m:
+            if param not in params:
+                raise InvalidInputError(
+                    f"{path}: field 'maps.{key}.{param}' is not a parameter of map {name!r}"
+                )
+        return build(**{
+            param: number(f"maps.{key}.{param}", m.get(param, default))
+            for param, default in params.items()
+        })
 
     ta, tb = scalar_map("t_a"), scalar_map("t_b")
     lam = number("lambda", spec.get("lambda"))
     dist = number("dist", spec.get("dist", 0.0))
-    infima = spec.get("infima", {"a": 0.0, "b": 0.0})
+    infima = section("infima", spec.get("infima", {"a": 0.0, "b": 0.0}))
     pair = SetPair(space, region_a, region_b, dist_ab=dist)
     name = spec.get("name", "json-instance")
     inf_a = number("infima.a", infima.get("a", 0.0))
@@ -903,8 +941,19 @@ def load_instance_json(path: str) -> SystemInstance:
     system = _single_atom_system(
         name, pair, lambda x, c: (ta(x[0]),), lambda y, c: (tb(y[0]),), lam, inf_a, inf_b
     )
-    x0 = as_point(spec.get("x0", sample_region(region_a, 1, 0)[0]))
-    y0 = as_point(spec.get("y0", sample_region(region_b, 1, 1)[0]))
+
+    def start(field: str, home: Region, seed: int) -> Point:
+        if field not in spec:
+            return sample_region(home, 1, seed)[0]
+        try:
+            return as_point(spec[field])
+        except (TypeError, ValueError):
+            raise InvalidInputError(
+                f"{path}: field {field!r} must be a number or a list of numbers, "
+                f"got {spec[field]!r}"
+            )
+
+    x0, y0 = start("x0", region_a, 0), start("y0", region_b, 1)
     return SystemInstance(
         name,
         f"JSON instance from {path}",

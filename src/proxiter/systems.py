@@ -91,7 +91,13 @@ class RelationP:
 
 @dataclass(frozen=True)
 class ExternalFactorSystem:
-    """The six maps, the external set, the relation P and the constant."""
+    """The six maps, the external set, the relation P and the constant.
+
+    Every map must be pure: its output depends on its arguments only.  A
+    system whose external update on a side is that side's point map says so
+    by passing the same object as T and H; the engine then evaluates it once
+    per state and reuses T's output as H's.
+    """
 
     name: str
     pair: SetPair
@@ -165,7 +171,13 @@ def _orbit(t: Callable, h: Callable, x: Point, u: CElement) -> Iterator[tuple]:
     """Yield (x_1, u_1), (x_2, u_2), ... of x_{n+1} = t(x_n, u_n), u_{n+1} = h(x_n, u_n).
 
     Endless: callers zip it with a range, so no map is called past the budget.
+    When h is t, each step calls t once and its output is also u_{n+1}.
     """
+    if h is t:
+        while True:
+            x = t(x, u)
+            u = x
+            yield x, u
     while True:
         x_next = t(x, u)
         u_next = h(x, u)
@@ -179,18 +191,16 @@ def _one_step_sides(
     """Both sides of the contraction inequality at q, before the constants.
 
     Returns (rho(x, y) + f_A(u) + f_B(v), rho(T_A, T_B) + f_A(H_A) + f_B(H_B))
-    given the already evaluated T_A and T_B outputs at q.  The sums run left
-    to right, so every residual built from them is bit-identical however the
-    caller reached q.
+    given the already evaluated T_A and T_B outputs at q; a side whose H is
+    its T reuses that output.  The sums run left to right, so every residual
+    built from them is bit-identical however the caller reached q.
     """
     space = system.pair.space
     f_a, f_b = system.f_a.fn, system.f_b.fn
     before = distance(space, q.x, q.y) + f_a(q.u) + f_b(q.v)
-    after = (
-        distance(space, ta_out, tb_out)
-        + f_a(system.h_a(q.x, q.u))
-        + f_b(system.h_b(q.y, q.v))
-    )
+    after = distance(space, ta_out, tb_out)
+    after += f_a(ta_out if system.h_a is system.t_a else system.h_a(q.x, q.u))
+    after += f_b(tb_out if system.h_b is system.t_b else system.h_b(q.y, q.v))
     return before, after
 
 

@@ -303,6 +303,34 @@ GOOD_SPEC = {
 }
 
 
+def _good_spec_with(**changes):
+    """GOOD_SPEC with each ``a__b=value`` change set at spec["a"]["b"]."""
+    spec = json.loads(json.dumps(GOOD_SPEC))
+    for dotted, value in changes.items():
+        *parents, leaf = dotted.split("__")
+        node = spec
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+    return spec
+
+
+BAD_SPECS = {
+    "no-lambda": {k: v for k, v in GOOD_SPEC.items() if k != "lambda"},
+    "lambda-abc": _good_spec_with(**{"lambda": "abc"}),
+    "top-level-array": [1],
+    "bound-abc": _good_spec_with(regions__a__lo="abc"),
+    "map-without-name": _good_spec_with(maps__t_a={"slope": 0.5}),
+    "unknown-map-parameter": _good_spec_with(maps__t_a={"name": "affine", "slop": 1}),
+    "map-parameter-abc": _good_spec_with(maps__t_a={"name": "affine", "slope": "abc"}),
+    "regions-not-an-object": _good_spec_with(regions=5),
+    "start-abc": _good_spec_with(x0="abc"),
+    "unknown-map-name": _good_spec_with(maps__t_b={"name": "cubic"}),
+    "unknown-region-kind": _good_spec_with(regions__a__kind="disc"),
+    "unknown-space-kind": _good_spec_with(space={"kind": "plane"}),
+}
+
+
 @pytest.mark.parametrize(
     "case, needle",
     [
@@ -310,17 +338,24 @@ GOOD_SPEC = {
         ("lambda-abc", "'lambda'"),
         ("invalid-json", "cannot read"),
         ("missing-file", "No such file"),
+        ("top-level-array", "'(top level)'"),
+        ("bound-abc", "'regions.a.lo'"),
+        ("map-without-name", "'maps.t_a.name'"),
+        ("unknown-map-parameter", "'maps.t_a.slop'"),
+        ("map-parameter-abc", "'maps.t_a.slope'"),
+        ("regions-not-an-object", "'regions'"),
+        ("start-abc", "'x0'"),
+        ("unknown-map-name", "'maps.t_b.name'"),
+        ("unknown-region-kind", "'regions.a.kind'"),
+        ("unknown-space-kind", "'space.kind'"),
     ],
 )
 def test_bad_instance_file_is_an_error_not_a_traceback(capsys, tmp_path, case, needle):
     path = tmp_path / f"{case}.json"
-    spec = {k: v for k, v in GOOD_SPEC.items() if k != "lambda"}
-    if case == "lambda-abc":
-        spec["lambda"] = "abc"
     if case == "invalid-json":
         path.write_text("{not json")
-    elif case != "missing-file":
-        path.write_text(json.dumps(spec))
+    elif case in BAD_SPECS:
+        path.write_text(json.dumps(BAD_SPECS[case]))
     code, out, err = run_cli(capsys, "run", "--instance", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and str(path) in err and needle in err
@@ -360,3 +395,52 @@ def test_cyclic_csv_reuses_the_solve_run(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "run", "--instance", "cyclic3-singleton", "--format", "csv")
     assert code == 0
     assert len(reduce_calls) == len(run_calls) == 3  # one per rotation
+
+
+def test_run_resolves_constants_from_the_seed(capsys, monkeypatch):
+    seeds = []
+    original = systems.resolve_constants
+
+    def spy(system, samples=2048, seed=0):
+        seeds.append(seed)
+        return original(system, samples, seed)
+
+    for mod in (cli, systems, iteration, validators):
+        monkeypatch.setattr(mod, "resolve_constants", spy, raising=False)
+    code, _, _ = run_cli(capsys, "run", "--instance", "e1", "--seed", "7")
+    assert code == 0
+    assert seeds == [7]
+
+
+def test_verify_e1_calls_the_point_map_once_per_sample(capsys, monkeypatch):
+    # H_A is T_A and H_B is T_B in e1, so the sample loop evaluates example1_T
+    # once per sample; the invariance probes are not part of the loop
+    inside = {"verify": False, "probe": False}
+    loop_calls = []
+
+    def flagging(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            inside[key] = True
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside[key] = False
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    example1_T = instances.example1_T
+
+    def counted_T(x):
+        if inside["verify"] and not inside["probe"]:
+            loop_calls.append(x)
+        return example1_T(x)
+
+    flagging(cli, "verify_contraction", "verify")
+    flagging(systems, "check_p_invariance", "probe")
+    monkeypatch.setattr(instances, "example1_T", counted_T)
+    samples = 500
+    code, _, _ = run_cli(capsys, "verify", "--instance", "e1", "--samples", str(samples))
+    assert code == 0
+    assert len(loop_calls) == samples

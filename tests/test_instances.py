@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxiter as px
+from proxiter.instances import ONE_ATOM
 
 
 def test_alpha_parity_small_cases():
@@ -420,3 +421,193 @@ def test_json_instance_with_two_regions_keeps_its_system(tmp_path):
     assert not system.p.contains((1.0,), (1.0,), unit, unit)
     assert (entry.default_x0, entry.default_y0) == ((8.444218515250482,), (21.34364244112401,))
     assert entry.witness(system) == ((21.34364244112401,), unit)
+
+
+# ---------------------------------------------------------------------------
+# the flat e1 parity kernel against the floor_log2 formulas it replaced
+
+
+def _ref_alpha_parity(x):
+    if x < 0:
+        raise px.InvalidInputError("alpha_parity needs a nonnegative argument")
+    if x == 0:
+        return 0
+    return px.floor_log2(x) % 2
+
+
+def _ref_example1_T(x):
+    if x < 0:
+        raise px.InvalidInputError("example1_T needs a nonnegative argument")
+    if x == 0:
+        a, band = 0, 0.0
+    else:
+        a, band = _ref_alpha_parity(x), math.ldexp(1.0, px.floor_log2(x))
+    return 2.0 * x * a + 0.25 * (x - band) * (1 - a)
+
+
+def _ref_example1_Tb(y):
+    g = y + 1.0
+    return g / 8.0 + (15.0 / 8.0) * g * _ref_alpha_parity(-g) - 1.0
+
+
+def _ref_example1_fa(c):
+    if c >= 0:
+        return 4.0 * c * _ref_alpha_parity(c)
+    if c <= -1:
+        return 0.0
+    raise px.InvalidInputError(f"{c} is outside the external set")
+
+
+def _ref_example1_fb(c):
+    if c >= 0:
+        return 0.0
+    if c <= -1:
+        return -4.0 * (c + 1.0) * _ref_alpha_parity(-c - 1.0)
+    raise px.InvalidInputError(f"{c} is outside the external set")
+
+
+E1_KERNEL = [
+    (px.alpha_parity, _ref_alpha_parity),
+    (px.example1_T, _ref_example1_T),
+    (px.example1_Tb, _ref_example1_Tb),
+    (px.example1_fa, _ref_example1_fa),
+    (px.example1_fb, _ref_example1_fb),
+]
+
+
+def _outcome(fn, x):
+    """The result's bits, or the raised error's type and message."""
+    try:
+        value = fn(x)
+    except px.InvalidInputError as exc:
+        return type(exc), str(exc)
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+def _e1_edge_inputs():
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf]
+    for e in list(range(-1074, -1000)) + list(range(-60, 61)) + list(range(1000, 1024)):
+        p = math.ldexp(1.0, e)
+        edges += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    # the second side's band edges sit at -1 - 2**e
+    edges += [-1.0 - v for v in edges if v < 1e300]
+    edges += [-v for v in edges] + [math.nan, -math.nan]
+    return edges
+
+
+def test_e1_kernel_matches_floor_log2_formulas_on_edges():
+    for x in _e1_edge_inputs():
+        for fn, ref in E1_KERNEL:
+            assert _outcome(fn, x) == _outcome(ref, x), (fn.__name__, x)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.floats())
+def test_e1_kernel_matches_floor_log2_formulas(x):
+    for fn, ref in E1_KERNEL:
+        assert _outcome(fn, x) == _outcome(ref, x), fn.__name__
+
+
+# ---------------------------------------------------------------------------
+# the reduction's map: one cubed-map call per diagonal point, same bits
+
+
+def _two_call_reference(ct, p, d):
+    def t3(q):
+        return ct.t(ct.t(ct.t(q)))
+
+    return t3(p[:d]) + t3(p[d:])
+
+
+def _reduction_points(rot, seed):
+    rng = random.Random(seed)
+    firsts, seconds, thirds = (region.draw(rng, 20) for region in rot.regions)
+    points = [g + g for g in firsts]  # diagonal, as P draws them
+    points += [g + tuple(float(repr(c)) for c in g) for g in firsts]  # equal, distinct floats
+    points += [g + h for g, h in zip(firsts, firsts[1:])]  # first side, off the diagonal
+    points += [b + c for b, c in zip(seconds, thirds)]  # second side
+    return points
+
+
+@pytest.mark.parametrize("name", ["cyclic3-singleton", "cyclic3-affine"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shift=st.integers(0, 2))
+def test_reduction_map_matches_two_cubed_calls(name, seed, shift):
+    ct = px.CYCLIC[name].build()
+    rot = px.rotate_cyclic(ct, shift)
+    system = px.cyclic3_reduce(rot, certificate=(0.0, None))
+    assert system.t_a is system.t_b is system.h_b
+    d = ct.space.dim
+    for p in _reduction_points(rot, seed):
+        got = system.t_a(p, ONE_ATOM)
+        assert [c.hex() for c in got] == [c.hex() for c in _two_call_reference(rot, p, d)]
+
+
+@pytest.mark.parametrize("name", ["cyclic3-singleton", "cyclic3-affine"])
+def test_reduction_map_signed_zero_halves_off_the_regions(name):
+    # no region of either triple holds a zero coordinate: both paths refuse alike
+    ct = px.CYCLIC[name].build()
+    system = px.cyclic3_reduce(ct, certificate=(0.0, None))
+    d = ct.space.dim
+    p = (0.0,) * d + (-0.0,) * d
+    with pytest.raises(px.InvalidInputError) as got:
+        system.t_a(p, ONE_ATOM)
+    with pytest.raises(px.InvalidInputError) as ref:
+        _two_call_reference(ct, p, d)
+    assert str(got.value) == str(ref.value)
+
+
+def test_reduction_map_keeps_the_sign_of_a_zero_half():
+    # a map that sends +0.0 and -0.0 apart: equal halves must not share a call
+    region = px.interval(-1.0, 1.0, name="[-1,1]")
+
+    def t(p):
+        return (math.copysign(0.5, p[0]) if p[0] == 0.0 else p[0] / 2.0,)
+
+    ct = px.CyclicTriple(px.real_line(), (region,) * 3, t, 0.5, (0.0, 0.0, 0.0))
+    system = px.cyclic3_reduce(ct, certificate=(0.0, None))
+    for p in [(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0), (0.5, 0.5)]:
+        got = system.t_a(p, ONE_ATOM)
+        assert [c.hex() for c in got] == [c.hex() for c in _two_call_reference(ct, p, 1)]
+    assert system.t_a((0.0, -0.0), ONE_ATOM) == (0.125, -0.125)
+
+
+# ---------------------------------------------------------------------------
+# relabelling a cyclic triple leaves its summed residual unchanged
+
+
+@pytest.mark.parametrize("name", ["cyclic3-singleton", "cyclic3-affine"])
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shift=st.integers(-3, 5))
+def test_cyclic_residual_invariant_under_rotation(name, seed, shift):
+    ct = px.CYCLIC[name].build()
+    rng = random.Random(seed)
+    xs = [region.draw(rng, 1)[0] for region in ct.regions]
+    i = shift % 3
+    rotated = px.rotate_cyclic(ct, shift)
+    before = px.cyclic_residual(ct, *xs)
+    after = px.cyclic_residual(rotated, *(xs[(i + j) % 3] for j in range(3)))
+    if i == 0:
+        assert after.hex() == before.hex()
+    # each three-term sum may round differently once reassociated: a few ulps
+    # of the largest magnitude in the residual's terms
+    d = ct.space.metric
+    perim = d(xs[0], xs[1]) + d(xs[1], xs[2]) + d(xs[2], xs[0])
+    scale = ct.k * perim + (1.0 - ct.k) * ct.d_total + perim
+    assert abs(after - before) <= 8 * math.ulp(scale)
+
+
+def test_reduction_sample_makes_nine_cyclic_map_calls():
+    # T_A at a diagonal point cubes one half (3 calls); T_B cubes two halves
+    # (6 calls); H_B is T_B, so it reuses that output
+    ct = px.affine_cyclic_example()
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return ct.t(p)
+
+    system = px.cyclic3_reduce(dataclasses.replace(ct, t=counted), certificate=(0.0, None))
+    samples = 200
+    px.verify_contraction(system, samples, seed=1, invariance_probes=0)
+    assert len(calls) == 9 * samples

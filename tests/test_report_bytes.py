@@ -39,6 +39,14 @@ JSON_INSTANCE = {
 }
 JSON_NAME = "guard-pair.json"
 
+#: malformed instance files, each refused with an error naming the field
+MALFORMED = {
+    "top-array.json": [1],
+    "bound-abc.json": {"regions": {"a": {"lo": "abc"}}, "lambda": 0.5},
+    "map-no-name.json": {"maps": {"t_a": {"slope": 0.5}}, "lambda": 0.5},
+    "map-slop.json": {"maps": {"t_a": {"name": "affine", "slop": 1}}, "lambda": 0.5},
+}
+
 MATRIX = [
     ("run", "--instance", "e1"),
     ("run", "--instance", "e1", "--x0", "3", "--y0", "-2", "--steps", "5"),
@@ -70,6 +78,7 @@ MATRIX = [
     ("scan", "--kind", "cd", "--instance", "open-interval-pair", "--budget", "40"),
     ("scan", "--kind", "uc", "--instance", "open-interval-pair", "--budget", "40"),
     ("scan", "--kind", "cd", "--instance", "circle-origin-pair", "--budget", "40"),
+    *(("run", "--instance", name) for name in MALFORMED),
 ]
 
 EXPECTED = {
@@ -103,6 +112,10 @@ EXPECTED = {
     "scan --kind cd --instance open-interval-pair --budget 40": "a24b58c237fa82c9a582ba4f21e404012c2a3aa0f1e48721efefa38e0e594018",
     "scan --kind uc --instance open-interval-pair --budget 40": "9859c71b1ed8ddb346e37c033cf132dd4e30aa1f590fee24265400a7d412446e",
     "scan --kind cd --instance circle-origin-pair --budget 40": "69a5f849afd747712cf19fa07fab59c6ac4363247b95a369b3580d5ef6935bbb",
+    "run --instance top-array.json": "08fa7e6416fb999c2f5c8dcbf373f1771f1cc32dbcf97397fee19a37075fc12e",
+    "run --instance bound-abc.json": "fee18ba712bcc88d54934d5f3fe461925e7f591eff2665e89f6f4c0018cd9252",
+    "run --instance map-no-name.json": "91b7d93dc50931978e215586581fca88bbe11198161982de5e01e19eabe1067a",
+    "run --instance map-slop.json": "5989bbf06a1fb602144d5580aa0760511a2b892ac61d9dfa93d4dbab8085601c",
 }
 
 
@@ -120,8 +133,9 @@ def record(directory) -> dict:
     cwd = os.getcwd()
     os.chdir(directory)
     try:
-        with open(JSON_NAME, "w") as fh:
-            json.dump(JSON_INSTANCE, fh)
+        for name, spec in {JSON_NAME: JSON_INSTANCE, **MALFORMED}.items():
+            with open(name, "w") as fh:
+                json.dump(spec, fh)
         return {" ".join(argv): digest(argv) for argv in MATRIX}
     finally:
         os.chdir(cwd)

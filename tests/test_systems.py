@@ -294,3 +294,63 @@ def test_lambda_outside_unit_interval_rejected():
     system = px.example1_system()
     with pytest.raises(px.InvalidInputError):
         dataclasses.replace(system, lam=1.0)
+
+
+# ---------------------------------------------------------------------------
+# a map passed as both T and H is evaluated once per state
+
+
+def _counting(fn, log):
+    def call(p, c):
+        log.append(p)
+        return fn(p, c)
+
+    return call
+
+
+def test_orbit_calls_a_shared_map_once_per_step():
+    log = []
+    t = _counting(lambda x, c: (x[0] / 2.0 + c[0] / 4.0,), log)
+    shared = px.systems._orbit(t, t, (8.0,), (3.0,))
+    got = [state for _, state in zip(range(6), shared)]
+    assert len(log) == 6
+    # reference: the same map as two distinct objects takes the two-call path
+    def twin(x, c):
+        return t(x, c)
+
+    log.clear()
+    separate = px.systems._orbit(t, twin, (8.0,), (3.0,))
+    assert got == [state for _, state in zip(range(6), separate)]
+    assert len(log) == 12
+
+
+def test_one_step_sides_reuses_shared_outputs():
+    log = []
+    base = px.example1_system()
+    t_a, t_b = _counting(base.t_a, log), _counting(base.t_b, log)
+    shared = dataclasses.replace(base, t_a=t_a, h_a=t_a, t_b=t_b, h_b=t_b)
+    twins = dataclasses.replace(shared, h_a=lambda p, c: t_a(p, c), h_b=lambda p, c: t_b(p, c))
+    for q in base.p.draw(random.Random(8), 50):
+        ta_out, tb_out = base.t_a(q.x, q.u), base.t_b(q.y, q.v)
+        log.clear()
+        sides = px.systems._one_step_sides(shared, q, ta_out, tb_out)
+        assert log == []
+        assert sides == px.systems._one_step_sides(twins, q, ta_out, tb_out)
+        assert len(log) == 2
+
+
+@pytest.mark.parametrize("name", ["e1", "e1-product", "banach-affine"])
+def test_shared_maps_leave_runs_and_certificates_bit_identical(name):
+    entry = px.SYSTEMS[name]
+    system = entry.build()
+    twins = dataclasses.replace(
+        system,
+        h_a=lambda p, c: system.h_a(p, c),
+        h_b=lambda p, c: system.h_b(p, c),
+    )
+    q0 = entry.quadruple(system, entry.default_x0, entry.default_y0)
+    assert px.run_paired(system, q0, 300, 1e-9) == px.run_paired(twins, q0, 300, 1e-9)
+    for lam in (system.lam, 0.5):
+        a = px.verify_contraction(dataclasses.replace(system, lam=lam), 400, seed=3)
+        b = px.verify_contraction(dataclasses.replace(twins, lam=lam), 400, seed=3)
+        assert a == b and a.min_residual.hex() == b.min_residual.hex()
