@@ -19,7 +19,6 @@ from .errors import ProxiterError
 from .instances import (
     ALIASES,
     CYCLIC,
-    CYCLIC_RESIDUAL_TOL,
     PAIRS,
     SYSTEMS,
     _cyclic3_solve,
@@ -32,7 +31,7 @@ from .instances import (
 )
 from .iteration import make_infimum_sequence, run_paired, uniqueness_scan, write_trace_csv
 from .spaces import format_point, parse_point
-from .systems import resolve_constants, verify_contraction
+from .systems import RESIDUAL_TOL, resolve_constants, verify_contraction
 from .validators import cd_falsify, check_l1_bound, check_l2_bound, uc_falsify
 
 EXIT_OK = 0
@@ -108,7 +107,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ProxiterError("pair instances support the scan command only")
 
     if kind == "cyclic":
-        result, first = _cyclic3_solve(entry.build(), None, args.steps, args.tol, 1000, args.seed)
+        result, first = _cyclic3_solve(entry.build(), None, args.steps, args.tol, args.seed)
         if args.format == "csv":
             _write_csv(first, args.out)
             return EXIT_OK if result is not None else EXIT_UNDECIDED
@@ -121,7 +120,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     system = entry.build()
     x0 = parse_point(args.x0) if args.x0 is not None else entry.default_x0
     y0 = parse_point(args.y0) if args.y0 is not None else entry.default_y0
-    q0 = entry.quadruple(system, x0, y0)
+    q0 = entry.quadruple(x0, y0)
     consts = resolve_constants(system, seed=args.seed)
     paired, report = run_paired(system, q0, args.steps, args.tol, constants=consts)
     if args.format == "csv":
@@ -150,7 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ct = entry.build()
         worst, arg = certify_cyclic(ct, samples=args.samples, seed=args.seed)
         payload = {"summed_residual_min": worst}
-        if worst < -CYCLIC_RESIDUAL_TOL:
+        if worst < -RESIDUAL_TOL:
             payload["witness"] = [format_point(p) for p in arg]
             _emit(_report("verify", args, verdict="refuted", **payload), args.out)
             return EXIT_REFUTED
@@ -169,7 +168,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = {"certification": cert.to_dict()}
     bounds_ok = None
     if cert.certified:
-        q0 = entry.quadruple(system, entry.default_x0, entry.default_y0)
+        q0 = entry.quadruple(entry.default_x0, entry.default_y0)
         paired, _ = run_paired(system, q0, 300, 1e-9, constants=consts)
         l1 = check_l1_bound(paired, system, s=consts.s) if paired.steps >= 2 else True
         l2 = check_l2_bound(paired, system, s=consts.s)
@@ -191,6 +190,8 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
     except ValueError as exc:
         raise ProxiterError(f"bad grid spec {text!r}, want lo:hi:step") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ProxiterError(f"bad grid spec {text!r}, lo, hi and step must be finite")
     if step <= 0:
         raise ProxiterError("grid step must be positive")
     out = []
@@ -215,14 +216,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
             raise ProxiterError("uniqueness scans are wired for one-dimensional regions")
         if not args.grid:
             raise ProxiterError("uniqueness scans need --grid lo:hi:step")
-        q0 = entry.quadruple(system, entry.default_x0, entry.default_y0)
+        q0 = entry.quadruple(entry.default_x0, entry.default_y0)
         consts = resolve_constants(system, seed=args.seed)
         _, report = run_paired(system, q0, 500, args.tol, constants=consts)
         if report.limit is None:
             _emit(_report("scan", args, outcome="undecided"), args.out)
             return EXIT_UNDECIDED
         alpha = report.limit
-        witness = entry.witness(system)
         candidates = []
         skipped = 0
         for g in _parse_grid(args.grid):
@@ -232,7 +232,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 continue
             try:
                 seq = make_infimum_sequence(
-                    system, beta, witness, lambda n, b=beta: b, 12, f_tol=1e-9, constants=consts
+                    system, beta, (q0.y, q0.v), lambda n, b=beta: b, 12,
+                    f_tol=1e-9, constants=consts,
                 )
             except ProxiterError:
                 skipped += 1

@@ -49,9 +49,6 @@ from .systems import (
     RelationP,
 )
 
-#: slack for the summing-contraction residual gate, the certification slack
-CYCLIC_RESIDUAL_TOL = RESIDUAL_TOL
-
 
 # ---------------------------------------------------------------------------
 # example 1: half-line system with dyadic-parity penalties
@@ -173,14 +170,10 @@ def example1_system() -> ExternalFactorSystem:
 
 
 def estimate_lipschitz(
-    map_fn: Callable[[Point], Point],
-    space: MetricSpace,
-    region: Region,
-    samples: int = 2000,
-    seed: int = 0,
+    map_fn: Callable[[Point], Point], space: MetricSpace, region: Region
 ) -> float:
-    """Supremum of sampled displacement ratios; a lower estimate of the constant."""
-    pts = sample_region(region, 2 * samples, seed)
+    """Supremum of displacement ratios over 2000 pairs drawn at seed 0; a lower estimate."""
+    pts = sample_region(region, 4000, 0)
     best = 0.0
     for i in range(0, len(pts) - 1, 2):
         x, y = pts[i], pts[i + 1]
@@ -228,8 +221,6 @@ def banach_system(
     lipschitz: float,
     *,
     name: str = "banach",
-    samples: int = 2000,
-    seed: int = 0,
 ) -> ExternalFactorSystem:
     """Single-region single-map system with a trivial external set.
 
@@ -240,7 +231,7 @@ def banach_system(
     """
     if not (0.0 <= lipschitz < 1.0):
         raise InvalidInputError("lipschitz constant must be in [0,1)")
-    est = estimate_lipschitz(map_fn, space, region, samples, seed)
+    est = estimate_lipschitz(map_fn, space, region)
     if est > lipschitz + 1e-9:
         raise RefutedError(
             f"refuted at construction: sampled displacement ratio {est:.6g} "
@@ -428,7 +419,7 @@ def cyclic3_reduce(
     if certificate is None:
         certificate = certify_cyclic(ct, samples, seed)
     worst, arg = certificate
-    if worst < -CYCLIC_RESIDUAL_TOL:
+    if worst < -RESIDUAL_TOL:
         raise RefutedError(
             f"refuted at construction: summed-contraction residual {worst:.3g} at {arg}"
         )
@@ -525,26 +516,26 @@ def cyclic3_solve(
     max_steps: int = 400,
     tol: float = 1e-9,
     *,
-    samples: int = 1000,
     seed: int = 0,
 ) -> Optional[BestProximityResult]:
     """Locate the three best-proximity points through rotated reductions.
 
     Each rotation contributes the diagonal limit over its first region; the
     second-side limits converge in distance only, so they are not read off.
-    Returns None (undecided) when any rotation misses the confirmation
-    window within max_steps.
+    Each reduction is certified on 1000 sampled triples.  Returns None
+    (undecided) when any rotation misses the confirmation window within
+    max_steps.
     """
-    return _cyclic3_solve(ct, starts, max_steps, tol, samples, seed)[0]
+    return _cyclic3_solve(ct, starts, max_steps, tol, seed)[0]
 
 
-def _cyclic3_solve(ct: CyclicTriple, starts, max_steps, tol, samples, seed) -> tuple:
+def _cyclic3_solve(ct: CyclicTriple, starts, max_steps, tol, seed) -> tuple:
     """``cyclic3_solve``'s result and the PairedTrace of its first rotation."""
     d = ct.space.dim
     zs: list[Point] = []
     for i in range(3):
         rotated = rotate_cyclic(ct, i)
-        system = cyclic3_reduce(rotated, samples=samples, seed=seed)
+        system = cyclic3_reduce(rotated, seed=seed)
         rng = random.Random(seed + 17 * i)
         if starts is not None and i < len(starts) and starts[i] is not None:
             g = as_point(starts[i])
@@ -655,15 +646,13 @@ def circle_origin_pair() -> SetPair:
 
 
 def _geometric(
-    target: float, c: float, ratio: float, length: int, sign: float, floor: float = 0.0
+    target: float, c: float, ratio: float, sign: float, floor: float = 0.0
 ) -> list[Point]:
     # the floor keeps strictly-open boundaries unreached despite float absorption
-    return [(target + sign * max(c * ratio ** n, floor),) for n in range(length)]
+    return [(target + sign * max(c * ratio ** n, floor),) for n in range(80)]
 
 
-def pair_cd_generator(
-    name: str, seed: int, length: int = 80
-) -> Callable[[int], tuple[list[Point], list[Point]]]:
+def pair_cd_generator(name: str, seed: int) -> Callable[[int], tuple[list[Point], list[Point]]]:
     """Candidate pairs converging in distance toward the facing boundary.
 
     For the half-line pair they settle on member points; for the open pair
@@ -675,11 +664,11 @@ def pair_cd_generator(
         c1, c2 = rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5)
         r1, r2 = rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7)
         if name == "e1-pair":
-            xs = _geometric(0.0, c1 * 80.0, r1, length, +1.0)
-            ys = _geometric(-1.0, c2 * 80.0, r2, length, -1.0)
+            xs = _geometric(0.0, c1 * 80.0, r1, +1.0)
+            ys = _geometric(-1.0, c2 * 80.0, r2, -1.0)
         elif name == "open-interval-pair":
-            xs = _geometric(1.0, c1, r1, length, -1.0, floor=1e-13)
-            ys = _geometric(2.0, c2, r2, length, +1.0, floor=1e-13)
+            xs = _geometric(1.0, c1, r1, -1.0, floor=1e-13)
+            ys = _geometric(2.0, c2, r2, +1.0, floor=1e-13)
         else:
             raise InvalidInputError(f"no candidate generator for pair {name}")
         return xs, ys
@@ -688,7 +677,7 @@ def pair_cd_generator(
 
 
 def pair_uc_generator(
-    name: str, seed: int, length: int = 80
+    name: str, seed: int
 ) -> Callable[[int], tuple[list[Point], list[Point], list[Point]]]:
     """Candidate triples approaching the pair distance from two first-set paths.
 
@@ -701,17 +690,16 @@ def pair_uc_generator(
         if name == "e1-pair":
             c1, c2, c3 = (rng.uniform(0.05, 0.5) * 80.0 for _ in range(3))
             r1, r2, r3 = (rng.uniform(0.3, 0.7) for _ in range(3))
-            xs = _geometric(0.0, c1, r1, length, +1.0)
-            zs = _geometric(0.0, c2, r2, length, +1.0)
-            ys = _geometric(-1.0, c3, r3, length, -1.0)
+            xs = _geometric(0.0, c1, r1, +1.0)
+            zs = _geometric(0.0, c2, r2, +1.0)
+            ys = _geometric(-1.0, c3, r3, -1.0)
             return xs, zs, ys
         if name == "circle-origin-pair":
             th1 = 0.0 if i == 0 else rng.uniform(0.0, 2.0 * math.pi)
             th2 = math.pi if i == 0 else rng.uniform(0.0, 2.0 * math.pi)
-            n = min(length, 40)
-            xs = [(math.cos(th1), math.sin(th1))] * n
-            zs = [(math.cos(th2), math.sin(th2))] * n
-            ys = [(0.0, 0.0)] * n
+            xs = [(math.cos(th1), math.sin(th1))] * 40
+            zs = [(math.cos(th2), math.sin(th2))] * 40
+            ys = [(0.0, 0.0)] * 40
             return xs, zs, ys
         raise InvalidInputError(f"no candidate generator for pair {name}")
 
@@ -729,8 +717,7 @@ class SystemInstance:
     build: Callable[[], ExternalFactorSystem]
     default_x0: Point
     default_y0: Point
-    quadruple: Callable[[ExternalFactorSystem, Point, Point], Quadruple]
-    witness: Callable[[ExternalFactorSystem], tuple[Point, CElement]]
+    quadruple: Callable[[Point, Point], Quadruple]
 
 
 @dataclass(frozen=True)
@@ -747,15 +734,15 @@ class PairInstance:
     build: Callable[[], SetPair]
 
 
-def _mirror_quadruple(system: ExternalFactorSystem, x: Point, y: Point) -> Quadruple:
+def _mirror_quadruple(x: Point, y: Point) -> Quadruple:
     return Quadruple(x, y, x, y)
 
 
-def _atom_quadruple(system: ExternalFactorSystem, x: Point, y: Point) -> Quadruple:
+def _atom_quadruple(x: Point, y: Point) -> Quadruple:
     return Quadruple(x, y, Atom("unit"), Atom("unit"))
 
 
-def _product_quadruple(system: ExternalFactorSystem, x: Point, y: Point) -> Quadruple:
+def _product_quadruple(x: Point, y: Point) -> Quadruple:
     # components mirror their own coordinates, as in the factor systems
     return Quadruple(x, y, CPair(x[:1], x[1:]), CPair(y[:1], y[1:]))
 
@@ -768,7 +755,6 @@ SYSTEMS: dict[str, SystemInstance] = {
         (3.0,),
         (-2.0,),
         _mirror_quadruple,
-        lambda system: ((-1.0,), (-1.0,)),
     ),
     "banach-half": SystemInstance(
         "banach-half",
@@ -777,7 +763,6 @@ SYSTEMS: dict[str, SystemInstance] = {
         (8.0,),
         (0.0,),
         _atom_quadruple,
-        lambda system: ((0.0,), Atom("unit")),
     ),
     "banach-affine": SystemInstance(
         "banach-affine",
@@ -786,7 +771,6 @@ SYSTEMS: dict[str, SystemInstance] = {
         (8.0,),
         (0.0,),
         _atom_quadruple,
-        lambda system: ((0.0,), Atom("unit")),
     ),
     "e1-product": SystemInstance(
         "e1-product",
@@ -795,7 +779,6 @@ SYSTEMS: dict[str, SystemInstance] = {
         (3.0, 5.0),
         (-2.0, -3.0),
         _product_quadruple,
-        lambda system: ((-1.0, -1.0), CPair((-1.0,), (-1.0,))),
     ),
 }
 
@@ -961,5 +944,4 @@ def load_instance_json(path: str) -> SystemInstance:
         x0,
         y0,
         _atom_quadruple,
-        lambda s: (y0, Atom("unit")),
     )

@@ -135,6 +135,12 @@ def iterate(
     return IterationTrace(space, tuple(points), tuple(celements), tuple(f_values))
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that is NaN, infinite, zero or negative."""
+    if not (0.0 < tol < math.inf):
+        raise InvalidInputError(f"tol must be positive and finite, got {tol}")
+
+
 def _settled(space: MetricSpace, points: Sequence[Point], tol: float, window: int) -> bool:
     """Whether the last min(window, n) of the n successive distances are all < tol."""
     n = len(points) - 1
@@ -150,6 +156,7 @@ def detect_limit(
     A trace shorter than the window is judged on all its transitions; a
     single-state trace is vacuously settled.
     """
+    _check_tol(tol)
     return trace.points[-1] if _settled(trace.space, trace.points, tol, window) else None
 
 
@@ -159,7 +166,6 @@ def run_paired(
     max_steps: int,
     tol: float,
     *,
-    window: int = CONFIRM_WINDOW,
     constants: Optional[SystemConstants] = None,
 ) -> tuple[PairedTrace, ConvergenceReport]:
     """Advance both sides in lock step until both settle or the budget ends.
@@ -168,8 +174,7 @@ def run_paired(
     below tol for a full confirmation window.  Report residuals are tail
     means over the final window.
     """
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+    _check_tol(tol)
     if max_steps < 0:
         raise InvalidInputError("max_steps must be nonnegative")
     q0 = Quadruple(*q0)
@@ -187,6 +192,7 @@ def run_paired(
     rho = [distance(space, q0.x, q0.y)]
 
     settled = 0
+    window = CONFIRM_WINDOW
     stop_reason = "max-steps"
     orbit_a = _orbit(system.t_a, system.h_a, q0.x, q0.u)
     orbit_b = _orbit(system.t_b, system.h_b, q0.y, q0.v)
@@ -262,6 +268,7 @@ def limit_uniqueness_check(
     Returns True/False when both traces settle, None (undecided) when either
     fails to meet the confirmation window within max_steps.
     """
+    _check_tol(tol)
     q1, q2 = Quadruple(*q1), Quadruple(*q2)
     for q in (q1, q2):
         if not system.in_p(q):
@@ -348,14 +355,13 @@ def uniqueness_scan(
     alpha: Point,
     candidates: list[tuple[Point, InfimumSequence]],
     tol: float,
-    *,
-    window: int = CONFIRM_WINDOW,
 ) -> list[Violation]:
     """Hunt for a second weakly fixed point away from alpha.
 
     A violation is a candidate beta whose weak-fixation residual tail stays
     below tol while beta itself sits more than 10*tol away from alpha.
     """
+    _check_tol(tol)
     space = system.pair.space
     violations = []
     for beta, seq in candidates:
@@ -363,23 +369,21 @@ def uniqueness_scan(
         if sep <= 10.0 * tol:
             continue
         residuals = weak_fixed_residuals(system, beta, seq)
-        w = min(window, len(residuals))
+        w = min(CONFIRM_WINDOW, len(residuals))
         tail = max(residuals[-w:])
         if tail < tol:
             violations.append(Violation(beta, tail, sep))
     return violations
 
 
-def proximity_residual(
-    report: ConvergenceReport, pair: SetPair, *, samples: int = 0, seed: int = 0
-) -> Optional[float]:
+def proximity_residual(report: ConvergenceReport, pair: SetPair) -> Optional[float]:
     """Gap between the report's tail estimate of rho(alpha, y_n) and dist(A,B).
 
     None (undecided) when the report carries no limit.
     """
     if report.limit is None or report.rho_alpha_y_tail is None:
         return None
-    dist, _ = set_distance(pair, samples, seed)
+    dist, _ = set_distance(pair)
     return abs(report.rho_alpha_y_tail - dist)
 
 

@@ -238,7 +238,7 @@ def circle_region(center: Sequence[float], radius: float, name: Optional[str] = 
     return Region(name or f"circle(r={radius})", contains, draw, complete=True)
 
 
-def product_region(r1: Region, r2: Region, d1: int, name: Optional[str] = None) -> Region:
+def product_region(r1: Region, r2: Region, d1: int) -> Region:
     """Cartesian product of two regions, coordinates concatenated."""
 
     def contains(p: Point) -> bool:
@@ -250,7 +250,7 @@ def product_region(r1: Region, r2: Region, d1: int, name: Optional[str] = None) 
         return [a + b for a, b in zip(left, right)]
 
     return Region(
-        name or f"{r1.name}x{r2.name}",
+        f"{r1.name}x{r2.name}",
         contains,
         draw,
         complete=r1.complete and r2.complete,

@@ -153,18 +153,17 @@ def factor_infimum(
     return min(factor.fn(c) for c in cs), "estimated"
 
 
-def resolve_constants(
-    system: ExternalFactorSystem, samples: int = 2048, seed: int = 0
-) -> SystemConstants:
-    dist, dist_flag = set_distance(system.pair, samples, seed)
-    inf_a, fa_flag = factor_infimum(system.f_a, system.c_universe, samples, seed + 101)
-    inf_b, fb_flag = factor_infimum(system.f_b, system.c_universe, samples, seed + 202)
+def resolve_constants(system: ExternalFactorSystem, seed: int = 0) -> SystemConstants:
+    """The distance and both infima; an estimated one takes 2048 seeded samples."""
+    dist, dist_flag = set_distance(system.pair, 2048, seed)
+    inf_a, fa_flag = factor_infimum(system.f_a, system.c_universe, 2048, seed + 101)
+    inf_b, fb_flag = factor_infimum(system.f_b, system.c_universe, 2048, seed + 202)
     return SystemConstants(dist, dist_flag, inf_a, fa_flag, inf_b, fb_flag)
 
 
-def s_value(system: ExternalFactorSystem, *, samples: int = 2048, seed: int = 0) -> float:
+def s_value(system: ExternalFactorSystem) -> float:
     """dist(A,B) + inf f_A + inf f_B, the contraction inequality's affine floor."""
-    return resolve_constants(system, samples, seed).s
+    return resolve_constants(system).s
 
 
 def _orbit(t: Callable, h: Callable, x: Point, u: CElement) -> Iterator[tuple]:
@@ -386,13 +385,7 @@ def verify_contraction(
     )
 
 
-def estimate_min_lambda(
-    system: ExternalFactorSystem,
-    samples: int,
-    seed: int,
-    *,
-    constants: Optional[SystemConstants] = None,
-) -> float:
+def estimate_min_lambda(system: ExternalFactorSystem, samples: int, seed: int) -> float:
     """Lower estimate of the least admissible contraction constant.
 
     For each sampled quadruple the one-step left side is compared with the
@@ -401,8 +394,7 @@ def estimate_min_lambda(
     """
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
-    if constants is None:
-        constants = resolve_constants(system, seed=seed)
+    constants = resolve_constants(system, seed=seed)
     quads = system.p.draw(random.Random(seed), samples)
     best: Optional[float] = None
     for raw in quads:

@@ -12,15 +12,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError, NumericFailureError
-from .iteration import CONFIRM_WINDOW, PairedTrace, _settled
+from .iteration import CONFIRM_WINDOW, PairedTrace, _check_tol, _settled
 from .spaces import Point, Region, SetPair, distance, format_point, set_distance
 from .systems import RESIDUAL_TOL, ExternalFactorSystem, resolve_constants
-
-#: slack used by the bound checks, the certification residual slack
-BOUND_SLACK = RESIDUAL_TOL
-
-#: length of the trailing window used for tail estimates, the confirmation window
-TAIL_WINDOW = CONFIRM_WINDOW
 
 
 @dataclass(frozen=True)
@@ -52,22 +46,20 @@ def tail_sup(fn: Callable[[int, int], float], k: int, horizon: int) -> float:
     return max(_not_nan(fn, n, m) for n in indices for m in indices)
 
 
-def tail_sup_table(
-    fn: Callable[[int, int], float], horizon: int, k_min: int = 0
-) -> TailSupTable:
-    """All tail sups in one backward sweep; nonincreasing in k; NaN raises."""
-    if k_min > horizon:
-        raise InvalidInputError("empty index window: k_min exceeds the horizon")
-    values = [0.0] * (horizon - k_min + 1)
+def tail_sup_table(fn: Callable[[int, int], float], horizon: int) -> TailSupTable:
+    """All tail sups from k = 0 in one backward sweep; nonincreasing in k; NaN raises."""
+    if horizon < 0:
+        raise InvalidInputError("empty index window: the horizon is negative")
+    values = [0.0] * (horizon + 1)
     running = -math.inf
-    for k in range(horizon, k_min - 1, -1):
+    for k in range(horizon, -1, -1):
         edge = max(
             max(_not_nan(fn, k, m) for m in range(k, horizon + 1)),
             max(_not_nan(fn, n, k) for n in range(k, horizon + 1)),
         )
         running = max(running, edge)
-        values[k - k_min] = running
-    return TailSupTable(k_min, horizon, tuple(values))
+        values[k] = running
+    return TailSupTable(0, horizon, tuple(values))
 
 
 def split_limit_validate(
@@ -76,15 +68,15 @@ def split_limit_validate(
     x_floor: float,
     y_floor: float,
     eps_schedule: Sequence[float],
-    *,
-    slack: float = 1e-12,
 ) -> bool:
     """Check the split-limit conclusion on finite data.
 
     For each epsilon: once the summed tail stays below x_floor + y_floor +
     epsilon, each sequence's tail must sit within epsilon of its own floor.
-    An epsilon whose criterion is never met is vacuously fine.
+    An epsilon whose criterion is never met is vacuously fine.  Every
+    comparison allows a slack of 1e-12.
     """
+    slack = 1e-12
     if len(xs) != len(ys) or not xs:
         raise InvalidInputError("sequences must be nonempty and equally long")
     for name, seq, floor in (("x", xs, x_floor), ("y", ys, y_floor)):
@@ -126,7 +118,6 @@ def check_l1_bound(
     *,
     lam: Optional[float] = None,
     s: Optional[float] = None,
-    slack: float = BOUND_SLACK,
 ) -> bool:
     """One-sided boundedness check along a paired trace.
 
@@ -148,7 +139,7 @@ def check_l1_bound(
     )
     for n in range(1, paired.steps + 1):
         lhs = distance(space, paired.a.points[n], y1) + paired.a.f_values[n]
-        if not (lhs <= rhs + slack):
+        if not (lhs <= rhs + RESIDUAL_TOL):
             return False
     return True
 
@@ -174,7 +165,6 @@ def check_l2_bound(
     *,
     lam: Optional[float] = None,
     s: Optional[float] = None,
-    slack: float = BOUND_SLACK,
 ) -> BoundCertificate:
     """Check U(m,n) <= lam^(min(m,n)-1) * M + (1 - lam^(min(m,n)-1)) * S.
 
@@ -194,7 +184,7 @@ def check_l2_bound(
         for nn in range(1, horizon + 1):
             decay = lam ** (min(mm, nn) - 1)
             bound = decay * m_const + (1.0 - decay) * s
-            if not (_u_value(paired, system, mm, nn) <= bound + slack):
+            if not (_u_value(paired, system, mm, nn) <= bound + RESIDUAL_TOL):
                 first = (mm, nn)
                 break
         if first is not None:
@@ -261,9 +251,7 @@ def cd_falsify(
     budget: int,
     tol: float,
     *,
-    window: int = TAIL_WINDOW,
-    samples: int = 0,
-    seed: int = 0,
+    window: int = CONFIRM_WINDOW,
 ) -> Optional[CDCounterexample]:
     """Search for an admissible pair of sequences refuting convergence in A.
 
@@ -274,7 +262,8 @@ def cd_falsify(
     """
     if budget < 1:
         raise InvalidInputError("budget must be >= 1")
-    dist, _ = set_distance(pair, samples, seed)
+    _check_tol(tol)
+    dist, _ = set_distance(pair)
     for i in range(budget):
         xs, ys = _intake(gen(i), (pair.a, pair.b))
         horizon = min(len(xs), len(ys)) - 1
@@ -317,10 +306,6 @@ def uc_falsify(
     gen: Callable[[int], tuple[Sequence[Point], Sequence[Point], Sequence[Point]]],
     budget: int,
     tol: float,
-    *,
-    window: int = TAIL_WINDOW,
-    samples: int = 0,
-    seed: int = 0,
 ) -> Optional[UCCounterexample]:
     """Search for admissible triples refuting the collapse property.
 
@@ -331,7 +316,8 @@ def uc_falsify(
     """
     if budget < 1:
         raise InvalidInputError("budget must be >= 1")
-    dist, _ = set_distance(pair, samples, seed)
+    _check_tol(tol)
+    dist, _ = set_distance(pair)
 
     def rho(i: int, p: Point, q: Point) -> float:
         value = distance(pair.space, p, q)
@@ -346,7 +332,7 @@ def uc_falsify(
             continue
         if abs(rho(i, zs[n - 1], ys[n - 1]) - dist) > tol:
             continue
-        sep = min(rho(i, xs[j], zs[j]) for j in range(n - min(window, n), n))
+        sep = min(rho(i, xs[j], zs[j]) for j in range(n - min(CONFIRM_WINDOW, n), n))
         if sep > 10.0 * tol:
             return UCCounterexample(i, xs, zs, ys, sep)
     return None

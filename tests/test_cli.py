@@ -185,6 +185,31 @@ def test_run_rejects_nonpositive_tolerance(capsys):
     assert code == 1 and "tol" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--kind", "cd", "--instance", "e1-pair", "--budget", "3", "--tol", "nan"),
+        ("scan", "--kind", "cd", "--instance", "e1-pair", "--budget", "3", "--tol", "0"),
+        ("scan", "--kind", "uc", "--instance", "circle-origin-pair", "--tol", "nan"),
+        ("scan", "--kind", "uc", "--instance", "circle-origin-pair", "--tol", "inf"),
+        ("run", "--instance", "e1", "--tol", "nan"),
+        ("run", "--instance", "e1", "--tol", "inf"),
+        ("scan", "--kind", "uniqueness", "--instance", "e1", "--grid", "0:5:1", "--tol", "nan"),
+    ],
+)
+def test_non_finite_or_zero_tolerance_is_an_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and "tol must be positive" in err
+
+
+@pytest.mark.parametrize("grid", ["0:inf:1", "-inf:0:1", "nan:1:1", "0:nan:1", "0:1:nan", "0:1:inf"])
+def test_non_finite_grid_is_an_error(capsys, grid):
+    code, out, err = run_cli(
+        capsys, "scan", "--kind", "uniqueness", "--instance", "e1", f"--grid={grid}"
+    )
+    assert (code, out) == (1, "") and "bad grid spec" in err
+
+
 def test_verify_cyclic_affine(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--instance", "cyclic3-affine", "--samples", "3000"
@@ -401,9 +426,9 @@ def test_run_resolves_constants_from_the_seed(capsys, monkeypatch):
     seeds = []
     original = systems.resolve_constants
 
-    def spy(system, samples=2048, seed=0):
+    def spy(system, seed=0):
         seeds.append(seed)
-        return original(system, samples, seed)
+        return original(system, seed)
 
     for mod in (cli, systems, iteration, validators):
         monkeypatch.setattr(mod, "resolve_constants", spy, raising=False)

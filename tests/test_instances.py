@@ -376,7 +376,7 @@ def test_load_instance_json(tmp_path):
     entry = px.load_instance_json(str(path))
     system = entry.build()
     assert px.verify_contraction(system, 2000, seed=0).certified
-    q0 = entry.quadruple(system, entry.default_x0, entry.default_y0)
+    q0 = entry.quadruple(entry.default_x0, entry.default_y0)
     _, report = px.run_paired(system, q0, 300, 1e-10)
     assert report.limit[0] == pytest.approx(4.0, abs=1e-8)  # x = x/2 + 2
 
@@ -420,7 +420,7 @@ def test_json_instance_with_two_regions_keeps_its_system(tmp_path):
     assert not system.p.contains((11.0,), (21.0,), unit, unit)
     assert not system.p.contains((1.0,), (1.0,), unit, unit)
     assert (entry.default_x0, entry.default_y0) == ((8.444218515250482,), (21.34364244112401,))
-    assert entry.witness(system) == ((21.34364244112401,), unit)
+    assert entry.quadruple(entry.default_x0, entry.default_y0)[1::2] == ((21.34364244112401,), unit)
 
 
 # ---------------------------------------------------------------------------

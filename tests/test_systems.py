@@ -348,7 +348,7 @@ def test_shared_maps_leave_runs_and_certificates_bit_identical(name):
         h_a=lambda p, c: system.h_a(p, c),
         h_b=lambda p, c: system.h_b(p, c),
     )
-    q0 = entry.quadruple(system, entry.default_x0, entry.default_y0)
+    q0 = entry.quadruple(entry.default_x0, entry.default_y0)
     assert px.run_paired(system, q0, 300, 1e-9) == px.run_paired(twins, q0, 300, 1e-9)
     for lam in (system.lam, 0.5):
         a = px.verify_contraction(dataclasses.replace(system, lam=lam), 400, seed=3)

@@ -386,3 +386,50 @@ def test_uc_falsify_raises_on_nan_distance_naming_the_candidate(nan_between):
 
     with pytest.raises(px.NumericFailureError, match="candidate 2"):
         px.uc_falsify(pair, gen, 5, 1e-6)
+
+
+#: built-in pairs per falsifier, with whether a counterexample is known there
+CD_PAIRS = {"e1-pair": False, "open-interval-pair": True}
+UC_PAIRS = {"e1-pair": False, "circle-origin-pair": True}
+
+
+def _in_regions(seqs, regions):
+    return all(region.contains(p) for seq, region in zip(seqs, regions) for p in seq)
+
+
+@settings(max_examples=50, deadline=1000)
+@given(st.integers(0, 2**31 - 1), st.integers(0, 50))
+def test_falsifier_witnesses_pass_their_own_admissibility_test(seed, start):
+    # a witness is a candidate the property quantifies over: its sequences
+    # lie in their regions and its tail cross distances reach dist(A,B)
+    tol = 1e-6
+    for name, known in CD_PAIRS.items():
+        pair = px.PAIRS[name].build()
+        gen = px.pair_cd_generator(name, seed)
+        found = px.cd_falsify(pair, lambda i: gen(start + i), 20, tol)
+        assert (found is not None) == known
+        if found is None:
+            continue
+        assert (found.xs, found.ys) == tuple(
+            tuple(map(tuple, seq)) for seq in gen(start + found.index)
+        )
+        assert _in_regions((found.xs, found.ys), (pair.a, pair.b))
+        horizon = min(len(found.xs), len(found.ys)) - 1
+        tail = range(max(0, horizon - px.CONFIRM_WINDOW), horizon + 1)
+        sup = max(px.distance(pair.space, found.xs[n], found.ys[m]) for n in tail for m in tail)
+        assert abs(sup - pair.dist_ab) <= tol
+    for name, known in UC_PAIRS.items():
+        pair = px.PAIRS[name].build()
+        gen = px.pair_uc_generator(name, seed)
+        found = px.uc_falsify(pair, lambda i: gen(start + i), 20, tol)
+        assert (found is not None) == known
+        if found is None:
+            continue
+        seqs = (found.xs, found.zs, found.ys)
+        assert seqs == tuple(tuple(map(tuple, seq)) for seq in gen(start + found.index))
+        assert _in_regions(seqs, (pair.a, pair.a, pair.b))
+        last = min(map(len, seqs)) - 1
+        for first in (found.xs, found.zs):
+            gap = px.distance(pair.space, first[last], found.ys[last])
+            assert abs(gap - pair.dist_ab) <= tol
+        assert found.tail_separation > 10.0 * tol
