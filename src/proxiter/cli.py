@@ -58,10 +58,18 @@ def _emit(payload: dict, out: Optional[str]) -> None:
     except ValueError:
         text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        _write_file(out, lambda fh: fh.write(text + "\n"))
     else:
         print(text)
+
+
+def _write_file(out: str, write) -> None:
+    """Run write(fh) on the file at out; an OS failure is an error, not a traceback."""
+    try:
+        with open(out, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ProxiterError(f"cannot write {out}: {exc}") from exc
 
 
 def _report(command: str, args: argparse.Namespace, **payload) -> dict:
@@ -134,8 +142,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _write_csv(paired, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            write_trace_csv(paired, fh)
+        _write_file(out, lambda fh: write_trace_csv(paired, fh))
     else:
         write_trace_csv(paired, sys.stdout)
 
@@ -322,7 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 after printing a usage error; 2 means undecided here
+        if exc.code == 2:
+            return EXIT_ERROR
+        raise
     try:
         return args.func(args)
     except ProxiterError as exc:

@@ -825,13 +825,14 @@ def list_instances() -> list[tuple[str, str, str]]:
 # ---------------------------------------------------------------------------
 # JSON-described instances (degenerate external-factor shape)
 
-#: map name -> (parameters with their defaults, factory taking them by name)
-_JSON_MAPS: dict[str, tuple[dict[str, float], Callable[..., Callable[[float], float]]]] = {
+#: map name -> (parameters with their defaults, factory taking them by name);
+#: a factory builds the point map (x, c) -> x' on the real line
+_JSON_MAPS: dict[str, tuple[dict[str, float], Callable[..., Callable[..., Point]]]] = {
     "affine": (
         {"slope": 1.0, "offset": 0.0},
-        lambda slope, offset: (lambda x: slope * x + offset),
+        lambda slope, offset: (lambda x, c: (slope * x[0] + offset,)),
     ),
-    "identity": ({}, lambda: (lambda x: x)),
+    "identity": ({}, lambda: (lambda x, c: (x[0],))),
 }
 
 
@@ -895,7 +896,7 @@ def load_instance_json(path: str) -> SystemInstance:
     region_b = region(key_b, regions.get(key_b, {}))
     maps = section("maps", spec.get("maps", {}))
 
-    def scalar_map(key: str) -> Callable[[float], float]:
+    def point_map(key: str) -> Callable[[Point, CElement], Point]:
         m = dict(section(f"maps.{key}", maps.get(key, {"name": "identity"})))
         if "name" not in m:
             raise InvalidInputError(f"{path}: field 'maps.{key}.name' is missing")
@@ -913,7 +914,7 @@ def load_instance_json(path: str) -> SystemInstance:
             for param, default in params.items()
         })
 
-    ta, tb = scalar_map("t_a"), scalar_map("t_b")
+    ta, tb = point_map("t_a"), point_map("t_b")
     lam = number("lambda", spec.get("lambda"))
     dist = number("dist", spec.get("dist", 0.0))
     infima = section("infima", spec.get("infima", {"a": 0.0, "b": 0.0}))
@@ -921,20 +922,21 @@ def load_instance_json(path: str) -> SystemInstance:
     name = spec.get("name", "json-instance")
     inf_a = number("infima.a", infima.get("a", 0.0))
     inf_b = number("infima.b", infima.get("b", 0.0))
-    system = _single_atom_system(
-        name, pair, lambda x, c: (ta(x[0]),), lambda y, c: (tb(y[0]),), lam, inf_a, inf_b
-    )
+    system = _single_atom_system(name, pair, ta, tb, lam, inf_a, inf_b)
 
     def start(field: str, home: Region, seed: int) -> Point:
         if field not in spec:
             return sample_region(home, 1, seed)[0]
         try:
-            return as_point(spec[field])
+            point = as_point(spec[field])
         except (TypeError, ValueError):
+            point = ()
+        if len(point) != 1:  # the space is the real line
             raise InvalidInputError(
-                f"{path}: field {field!r} must be a number or a list of numbers, "
+                f"{path}: field {field!r} must be a number or a list of one number, "
                 f"got {spec[field]!r}"
             )
+        return point
 
     x0, y0 = start("x0", region_a, 0), start("y0", region_b, 1)
     return SystemInstance(

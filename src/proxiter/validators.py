@@ -179,17 +179,22 @@ def check_l2_bound(
         max(_u_value(paired, system, k, 1) for k in range(1, horizon + 1)),
         max(_u_value(paired, system, 1, k) for k in range(1, horizon + 1)),
     )
-    first: Optional[tuple[int, int]] = None
+    # the envelope depends on min(m, n) only: one limit per k, and the first
+    # row and column above have checked the dimension of every swept point
+    limits = [math.nan]
+    for k in range(1, horizon + 1):
+        decay = lam ** (k - 1)
+        limits.append(decay * m_const + (1.0 - decay) * s + RESIDUAL_TOL)
+    metric = system.pair.space.metric
+    xs, fa = paired.a.points, paired.a.f_values
+    ys, fb = paired.b.points, paired.b.f_values
     for mm in range(1, horizon + 1):
+        x, f_m, limit_m = xs[mm], fa[mm], limits[mm]
         for nn in range(1, horizon + 1):
-            decay = lam ** (min(mm, nn) - 1)
-            bound = decay * m_const + (1.0 - decay) * s
-            if not (_u_value(paired, system, mm, nn) <= bound + RESIDUAL_TOL):
-                first = (mm, nn)
-                break
-        if first is not None:
-            break
-    return BoundCertificate(m_const, lam, s, horizon, first)
+            limit = limits[nn] if nn < mm else limit_m
+            if not (metric(x, ys[nn]) + f_m + fb[nn] <= limit):
+                return BoundCertificate(m_const, lam, s, horizon, (mm, nn))
+    return BoundCertificate(m_const, lam, s, horizon, None)
 
 
 def _aitken_limit(points: Sequence[Point]) -> Point:

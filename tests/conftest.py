@@ -7,6 +7,7 @@ import math
 import random
 
 import pytest
+from hypothesis import settings
 
 from proxiter import (
     Atom,
@@ -19,6 +20,10 @@ from proxiter import (
     interval,
     real_line,
 )
+
+# CI selects this profile (--hypothesis-profile=ci): every run draws the same
+# examples, so a failure there replays the same way anywhere
+settings.register_profile("ci", derandomize=True)
 
 
 def make_permissive_system(lam: float = 0.5) -> ExternalFactorSystem:

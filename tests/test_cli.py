@@ -3,7 +3,10 @@
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -469,3 +472,59 @@ def test_verify_e1_calls_the_point_map_once_per_sample(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "--instance", "e1", "--samples", str(samples))
     assert code == 0
     assert len(loop_calls) == samples
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["run"], "the following arguments are required: --instance"),
+        (["run", "--instance", "e1", "--steps", "abc"], "invalid int value: 'abc'"),
+        (["scan", "--kind", "bogus", "--instance", "e1"], "invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_error_exits_one(capsys, argv, needle):
+    # 2 is reserved for "undecided"; a usage error is an error
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: proxiter") and needle in err
+
+
+def test_help_and_version_still_exit_zero(capsys):
+    for argv in (["--help"], ["run", "--help"], ["--version"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "usage: proxiter" in capsys.readouterr().out
+
+
+def test_usage_error_exits_one_in_a_real_process(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "proxiter.cli", "run", "--instance", "e1", "--steps", "abc"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "usage: proxiter run" in proc.stderr and "invalid int value" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unwritable_out_is_an_error_not_a_traceback(capsys, tmp_path, fmt):
+    path = tmp_path / "missing-dir" / f"report.{fmt}"
+    code, out, err = run_cli(
+        capsys, "run", "--instance", "e1", "--format", fmt, "--out", str(path)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and "No such file" in err
+    assert not path.parent.exists()
+
+
+def test_unwritable_verify_out_is_an_error(capsys, tmp_path):
+    # the report path is a directory: open() fails with IsADirectoryError
+    code, out, err = run_cli(
+        capsys, "verify", "--instance", "e1", "--samples", "50", "--out", str(tmp_path)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
