@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -68,6 +70,26 @@ def _write_file(out: str, write) -> None:
     try:
         with open(out, "w") as fh:
             write(fh)
+    except OSError as exc:
+        raise ProxiterError(f"cannot write {out}: {exc}") from exc
+
+
+def _check_writable(out: str) -> None:
+    """Fail before any work when out cannot be written; creates and truncates nothing.
+
+    An existing path is opened for appending and closed unwritten; for a new
+    file, its directory must exist and be writable.
+    """
+    try:
+        if os.path.exists(out):
+            with open(out, "a"):
+                pass
+            return
+        parent = os.path.dirname(out) or os.curdir
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), out)
     except OSError as exc:
         raise ProxiterError(f"cannot write {out}: {exc}") from exc
 
@@ -337,6 +359,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_ERROR
         raise
     try:
+        if args.out:
+            _check_writable(args.out)
         return args.func(args)
     except ProxiterError as exc:
         print(f"error: {exc}", file=sys.stderr)

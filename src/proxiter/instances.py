@@ -96,9 +96,10 @@ def example1_Tb(y: float) -> float:
     return g / 8.0 + (15.0 / 8.0) * g * alpha_parity(-g) - 1.0
 
 
-def example1_fa(c: float) -> float:
+def _example1_fa_point(p: Point) -> float:
     # alpha_parity(c) inlined without its zero case: at c = +-0 the product
-    # is +-0 whichever parity frexp's exponent gives (likewise in example1_fb)
+    # is +-0 whichever parity frexp's exponent gives (likewise in f_B)
+    c = p[0]
     if c >= 0:
         return 4.0 * c * ((math.frexp(c)[1] - 1) % 2)
     if c <= -1:
@@ -106,12 +107,21 @@ def example1_fa(c: float) -> float:
     raise InvalidInputError(f"{c} is outside the external set")
 
 
-def example1_fb(c: float) -> float:
+def _example1_fb_point(p: Point) -> float:
+    c = p[0]
     if c >= 0:
         return 0.0
     if c <= -1:
         return -4.0 * (c + 1.0) * ((math.frexp(-c - 1.0)[1] - 1) % 2)
     raise InvalidInputError(f"{c} is outside the external set")
+
+
+def example1_fa(c: float) -> float:
+    return _example1_fa_point((c,))
+
+
+def example1_fb(c: float) -> float:
+    return _example1_fb_point((c,))
 
 
 def example1_pair() -> SetPair:
@@ -130,14 +140,18 @@ def example1_system() -> ExternalFactorSystem:
     def t_b(y: Point, c: CElement) -> Point:
         return (example1_Tb(y[0]),)
 
+    a_contains, b_contains = pair.a.contains, pair.b.contains
+
     def p_contains(x: Point, y: Point, u: CElement, v: CElement) -> bool:
-        return pair.a.contains(x) and pair.b.contains(y) and u == x and v == y
+        return a_contains(x) and b_contains(y) and u == x and v == y
 
     def p_draw(rng: random.Random, n: int) -> list[Quadruple]:
+        # rng.uniform(a, b) spelled out as a + (b - a) * rng.random()
+        rand = rng.random
         out = []
         for _ in range(n):
-            x = (rng.uniform(0.0, 100.0),)
-            y = (rng.uniform(-100.0, -1.0),)
+            x = (0.0 + 100.0 * rand(),)
+            y = (-100.0 + 99.0 * rand(),)
             out.append(Quadruple(x, y, x, y))
         return out
 
@@ -158,8 +172,8 @@ def example1_system() -> ExternalFactorSystem:
         h_a=t_a,
         t_b=t_b,
         h_b=t_b,
-        f_a=ExternalFactor(lambda c: example1_fa(c[0]), 0.0),
-        f_b=ExternalFactor(lambda c: example1_fb(c[0]), 0.0),
+        f_a=ExternalFactor(_example1_fa_point, 0.0),
+        f_b=ExternalFactor(_example1_fb_point, 0.0),
         p=RelationP(p_contains, p_draw),
         lam=5.0 / 8.0,
     )

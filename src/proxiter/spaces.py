@@ -32,7 +32,11 @@ def format_point(p: Point, digits: int = 17) -> str:
 
 
 def parse_point(text: str) -> Point:
-    return tuple(float(part) for part in text.replace(";", ",").split(","))
+    """Comma- or semicolon-separated coordinates; a bad coordinate is an input error."""
+    try:
+        return tuple(float(part) for part in text.replace(";", ",").split(","))
+    except ValueError as exc:
+        raise InvalidInputError(f"bad point {text!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -151,8 +155,12 @@ def interval(
         ok_hi = v <= hi if closed_hi else v < hi
         return ok_lo and ok_hi
 
+    span = s_hi - s_lo
+
     def draw(rng: random.Random, n: int) -> list[Point]:
-        return [(rng.uniform(s_lo, s_hi),) for _ in range(n)]
+        # rng.uniform(s_lo, s_hi), spelled out with the same float operations
+        rand = rng.random
+        return [(s_lo + span * rand(),) for _ in range(n)]
 
     if name is None:
         name = f"{'[' if closed_lo else '('}{lo};{hi}{']' if closed_hi else ')'}"

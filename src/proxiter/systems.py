@@ -184,23 +184,53 @@ def _orbit(t: Callable, h: Callable, x: Point, u: CElement) -> Iterator[tuple]:
         x, u = x_next, u_next
 
 
-def _one_step_sides(
-    system: ExternalFactorSystem, q: Quadruple, ta_out: Point, tb_out: Point
-) -> tuple[float, float]:
-    """Both sides of the contraction inequality at q, before the constants.
+def _one_step(
+    system: ExternalFactorSystem, quads, not_member: str
+) -> Iterator[tuple[Quadruple, float, float]]:
+    """Yield (q, before, after): both sides of the contraction inequality per q.
 
-    Returns (rho(x, y) + f_A(u) + f_B(v), rho(T_A, T_B) + f_A(H_A) + f_B(H_B))
-    given the already evaluated T_A and T_B outputs at q; a side whose H is
-    its T reuses that output.  The sums run left to right, so every residual
-    built from them is bit-identical however the caller reached q.
+    before is rho(x, y) + f_A(u) + f_B(v) and after is rho(T_A, T_B) +
+    f_A(H_A) + f_B(H_B), summed left to right, so every residual built from
+    them is bit-identical however the caller reached q.  Per q, in order: P
+    membership (``not_member`` opens the error), T_A, T_B, the T outputs'
+    regions, the four points' dimensions, then the sums; a side whose H is
+    its T reuses that output.  Every callable is bound once for the whole
+    sequence and the metric is called directly; on a dimension mismatch the
+    distance() calls run in the sums' order, so the error is the one that
+    evaluating the sums through distance() raises.
     """
+    p_contains, t_a, t_b = system.p.contains, system.t_a, system.t_b
+    h_a = None if system.h_a is t_a else system.h_a
+    h_b = None if system.h_b is t_b else system.h_b
+    region_a, region_b = system.pair.a, system.pair.b
+    a_contains, b_contains = region_a.contains, region_b.contains
     space = system.pair.space
+    metric, dim = space.metric, space.dim
     f_a, f_b = system.f_a.fn, system.f_b.fn
-    before = distance(space, q.x, q.y) + f_a(q.u) + f_b(q.v)
-    after = distance(space, ta_out, tb_out)
-    after += f_a(ta_out if system.h_a is system.t_a else system.h_a(q.x, q.u))
-    after += f_b(tb_out if system.h_b is system.t_b else system.h_b(q.y, q.v))
-    return before, after
+    for q in quads:
+        if type(q) is not Quadruple:
+            q = Quadruple(*q)
+        x, y, u, v = q
+        if not p_contains(x, y, u, v):
+            raise InvalidInputError(f"{not_member}: {q}")
+        ta_out = t_a(x, u)
+        tb_out = t_b(y, v)
+        if not a_contains(ta_out):
+            raise DomainViolationError(f"T_A output {ta_out} left region {region_a.name}")
+        if not b_contains(tb_out):
+            raise DomainViolationError(f"T_B output {tb_out} left region {region_b.name}")
+        if dim is not None and (
+            len(x) != dim or len(y) != dim or len(ta_out) != dim or len(tb_out) != dim
+        ):
+            distance(space, x, y)
+            f_a(u)
+            f_b(v)
+            distance(space, ta_out, tb_out)
+        before = metric(x, y) + f_a(u) + f_b(v)
+        after = metric(ta_out, tb_out)
+        after += f_a(ta_out if h_a is None else h_a(x, u))
+        after += f_b(tb_out if h_b is None else h_b(y, v))
+        yield q, before, after
 
 
 def contraction_residual(
@@ -211,16 +241,12 @@ def contraction_residual(
     """Right side minus left side of the contraction inequality at q.
 
     Nonnegative exactly when the inequality holds at q.  The left side maps
-    the quadruple forward once through (T_A, H_A) and (T_B, H_B).
+    the quadruple forward once through (T_A, H_A) and (T_B, H_B); q must be
+    in P and each T output in its region, as in a certification campaign.
     """
-    q = Quadruple(*q)
-    if not system.in_p(q):
-        raise InvalidInputError(f"quadruple not in P: {q}")
+    ((_, before, after),) = _one_step(system, (q,), "quadruple not in P")
     if constants is None:
         constants = resolve_constants(system)
-    before, after = _one_step_sides(
-        system, q, system.t_a(q.x, q.u), system.t_b(q.y, q.v)
-    )
     return system.lam * before + (1.0 - system.lam) * constants.s - after
 
 
@@ -327,28 +353,19 @@ def verify_contraction(
 
     infima_finite = math.isfinite(constants.inf_a) and math.isfinite(constants.inf_b)
 
-    p_contains, t_a, t_b = system.p.contains, system.t_a, system.t_b
-    region_a, region_b = system.pair.a, system.pair.b
     lam = system.lam
     floor = (1.0 - lam) * constants.s
+    isfinite = math.isfinite
     min_res = math.inf
     arg_min: Optional[Quadruple] = None
     non_finite: Optional[Quadruple] = None
-    for raw in quads:
-        q = Quadruple(*raw)
-        if not p_contains(q.x, q.y, q.u, q.v):
-            raise InvalidInputError(f"relation sampler produced a non-member quadruple: {q}")
-        ta_out = t_a(q.x, q.u)
-        tb_out = t_b(q.y, q.v)
-        if not region_a.contains(ta_out):
-            raise DomainViolationError(f"T_A output {ta_out} left region {region_a.name}")
-        if not region_b.contains(tb_out):
-            raise DomainViolationError(f"T_B output {tb_out} left region {region_b.name}")
-        before, after = _one_step_sides(system, q, ta_out, tb_out)
+    for q, before, after in _one_step(
+        system, quads, "relation sampler produced a non-member quadruple"
+    ):
         res = lam * before + floor - after
         if res < min_res:
             min_res, arg_min = res, q
-        if non_finite is None and not math.isfinite(res):
+        if non_finite is None and not isfinite(res):
             non_finite = q
 
     p_ok = True
@@ -391,17 +408,16 @@ def estimate_min_lambda(system: ExternalFactorSystem, samples: int, seed: int) -
     For each sampled quadruple the one-step left side is compared with the
     affine floor S; the supremum of (lhs - S) / (rho + f_A + f_B - S) over
     non-degenerate samples is a tightness probe for the declared constant.
+    The samples are checked as in a certification campaign.
     """
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
     constants = resolve_constants(system, seed=seed)
     quads = system.p.draw(random.Random(seed), samples)
     best: Optional[float] = None
-    for raw in quads:
-        q = Quadruple(*raw)
-        before, after = _one_step_sides(
-            system, q, system.t_a(q.x, q.u), system.t_b(q.y, q.v)
-        )
+    for _, before, after in _one_step(
+        system, quads, "relation sampler produced a non-member quadruple"
+    ):
         denom = before - constants.s
         if denom <= DEGENERATE_DENOM:
             continue

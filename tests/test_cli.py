@@ -528,3 +528,52 @@ def test_unwritable_verify_out_is_an_error(capsys, tmp_path):
     )
     assert code == 1 and out == ""
     assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--x0", "abc"), ("--x0", ""), ("--x0", "1,,2"), ("--y0", "-2;x"), ("--y0", "")],
+)
+def test_bad_start_point_is_an_error_not_a_traceback(capsys, flag, value):
+    code, out, err = run_cli(capsys, "run", "--instance", "e1", f"{flag}={value}")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: bad point {value!r}: could not convert string to float")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--instance", "e1", "--samples", "100000"],
+        ["verify", "--instance", "cyclic3-affine"],
+        ["run", "--instance", "e1", "--steps", "40000"],
+        ["run", "--instance", "e1", "--format", "csv"],
+    ],
+)
+def test_unwritable_out_fails_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("the command worked before checking --out")
+
+    for name in ("verify_contraction", "run_paired", "certify_cyclic", "_cyclic3_solve"):
+        monkeypatch.setattr(cli, name, never)
+    path = tmp_path / "missing-dir" / "report"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and "No such file" in err
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 1 and err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+def test_out_check_leaves_an_existing_file_alone(capsys, monkeypatch, tmp_path):
+    # the check opens nothing for writing: a command that fails after it
+    # leaves the old file's bytes in place, and creates no new file
+    path, fresh = tmp_path / "report.json", tmp_path / "fresh.json"
+    path.write_text("old\n")
+
+    def failing(*args, **kwargs):
+        raise px.InvalidInputError("stop")
+
+    monkeypatch.setattr(cli, "verify_contraction", failing)
+    for target in (path, fresh):
+        code, _, err = run_cli(capsys, "verify", "--instance", "e1", "--out", str(target))
+        assert code == 1 and err == "error: stop\n"
+    assert path.read_text() == "old\n" and not fresh.exists()

@@ -1,0 +1,87 @@
+"""Two conclusions of the construction as properties on generated inputs.
+
+- Determinism: the same command and ``--seed`` give byte-identical output,
+  however many other commands ran in the same process before it.
+- Products: the sum-metric product of two systems that certify on samples
+  certifies at the larger of their two constants.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import io
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import proxiter as px
+from proxiter.cli import main
+
+#: commands cheap enough to repeat per example; each reads --seed
+COMMANDS = (
+    ("verify", "--instance", "e1", "--samples", "300"),
+    ("verify", "--instance", "e1", "--lambda", "0.5", "--samples", "300"),
+    ("verify", "--instance", "e1-product", "--samples", "150"),
+    ("verify", "--instance", "banach-affine", "--samples", "300"),
+    ("verify", "--instance", "cyclic3-affine", "--samples", "60"),
+    ("run", "--instance", "e1"),
+    ("run", "--instance", "e1", "--format", "csv"),
+    ("run", "--instance", "cyclic3-singleton"),
+    ("run", "--instance", "cyclic3-affine", "--format", "csv"),
+)
+
+
+def _cli(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+seeds = st.integers(0, 2**31 - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    command=st.sampled_from(COMMANDS),
+    seed=seeds,
+    other=st.sampled_from(COMMANDS),
+    other_seed=seeds,
+)
+def test_the_same_seed_gives_the_same_bytes(command, seed, other, other_seed):
+    argv = (*command, "--seed", str(seed))
+    first = _cli(argv)
+    assert first[0] in (0, 2, 3) and first[1] and first[2] == ""
+    _cli((*other, "--seed", str(other_seed)))
+    assert _cli(argv) == first
+
+
+def _affine_system(slope: float, offset: float, lam: float) -> px.ExternalFactorSystem:
+    """x -> slope*x + offset on the sampled line; certifies when lam >= |slope|."""
+    region = px.interval(-1e9, 1e9, sample_lo=-10.0, sample_hi=10.0, name="R")
+    return px.banach_system(
+        lambda x: (slope * x[0] + offset,), px.real_line(), region, lam, name="affine"
+    )
+
+
+@st.composite
+def certified_systems(draw):
+    """e1 at its constant or above, or an affine line map at a constant >= its slope."""
+    if draw(st.booleans()):
+        lam = draw(st.sampled_from((5.0 / 8.0, 0.75, 0.95)))
+        return dataclasses.replace(px.example1_system(), lam=lam)
+    lam = draw(st.floats(0.0, 0.95))
+    slope = draw(st.floats(-lam, lam))
+    return _affine_system(slope, draw(st.floats(-5.0, 5.0)), lam)
+
+
+@settings(max_examples=30, deadline=None)
+@given(s1=certified_systems(), s2=certified_systems(), seed=seeds)
+def test_a_product_of_certified_systems_certifies_at_the_larger_constant(s1, s2, seed):
+    for factor in (s1, s2):
+        assert px.verify_contraction(factor, 200, seed).certified
+    product = px.product_system(s1, s2)
+    assert product.lam == max(s1.lam, s2.lam)
+    report = px.verify_contraction(product, 200, seed)
+    assert report.certified and report.lam == max(s1.lam, s2.lam)

@@ -324,19 +324,18 @@ def test_orbit_calls_a_shared_map_once_per_step():
     assert len(log) == 12
 
 
-def test_one_step_sides_reuses_shared_outputs():
+def test_one_step_reuses_shared_outputs():
     log = []
     base = px.example1_system()
     t_a, t_b = _counting(base.t_a, log), _counting(base.t_b, log)
     shared = dataclasses.replace(base, t_a=t_a, h_a=t_a, t_b=t_b, h_b=t_b)
     twins = dataclasses.replace(shared, h_a=lambda p, c: t_a(p, c), h_b=lambda p, c: t_b(p, c))
-    for q in base.p.draw(random.Random(8), 50):
-        ta_out, tb_out = base.t_a(q.x, q.u), base.t_b(q.y, q.v)
-        log.clear()
-        sides = px.systems._one_step_sides(shared, q, ta_out, tb_out)
-        assert log == []
-        assert sides == px.systems._one_step_sides(twins, q, ta_out, tb_out)
-        assert len(log) == 2
+    quads = base.p.draw(random.Random(8), 50)
+    sides = list(px.systems._one_step(shared, quads, "not in P"))
+    assert len(log) == 2 * len(quads)
+    log.clear()
+    assert sides == list(px.systems._one_step(twins, quads, "not in P"))
+    assert len(log) == 4 * len(quads)
 
 
 @pytest.mark.parametrize("name", ["e1", "e1-product", "banach-affine"])
