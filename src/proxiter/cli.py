@@ -137,6 +137,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ProxiterError("pair instances support the scan command only")
 
     if kind == "cyclic":
+        if args.x0 is not None or args.y0 is not None:
+            raise ProxiterError(
+                "--x0 and --y0 apply to system instances; a cyclic run starts "
+                "from its instance's own points"
+            )
         result, first = _cyclic3_solve(entry.build(), None, args.steps, args.tol, args.seed)
         if args.format == "csv":
             _write_csv(first, args.out)

@@ -662,8 +662,12 @@ def circle_origin_pair() -> SetPair:
 def _geometric(
     target: float, c: float, ratio: float, sign: float, floor: float = 0.0
 ) -> list[Point]:
-    # the floor keeps strictly-open boundaries unreached despite float absorption
-    return [(target + sign * max(c * ratio ** n, floor),) for n in range(80)]
+    # the floor keeps strictly-open boundaries unreached despite float absorption;
+    # `floor if floor > v else v` is max(v, floor), NaN included
+    return [
+        (target + sign * (floor if floor > v else v),)
+        for v in [c * ratio ** n for n in range(80)]
+    ]
 
 
 def pair_cd_generator(name: str, seed: int) -> Callable[[int], tuple[list[Point], list[Point]]]:

@@ -29,6 +29,9 @@ CONFIRM_WINDOW = 10
 #: magnitude bound beyond which a run is aborted as divergent
 DIVERGENCE_GUARD = 1e15
 
+#: trace rows formatted and written per chunk by write_trace_csv
+CSV_CHUNK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class IterationTrace:
@@ -406,18 +409,24 @@ def write_trace_csv(paired: PairedTrace, fh) -> None:
     """Trace table: n, x_n, u_n, y_n, v_n, rho_xy, f_a_u, f_b_v.
 
     Coordinates are semicolon-joined and printed with 17 significant digits
-    so that values round-trip exactly.
+    so that values round-trip exactly.  Rows are formatted column by column
+    and written CSV_CHUNK_ROWS at a time, so a long trace is never held whole
+    as text.
     """
     fh.write("n,x_n,u_n,y_n,v_n,rho_xy,f_a_u,f_b_v\n")
-    for n in range(len(paired.a.points)):
-        row = [
-            str(n),
-            format_point(paired.a.points[n]),
-            format_celement(paired.a.celements[n]),
-            format_point(paired.b.points[n]),
-            format_celement(paired.b.celements[n]),
-            f"{paired.rho_xy[n]:.17g}",
-            f"{paired.a.f_values[n]:.17g}",
-            f"{paired.b.f_values[n]:.17g}",
-        ]
-        fh.write(",".join(row) + "\n")
+    a, b = paired.a, paired.b
+    number = "%.17g".__mod__
+    row = "%d,%s,%s,%s,%s,%s,%s,%s\n".__mod__
+    for lo in range(0, len(a.points), CSV_CHUNK_ROWS):
+        hi = lo + CSV_CHUNK_ROWS
+        rows = zip(
+            range(lo, hi),
+            map(format_point, a.points[lo:hi]),
+            map(format_celement, a.celements[lo:hi]),
+            map(format_point, b.points[lo:hi]),
+            map(format_celement, b.celements[lo:hi]),
+            map(number, paired.rho_xy[lo:hi]),
+            map(number, a.f_values[lo:hi]),
+            map(number, b.f_values[lo:hi]),
+        )
+        fh.write("".join(map(row, rows)))

@@ -6,6 +6,7 @@ explicit seed so that repeated campaigns reproduce bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -26,9 +27,18 @@ def as_point(value: Union[float, int, Sequence[float]]) -> Point:
     return tuple(float(v) for v in value)
 
 
+@functools.lru_cache(maxsize=64)
+def _point_template(length: int, digits: int) -> str:
+    return ";".join([f"%.{digits}g"] * length)
+
+
 def format_point(p: Point, digits: int = 17) -> str:
-    """Semicolon-joined decimal form; round-trips exactly at 17 digits."""
-    return ";".join(f"{c:.{digits}g}" for c in p)
+    """Semicolon-joined decimal form; round-trips exactly at 17 digits.
+
+    Each coordinate is printed as ``f"{c:.{digits}g}"`` would print it, through
+    one ``%`` template per (length, digits).
+    """
+    return _point_template(len(p), digits) % tuple(p)
 
 
 def parse_point(text: str) -> Point:

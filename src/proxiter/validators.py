@@ -39,11 +39,23 @@ def _not_nan(fn: Callable[[int, int], float], n: int, m: int) -> float:
 
 
 def tail_sup(fn: Callable[[int, int], float], k: int, horizon: int) -> float:
-    """Finite-horizon stand-in for the limsup-style tail quantity; NaN raises."""
+    """Finite-horizon stand-in for the limsup-style tail quantity; NaN raises.
+
+    Values are taken n-major; the result is the first maximal value, as
+    ``max`` gives it, and a NaN raises naming the first (n, m) that gave one.
+    """
     if k > horizon:
         raise InvalidInputError("empty index window: k exceeds the horizon")
     indices = range(k, horizon + 1)
-    return max(_not_nan(fn, n, m) for n in indices for m in indices)
+    best = -math.inf
+    for n in indices:
+        for m in indices:
+            value = fn(n, m)
+            if value != value:
+                raise NumericFailureError(f"tail value at (n, m) = ({n}, {m}) is NaN")
+            if value > best:
+                best = value
+    return best
 
 
 def tail_sup_table(fn: Callable[[int, int], float], horizon: int) -> TailSupTable:
@@ -74,12 +86,21 @@ def split_limit_validate(
     For each epsilon: once the summed tail stays below x_floor + y_floor +
     epsilon, each sequence's tail must sit within epsilon of its own floor.
     An epsilon whose criterion is never met is vacuously fine.  Every
-    comparison allows a slack of 1e-12.
+    comparison allows a slack of 1e-12.  A NaN term, floor or epsilon raises
+    NumericFailureError naming it.
     """
     slack = 1e-12
     if len(xs) != len(ys) or not xs:
         raise InvalidInputError("sequences must be nonempty and equally long")
+    for j, eps in enumerate(eps_schedule):
+        if math.isnan(eps):
+            raise NumericFailureError(f"epsilon {j} of the schedule is NaN")
     for name, seq, floor in (("x", xs, x_floor), ("y", ys, y_floor)):
+        for i, value in enumerate(seq):
+            if math.isnan(value):
+                raise NumericFailureError(f"term {i} of the {name} sequence is NaN")
+        if math.isnan(floor):
+            raise NumericFailureError(f"{name} floor is NaN")
         low = min(seq)
         if floor > low + slack:
             raise InvalidInputError(f"{name} floor {floor} exceeds a term ({low})")
@@ -218,13 +239,13 @@ def _aitken_limit(points: Sequence[Point]) -> Point:
 
 def _intake(candidate: Sequence, regions: Sequence[Region]) -> tuple[tuple[Point, ...], ...]:
     """A generated candidate as point tuples, each at least 2 terms long and in its region."""
-    seqs = tuple(tuple(tuple(p) for p in seq) for seq in candidate)
+    seqs = tuple(tuple(map(tuple, seq)) for seq in candidate)
     if min(len(seq) for seq in seqs) < 2:
         raise InvalidInputError("candidate sequences must have at least 2 terms")
     for seq, region in zip(seqs, regions):
-        for p in seq:
-            if not region.contains(p):
-                raise InvalidInputError(f"generator produced {p} outside region {region.name}")
+        if not all(map(region.contains, seq)):
+            p = next(p for p in seq if not region.contains(p))
+            raise InvalidInputError(f"generator produced {p} outside region {region.name}")
     return seqs
 
 
@@ -269,13 +290,19 @@ def cd_falsify(
         raise InvalidInputError("budget must be >= 1")
     _check_tol(tol)
     dist, _ = set_distance(pair)
+    space = pair.space
+    metric, dim = space.metric, space.dim
     for i in range(budget):
         xs, ys = _intake(gen(i), (pair.a, pair.b))
         horizon = min(len(xs), len(ys)) - 1
         k_tail = max(0, horizon - window)
-        sup = tail_sup(
-            lambda n, m: distance(pair.space, xs[n], ys[m]), k_tail, horizon
-        )
+        # the metric is called directly once every window point has the
+        # space's dimension; otherwise distance() raises its usual error
+        window_points = (*xs[k_tail : horizon + 1], *ys[k_tail : horizon + 1])
+        if dim is None or all(len(p) == dim for p in window_points):
+            sup = tail_sup(lambda n, m: metric(xs[n], ys[m]), k_tail, horizon)
+        else:
+            sup = tail_sup(lambda n, m: distance(space, xs[n], ys[m]), k_tail, horizon)
         if abs(sup - dist) > tol:
             continue  # cross distances never reach the pair gap: not admissible
         if not _settled(pair.space, xs, tol, window):

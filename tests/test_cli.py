@@ -41,6 +41,14 @@ def test_run_e1_from_the_floor(capsys):
     assert json.loads(out)["report"]["steps"] == 10
 
 
+@pytest.mark.parametrize("flags", [("--x0", "5,5"), ("--y0", "5,5"), ("--x0", "1,2", "--y0", "3,4")])
+def test_run_cyclic_refuses_start_flags(capsys, flags):
+    # a cyclic solve picks its own starts, so a start flag would be ignored
+    code, out, err = run_cli(capsys, "run", "--instance", "cyclic3-affine", *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --x0 and --y0 apply to system instances")
+
+
 def test_run_cyclic_affine_reports_residuals(capsys):
     code, out, _ = run_cli(capsys, "run", "--instance", "cyclic3-affine")
     assert code == 0

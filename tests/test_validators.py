@@ -101,6 +101,21 @@ def test_split_limit_validate_rejects_bad_floor():
         px.split_limit_validate([1.0, 0.5], [1.0, 1.0], 0.75, 0.0, [0.1])
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (([1.0, math.nan], [0.0, 0.0], 0.0, 0.0, [0.1]), "term 1 of the x sequence is NaN"),
+        (([1.0, 0.5], [0.0, math.nan], 0.0, 0.0, [0.1]), "term 1 of the y sequence is NaN"),
+        (([1.0, 0.5], [0.0, 0.0], math.nan, 0.0, [0.1]), "x floor is NaN"),
+        (([1.0, 0.5], [0.0, 0.0], 0.0, math.nan, [0.1]), "y floor is NaN"),
+        (([1.0, 0.5], [0.0, 0.0], 0.0, 0.0, [0.1, math.nan]), "epsilon 1 of the schedule is NaN"),
+    ],
+)
+def test_split_limit_validate_rejects_nan(args, message):
+    with pytest.raises(px.NumericFailureError, match=f"^{message}$"):
+        px.split_limit_validate(*args)
+
+
 def test_check_l1_bound_e1_trace():
     system = px.example1_system()
     paired, _ = px.run_paired(system, E1_Q0, 300, 1e-9)
