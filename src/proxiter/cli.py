@@ -55,10 +55,7 @@ def _json_safe(value):
 
 def _emit(payload: dict, out: Optional[str]) -> None:
     """Write the report as strict JSON; non-finite floats become strings."""
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
     if out:
         _write_file(out, lambda fh: fh.write(text + "\n"))
     else:
@@ -218,7 +215,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict == "certified-on-samples" else EXIT_REFUTED
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, budget: int) -> list[float]:
+    """The points lo, lo + step, ... up to hi; more than budget points is an error."""
     try:
         lo_s, hi_s, step_s = text.split(":")
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
@@ -229,14 +227,13 @@ def _parse_grid(text: str) -> list[float]:
     if step <= 0:
         raise ProxiterError("grid step must be positive")
     out = []
-    k = 0
     while True:
-        v = lo + k * step
+        v = lo + len(out) * step
         if v > hi + 1e-12:
-            break
+            return out
+        if len(out) == budget:
+            raise ProxiterError(f"grid {text!r} has more than --budget {budget} points")
         out.append(v)
-        k += 1
-    return out
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -259,7 +256,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         alpha = report.limit
         candidates = []
         skipped = 0
-        for g in _parse_grid(args.grid):
+        for g in _parse_grid(args.grid, args.budget):
             beta = (g,)
             if not system.pair.a.contains(beta):
                 skipped += 1
@@ -315,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"proxiter {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *formats):
         p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
+        p.add_argument("--format", choices=(*formats, "json"), default="json")
 
     p_list = sub.add_parser("list", help="list built-in instances")
     common(p_list)
@@ -330,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--y0", default=None, help="second-side start, comma-separated")
     p_run.add_argument("--steps", type=int, default=500)
     p_run.add_argument("--tol", type=float, default=1e-9)
-    common(p_run)
+    common(p_run, "csv")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="certify the contraction conditions")

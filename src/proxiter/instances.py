@@ -27,6 +27,7 @@ from .spaces import (
     circle_region,
     compose_spaces,
     distance,
+    draw_columns,
     format_point,
     interval,
     product_region,
@@ -198,20 +199,23 @@ def estimate_lipschitz(
     return best
 
 
+#: the one member of a single-atom system's external set
+UNIT_ATOM = Atom("unit")
+
+
+def _atom_quadruple(x: Point, y: Point) -> Quadruple:
+    return Quadruple(x, y, UNIT_ATOM, UNIT_ATOM)
+
+
 def _single_atom_system(
     name: str, pair: SetPair, t_a: Callable, t_b: Callable, lam: float, inf_a: float, inf_b: float
 ) -> ExternalFactorSystem:
     """One-atom external set, zero penalties with the given infima, membership-product P."""
-    atom = Atom("unit")
+    atom = UNIT_ATOM
     region_a, region_b = pair.a, pair.b
 
     def p_contains(x: Point, y: Point, u: CElement, v: CElement) -> bool:
         return region_a.contains(x) and region_b.contains(y) and u == atom and v == atom
-
-    def p_draw(rng: random.Random, n: int) -> list[Quadruple]:
-        xs = region_a.draw(rng, n)
-        ys = region_b.draw(rng, n)
-        return [Quadruple(x, y, atom, atom) for x, y in zip(xs, ys)]
 
     return ExternalFactorSystem(
         name=name,
@@ -223,7 +227,7 @@ def _single_atom_system(
         h_b=lambda y, c: atom,
         f_a=ExternalFactor(lambda c: 0.0, inf_a),
         f_b=ExternalFactor(lambda c: 0.0, inf_b),
-        p=RelationP(p_contains, p_draw),
+        p=RelationP(p_contains, draw_columns((region_a.draw, region_b.draw), _atom_quadruple)),
         lam=lam,
     )
 
@@ -291,8 +295,6 @@ def product_system(
     Callers are expected to pass systems that individually certify.
     """
     d1 = s1.pair.space.dim
-    if d1 is None or s2.pair.space.dim is None:
-        raise InvalidInputError("product systems need explicit dimensions")
     pair = product_space(s1.pair, s2.pair)
 
     def need_pair(c: CElement) -> CPair:
@@ -323,18 +325,10 @@ def product_system(
             x[d1:], y[d1:], u.right, v.right
         )
 
-    def p_draw(rng: random.Random, n: int) -> list[Quadruple]:
-        q1s = s1.p.draw(rng, n)
-        q2s = s2.p.draw(rng, n)
-        return [
-            Quadruple(q1.x + q2.x, q1.y + q2.y, CPair(q1.u, q2.u), CPair(q1.v, q2.v))
-            for q1, q2 in zip(q1s, q2s)
-        ]
+    def p_row(q1: Quadruple, q2: Quadruple) -> Quadruple:
+        return Quadruple(q1.x + q2.x, q1.y + q2.y, CPair(q1.u, q2.u), CPair(q1.v, q2.v))
 
-    def c_draw(rng: random.Random, n: int) -> list[CElement]:
-        left = s1.c_universe.draw(rng, n)
-        right = s2.c_universe.draw(rng, n)
-        return [CPair(a, b) for a, b in zip(left, right)]
+    c_draw = draw_columns((s1.c_universe.draw, s2.c_universe.draw), CPair)
 
     return ExternalFactorSystem(
         name=f"{s1.name}x{s2.name}",
@@ -346,7 +340,7 @@ def product_system(
         h_b=lift(s1.h_b, s2.h_b, CPair),
         f_a=sum_factor(s1.f_a, s2.f_a),
         f_b=sum_factor(s1.f_b, s2.f_b),
-        p=RelationP(p_contains, p_draw),
+        p=RelationP(p_contains, draw_columns((s1.p.draw, s2.p.draw), p_row)),
         lam=max(s1.lam, s2.lam),
     )
 
@@ -390,13 +384,10 @@ def certify_cyclic(
     ct: CyclicTriple, samples: int = 2000, seed: int = 0
 ) -> tuple[float, Optional[tuple[Point, Point, Point]]]:
     """Minimum sampled residual and the worst triple."""
-    rng = random.Random(seed)
-    xs1 = ct.regions[0].draw(rng, samples)
-    xs2 = ct.regions[1].draw(rng, samples)
-    xs3 = ct.regions[2].draw(rng, samples)
+    draw = draw_columns([region.draw for region in ct.regions], lambda *xs: xs)
     worst = math.inf
     arg = None
-    for x1, x2, x3 in zip(xs1, xs2, xs3):
+    for x1, x2, x3 in draw(random.Random(seed), samples):
         r = cyclic_residual(ct, x1, x2, x3)
         if r < worst:
             worst, arg = r, (x1, x2, x3)
@@ -412,6 +403,12 @@ def rotate_cyclic(ct: CyclicTriple, shift: int) -> CyclicTriple:
 
 
 ONE_ATOM = Atom("one")
+
+
+def _reduction_quadruple(g: Point, b: Point, c: Point) -> Quadruple:
+    """The cyclic reduction's quadruple over first, second and third region points."""
+    y = b + c
+    return Quadruple(g + g, y, ONE_ATOM, y)
 
 
 def cyclic3_reduce(
@@ -438,8 +435,6 @@ def cyclic3_reduce(
             f"refuted at construction: summed-contraction residual {worst:.3g} at {arg}"
         )
     base = ct.space
-    if base.dim is None:
-        raise InvalidInputError("cyclic reduction needs an explicit dimension")
     d = base.dim
     space2 = compose_spaces(base, base)
     a1, a2, a3 = ct.regions
@@ -479,19 +474,11 @@ def cyclic3_reduce(
             and v == y
         )
 
-    def p_draw(rng: random.Random, n: int) -> list[Quadruple]:
-        gs = a1.draw(rng, n)
-        bs = a2.draw(rng, n)
-        cs = a3.draw(rng, n)
-        return [Quadruple(g + g, b + c, ONE_ATOM, b + c) for g, b, c in zip(gs, bs, cs)]
-
-    def c_draw(rng: random.Random, n: int) -> list[CElement]:
-        out: list[CElement] = []
-        bs = a2.draw(rng, n)
-        cs = a3.draw(rng, n)
-        for b, c in zip(bs, cs):
-            out.append(ONE_ATOM if rng.random() < 0.25 else b + c)
-        return out
+    # a third column of uniforms picks the atom for a quarter of the rows
+    c_draw = draw_columns(
+        (a2.draw, a3.draw, lambda rng, n: [rng.random() for _ in range(n)]),
+        lambda b, c, r: ONE_ATOM if r < 0.25 else b + c,
+    )
 
     return ExternalFactorSystem(
         name="cyclic3-reduction",
@@ -503,7 +490,7 @@ def cyclic3_reduce(
         h_b=t,
         f_a=ExternalFactor(lambda c: 0.0, 0.0),
         f_b=ExternalFactor(f_b_fn, d23),
-        p=RelationP(p_contains, p_draw),
+        p=RelationP(p_contains, draw_columns((a1.draw, a2.draw, a3.draw), _reduction_quadruple)),
         lam=ct.k ** 3,
     )
 
@@ -557,7 +544,7 @@ def _cyclic3_solve(ct: CyclicTriple, starts, max_steps, tol, seed) -> tuple:
             g = rotated.regions[0].draw(rng, 1)[0]
         b = rotated.regions[1].draw(rng, 1)[0]
         c = rotated.regions[2].draw(rng, 1)[0]
-        q0 = Quadruple(g + g, b + c, ONE_ATOM, b + c)
+        q0 = _reduction_quadruple(g, b, c)
         paired, report = run_paired(system, q0, max_steps, tol)
         if i == 0:
             first = paired
@@ -756,10 +743,6 @@ def _mirror_quadruple(x: Point, y: Point) -> Quadruple:
     return Quadruple(x, y, x, y)
 
 
-def _atom_quadruple(x: Point, y: Point) -> Quadruple:
-    return Quadruple(x, y, Atom("unit"), Atom("unit"))
-
-
 def _product_quadruple(x: Point, y: Point) -> Quadruple:
     # components mirror their own coordinates, as in the factor systems
     return Quadruple(x, y, CPair(x[:1], x[1:]), CPair(y[:1], y[1:]))
@@ -936,11 +919,17 @@ def load_instance_json(path: str) -> SystemInstance:
     lam = number("lambda", spec.get("lambda"))
     dist = number("dist", spec.get("dist", 0.0))
     infima = section("infima", spec.get("infima", {"a": 0.0, "b": 0.0}))
-    pair = SetPair(space, region_a, region_b, dist_ab=dist)
+    try:
+        pair = SetPair(space, region_a, region_b, dist_ab=dist)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: field 'dist': {exc}") from exc
     name = spec.get("name", "json-instance")
     inf_a = number("infima.a", infima.get("a", 0.0))
     inf_b = number("infima.b", infima.get("b", 0.0))
-    system = _single_atom_system(name, pair, ta, tb, lam, inf_a, inf_b)
+    try:
+        system = _single_atom_system(name, pair, ta, tb, lam, inf_a, inf_b)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: field 'lambda': {exc}") from exc
 
     def start(field: str, home: Region, seed: int) -> Point:
         if field not in spec:

@@ -46,9 +46,6 @@ class IterationTrace:
     def steps(self) -> int:
         return len(self.points) - 1
 
-    def state(self, n: int) -> tuple[Point, CElement]:
-        return self.points[n], self.celements[n]
-
 
 @dataclass(frozen=True)
 class PairedTrace:
@@ -221,7 +218,7 @@ def run_paired(
             raise DomainViolationError(
                 f"T_B output {y_next} left region {region_b.name} at step {k}", step=k
             )
-        if dim is not None and (len(x_next) != dim or len(y_next) != dim):
+        if len(x_next) != dim or len(y_next) != dim:
             distance(space, xs[-1], x_next)
             distance(space, ys[-1], y_next)
         da = metric(xs[-1], x_next)
@@ -256,11 +253,9 @@ def run_paired(
         return paired, report
 
     limit = xs[-1]
-    w = min(window, len(ys) - 1) or 1
-    tail_rho = [distance(space, limit, y) for y in ys[-w:]]
-    rho_tail = sum(tail_rho) / len(tail_rho)
-    fa_tail = sum(fa_vals[-w:]) / w - constants.inf_a
-    fb_tail = sum(fb_vals[-w:]) / w - constants.inf_b
+    rho_tail = sum([distance(space, limit, y) for y in ys[-window:]]) / window
+    fa_tail = sum(fa_vals[-window:]) / window - constants.inf_a
+    fb_tail = sum(fb_vals[-window:]) / window - constants.inf_b
     report = ConvergenceReport(
         limit=limit,
         proximity_residual=abs(rho_tail - constants.dist),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -49,18 +50,39 @@ def parse_point(text: str) -> Point:
         raise InvalidInputError(f"bad point {text!r}: {exc}") from exc
 
 
+def draw_columns(
+    columns: Sequence[Callable[[random.Random, int], list]], row: Callable
+) -> Callable[[random.Random, int], list]:
+    """A seeded sampler that draws each column whole, in order, from the one rng.
+
+    Row i is ``row(c_1[i], ..., c_k[i])``.  Every multi-part sampler is built
+    here, so the draw order is written once.
+    """
+
+    def draw(rng: random.Random, n: int) -> list:
+        return list(map(row, *[column(rng, n) for column in columns]))
+
+    return draw
+
+
 @dataclass(frozen=True)
 class MetricSpace:
-    """A point universe together with its distance function."""
+    """A point universe of a fixed positive dimension with its distance function."""
 
     name: str
-    dim: Optional[int]  # None marks an opaque universe
+    dim: int
     metric: Callable[[Point, Point], float]
+
+    def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
+            raise InvalidInputError(
+                f"space {self.name} needs a positive integer dimension, got {self.dim!r}"
+            )
 
 
 def distance(space: MetricSpace, x: Point, y: Point) -> float:
-    """Evaluate the space's metric, validating dimensions for vector spaces."""
-    if space.dim is not None and (len(x) != space.dim or len(y) != space.dim):
+    """Evaluate the space's metric after checking both points' dimensions."""
+    if len(x) != space.dim or len(y) != space.dim:
         raise InvalidInputError(
             f"dimension mismatch in {space.name}: got {len(x)}/{len(y)}, want {space.dim}"
         )
@@ -97,8 +119,6 @@ def vector_space(dim: int, metric: str = "sum") -> MetricSpace:
 
 def compose_spaces(s1: MetricSpace, s2: MetricSpace) -> MetricSpace:
     """Product universe under the sum of the component metrics."""
-    if s1.dim is None or s2.dim is None:
-        raise InvalidInputError("product composition needs explicit dimensions")
     d1 = s1.dim
 
     def d(x: Point, y: Point) -> float:
@@ -262,15 +282,10 @@ def product_region(r1: Region, r2: Region, d1: int) -> Region:
     def contains(p: Point) -> bool:
         return r1.contains(p[:d1]) and r2.contains(p[d1:])
 
-    def draw(rng: random.Random, n: int) -> list[Point]:
-        left = r1.draw(rng, n)
-        right = r2.draw(rng, n)
-        return [a + b for a, b in zip(left, right)]
-
     return Region(
         f"{r1.name}x{r2.name}",
         contains,
-        draw,
+        draw_columns((r1.draw, r2.draw), operator.add),
         complete=r1.complete and r2.complete,
     )
 
@@ -287,6 +302,8 @@ class SetPair:
     def __post_init__(self):
         if self.dist_ab is not None and self.dist_ab < 0:
             raise InvalidInputError("set distance cannot be negative")
+        if self.dist_ab is not None and not math.isfinite(self.dist_ab):
+            raise InvalidInputError(f"set distance must be finite, got {self.dist_ab}")
 
 
 def set_distance(pair: SetPair, samples: int = 0, seed: int = 0) -> tuple[float, str]:

@@ -134,10 +134,6 @@ class SystemConstants:
     def s(self) -> float:
         return self.dist + self.inf_a + self.inf_b
 
-    @property
-    def exact(self) -> bool:
-        return "estimated" not in (self.dist_flag, self.inf_a_flag, self.inf_b_flag)
-
 
 def factor_infimum(
     factor: ExternalFactor, universe: CUniverse, samples: int = 0, seed: int = 0
@@ -219,9 +215,7 @@ def _one_step(
             raise DomainViolationError(f"T_A output {ta_out} left region {region_a.name}")
         if not b_contains(tb_out):
             raise DomainViolationError(f"T_B output {tb_out} left region {region_b.name}")
-        if dim is not None and (
-            len(x) != dim or len(y) != dim or len(ta_out) != dim or len(tb_out) != dim
-        ):
+        if len(x) != dim or len(y) != dim or len(ta_out) != dim or len(tb_out) != dim:
             distance(space, x, y)
             f_a(u)
             f_b(v)

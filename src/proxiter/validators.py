@@ -299,7 +299,7 @@ def cd_falsify(
         # the metric is called directly once every window point has the
         # space's dimension; otherwise distance() raises its usual error
         window_points = (*xs[k_tail : horizon + 1], *ys[k_tail : horizon + 1])
-        if dim is None or all(len(p) == dim for p in window_points):
+        if all(len(p) == dim for p in window_points):
             sup = tail_sup(lambda n, m: metric(xs[n], ys[m]), k_tail, horizon)
         else:
             sup = tail_sup(lambda n, m: distance(space, xs[n], ys[m]), k_tail, horizon)

@@ -221,6 +221,33 @@ def test_non_finite_grid_is_an_error(capsys, grid):
     assert (code, out) == (1, "") and "bad grid spec" in err
 
 
+@pytest.mark.parametrize("grid, budget", [("0:2000:1", "1000"), ("0:4:1", "4")])
+def test_grid_over_the_budget_is_an_error(capsys, monkeypatch, grid, budget):
+    checked = _count_calls(monkeypatch, "make_infimum_sequence", [cli])
+    code, out, err = run_cli(
+        capsys, "scan", "--kind", "uniqueness", "--instance", "e1", f"--grid={grid}",
+        "--budget", budget,
+    )
+    assert (code, out) == (1, "") and f"has more than --budget {budget} points" in err
+    assert checked == []
+
+
+def test_huge_grid_stops_at_the_budget():
+    # the parse stops once the grid passes the budget, before building the rest
+    with pytest.raises(px.ProxiterError, match="more than --budget 1000 points"):
+        cli._parse_grid("0:1e12:1", 1000)
+
+
+def test_grid_of_exactly_the_budget_is_scanned(capsys):
+    assert cli._parse_grid("0:4:1", 5) == [0.0, 1.0, 2.0, 3.0, 4.0]
+    code, out, _ = run_cli(
+        capsys, "scan", "--kind", "uniqueness", "--instance", "e1", "--grid", "0:4:1",
+        "--budget", "5",
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["candidates"] + payload["skipped"] == 5
+
+
 def test_verify_cyclic_affine(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--instance", "cyclic3-affine", "--samples", "3000"
@@ -364,6 +391,13 @@ BAD_SPECS = {
     "unknown-map-name": _good_spec_with(maps__t_b={"name": "cubic"}),
     "unknown-region-kind": _good_spec_with(regions__a__kind="disc"),
     "unknown-space-kind": _good_spec_with(space={"kind": "plane"}),
+    # json.load accepts NaN and Infinity; a bad distance or constant is a field error
+    "dist-nan": _good_spec_with(dist=math.nan),
+    "dist-inf": _good_spec_with(dist=math.inf),
+    "dist-negative": _good_spec_with(dist=-1.0),
+    "lambda-one": _good_spec_with(**{"lambda": 1.0}),
+    "lambda-negative": _good_spec_with(**{"lambda": -0.5}),
+    "lambda-nan": _good_spec_with(**{"lambda": math.nan}),
 }
 
 
@@ -384,6 +418,12 @@ BAD_SPECS = {
         ("unknown-map-name", "'maps.t_b.name'"),
         ("unknown-region-kind", "'regions.a.kind'"),
         ("unknown-space-kind", "'space.kind'"),
+        ("dist-nan", "field 'dist': set distance must be finite"),
+        ("dist-inf", "field 'dist': set distance must be finite"),
+        ("dist-negative", "field 'dist': set distance cannot be negative"),
+        ("lambda-one", "field 'lambda': contraction constant must be in [0,1)"),
+        ("lambda-negative", "field 'lambda': contraction constant must be in [0,1)"),
+        ("lambda-nan", "field 'lambda': contraction constant must be in [0,1)"),
     ],
 )
 def test_bad_instance_file_is_an_error_not_a_traceback(capsys, tmp_path, case, needle):
@@ -489,6 +529,10 @@ def test_verify_e1_calls_the_point_map_once_per_sample(capsys, monkeypatch):
         (["run", "--instance", "e1", "--steps", "abc"], "invalid int value: 'abc'"),
         (["scan", "--kind", "bogus", "--instance", "e1"], "invalid choice: 'bogus'"),
         ([], "the following arguments are required: command"),
+        # CSV is a run output only
+        (["verify", "--instance", "e1", "--format", "csv"], "invalid choice: 'csv'"),
+        (["scan", "--kind", "uc", "--instance", "e1-pair", "--format", "csv"], "invalid choice: 'csv'"),
+        (["list", "--format", "csv"], "invalid choice: 'csv'"),
     ],
 )
 def test_usage_error_exits_one(capsys, argv, needle):

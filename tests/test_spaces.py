@@ -36,6 +36,27 @@ def test_distance_dimension_mismatch():
         px.distance(space, (1.0,), (0.0, 0.0))
 
 
+@pytest.mark.parametrize("dim", [None, 0, -1, 1.0, True, "2"])
+def test_metric_space_needs_a_positive_integer_dimension(dim):
+    with pytest.raises(px.InvalidInputError, match="positive integer dimension"):
+        px.MetricSpace("bad", dim, lambda x, y: 0.0)
+
+
+def test_vector_space_refuses_dimension_zero():
+    with pytest.raises(px.InvalidInputError, match="positive integer dimension"):
+        px.vector_space(0)
+
+
+@pytest.mark.parametrize(
+    "dist, needle",
+    [(math.nan, "must be finite"), (math.inf, "must be finite"), (-math.inf, "cannot be negative"),
+     (-1.0, "cannot be negative")],
+)
+def test_set_pair_refuses_a_non_finite_or_negative_distance(dist, needle):
+    with pytest.raises(px.InvalidInputError, match=needle):
+        px.SetPair(px.real_line(), px.interval(0, 1), px.interval(3, 4), dist)
+
+
 def test_set_distance_exact_passthrough():
     pair = px.example1_pair()
     assert px.set_distance(pair) == (1.0, "exact")
