@@ -247,6 +247,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             raise ProxiterError("uniqueness scans are wired for one-dimensional regions")
         if not args.grid:
             raise ProxiterError("uniqueness scans need --grid lo:hi:step")
+        grid = _parse_grid(args.grid, args.budget)
         q0 = entry.quadruple(entry.default_x0, entry.default_y0)
         consts = resolve_constants(system, seed=args.seed)
         _, report = run_paired(system, q0, 500, args.tol, constants=consts)
@@ -256,7 +257,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         alpha = report.limit
         candidates = []
         skipped = 0
-        for g in _parse_grid(args.grid, args.budget):
+        for g in grid:
             beta = (g,)
             if not system.pair.a.contains(beta):
                 skipped += 1

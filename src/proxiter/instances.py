@@ -9,6 +9,7 @@ cyclic triples solved through a product-space reduction.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -41,6 +42,7 @@ from .spaces import (
 from .systems import (
     RESIDUAL_TOL,
     Atom,
+    Block,
     CElement,
     CPair,
     CUniverse,
@@ -48,6 +50,8 @@ from .systems import (
     ExternalFactorSystem,
     Quadruple,
     RelationP,
+    declare_block,
+    live_block,
 )
 
 
@@ -97,6 +101,10 @@ def example1_Tb(y: float) -> float:
     return g / 8.0 + (15.0 / 8.0) * g * alpha_parity(-g) - 1.0
 
 
+#: the point maps (and the parity they use) that _example1_block reproduces
+_EXAMPLE1_POINT_MAPS = (example1_T, example1_Tb, alpha_parity)
+
+
 def _example1_fa_point(p: Point) -> float:
     # alpha_parity(c) inlined without its zero case: at c = +-0 the product
     # is +-0 whichever parity frexp's exponent gives (likewise in f_B)
@@ -123,6 +131,58 @@ def example1_fa(c: float) -> float:
 
 def example1_fb(c: float) -> float:
     return _example1_fb_point((c,))
+
+
+def _example1_block(rng: random.Random, n: int) -> Block:
+    """example1_system's campaign over n samples in arrays, bit for bit.
+
+    The rows are p_draw's: 2n ``rng.random()`` values in p_draw's order,
+    mapped with its float operations.  Each map and penalty is its scalar
+    formula elementwise in the same operation order, with ``np.frexp`` for
+    the binary exponent and ``np.ldexp`` for the band.  The penalties take
+    the branch that rows in P and in-region T outputs reach: f_A's on
+    [0, inf), f_B's on (-inf, -1].  Each formula runs in its own function,
+    so its temporaries are freed before the next one starts, and the T
+    outputs are dropped once their terms are made: the peak stays near the
+    arrays the block returns.
+    """
+    import numpy as np
+
+    def t_a(x):  # example1_T, with alpha_parity's and pow2_floor's 0 at x = 0
+        zero = x == 0.0
+        e = np.frexp(x)[1] - 1
+        a = np.where(zero, 0, e % 2)
+        band = np.where(zero, 0.0, np.ldexp(1.0, e))
+        return 2.0 * x * a + 0.25 * (x - band) * (1 - a)
+
+    def t_b(y):  # example1_Tb
+        g = y + 1.0
+        parity = np.where(g == 0.0, 0, (np.frexp(-g)[1] - 1) % 2)  # alpha_parity(-g)
+        return g / 8.0 + (15.0 / 8.0) * g * parity - 1.0
+
+    def f_a(c):
+        return 4.0 * c * ((np.frexp(c)[1] - 1) % 2)
+
+    def f_b(c):
+        return -4.0 * (c + 1.0) * ((np.frexp(-c - 1.0)[1] - 1) % 2)
+
+    r = np.fromiter(iter(rng.random, None), np.float64, 2 * n)
+    xs = 0.0 + 100.0 * r[0::2]
+    ys = -100.0 + 99.0 * r[1::2]
+    del r
+    ta, tb = t_a(xs), t_b(ys)
+    # P is x in [0, inf) and y in (-inf, -1] (u and v mirror them by
+    # construction); T_A and T_B outputs must stay in those regions
+    ok = bool(((xs >= 0.0) & (ta >= 0.0) & (ys <= -1.0) & (tb <= -1.0)).all())
+    after = (np.abs(ta - tb), f_a(ta), f_b(tb))
+    del ta, tb
+    terms = (np.abs(xs - ys), f_a(xs), f_b(ys)) + after
+
+    def row(i: int) -> Quadruple:
+        x, y = (float(xs[i]),), (float(ys[i]),)
+        return Quadruple(x, y, x, y)
+
+    return Block(terms, ok, row)
 
 
 def example1_pair() -> SetPair:
@@ -165,7 +225,7 @@ def example1_system() -> ExternalFactorSystem:
                 out.append((rng.uniform(-100.0, -1.0),))
         return out
 
-    return ExternalFactorSystem(
+    system = ExternalFactorSystem(
         name="e1",
         pair=pair,
         c_universe=CUniverse("union of both half-lines", c_draw),
@@ -178,6 +238,11 @@ def example1_system() -> ExternalFactorSystem:
         p=RelationP(p_contains, p_draw),
         lam=5.0 / 8.0,
     )
+    # t_a and t_b call the module's point maps by name; with a stand-in in
+    # their place (a counting double, say) the block would not reproduce them
+    if (example1_T, example1_Tb, alpha_parity) != _EXAMPLE1_POINT_MAPS:
+        return system
+    return declare_block(system, _example1_block)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +357,8 @@ def product_system(
     Penalty values add, the relation is the component conjunction, and the
     composed constant is the larger of the two: each component inequality
     still holds at it because the one-step value never drops below the floor.
-    Callers are expected to pass systems that individually certify.
+    Callers are expected to pass systems that individually certify.  When
+    both factors have a live block kernel, so does the product.
     """
     d1 = s1.pair.space.dim
     pair = product_space(s1.pair, s2.pair)
@@ -330,7 +396,7 @@ def product_system(
 
     c_draw = draw_columns((s1.c_universe.draw, s2.c_universe.draw), CPair)
 
-    return ExternalFactorSystem(
+    system = ExternalFactorSystem(
         name=f"{s1.name}x{s2.name}",
         pair=pair,
         c_universe=CUniverse(f"{s1.c_universe.name} x {s2.c_universe.name}", c_draw),
@@ -343,6 +409,20 @@ def product_system(
         p=RelationP(p_contains, draw_columns((s1.p.draw, s2.p.draw), p_row)),
         lam=max(s1.lam, s2.lam),
     )
+    run1, run2 = live_block(s1), live_block(s2)
+    if run1 is None or run2 is None:
+        return system
+
+    def block(rng: random.Random, n: int) -> Block:
+        # draw_columns' order: factor 1's samples, then factor 2's; each term
+        # adds the factors' values, as the sum metric and sum_factor do
+        b1, b2 = run1(rng, n), run2(rng, n)
+        for t1, t2 in zip(b1.terms, b2.terms):
+            t1 += t2  # factor 1's columns are this call's own; factor 2's are freed
+        row1, row2 = b1.row, b2.row
+        return Block(b1.terms, b1.ok and b2.ok, lambda i: p_row(row1(i), row2(i)))
+
+    return declare_block(system, block)
 
 
 def example1_product_system() -> ExternalFactorSystem:
@@ -366,8 +446,9 @@ class CyclicTriple:
     k: float
     dists: tuple[float, float, float]
 
-    @property
+    @functools.cached_property
     def d_total(self) -> float:
+        """d12 + d23 + d31, summed once per triple object."""
         return sum(self.dists)
 
 
@@ -857,6 +938,14 @@ def load_instance_json(path: str) -> SystemInstance:
         except (TypeError, ValueError):
             raise InvalidInputError(f"{path}: field {field!r} must be a number, got {value!r}")
 
+    def flag(field: str, value) -> bool:
+        # bool("false") is True: only JSON true and false are flags
+        if not isinstance(value, bool):
+            raise InvalidInputError(
+                f"{path}: field {field!r}: must be true or false, got {value!r}"
+            )
+        return value
+
     def section(field: str, value) -> dict:
         if not isinstance(value, dict):
             raise InvalidInputError(f"{path}: field {field!r} must be an object, got {value!r}")
@@ -874,12 +963,15 @@ def load_instance_json(path: str) -> SystemInstance:
             for k in ("sample_lo", "sample_hi")
             if rspec.get(k) is not None
         }
+        complete = rspec.get("complete")  # None: complete when both ends are closed
+        if complete is not None:
+            complete = flag(f"regions.{key}.complete", complete)
         return interval(
             number(f"regions.{key}.lo", rspec.get("lo", -math.inf)),
             number(f"regions.{key}.hi", rspec.get("hi", math.inf)),
-            closed_lo=bool(rspec.get("closed_lo", True)),
-            closed_hi=bool(rspec.get("closed_hi", True)),
-            complete=rspec.get("complete"),
+            closed_lo=flag(f"regions.{key}.closed_lo", rspec.get("closed_lo", True)),
+            closed_hi=flag(f"regions.{key}.closed_hi", rspec.get("closed_hi", True)),
+            complete=complete,
             name=rspec.get("name"),
             **bounds,
         )

@@ -179,11 +179,19 @@ def interval(
     if not closed_hi:
         s_hi = s_hi - min(1e-9, (s_hi - s_lo) * 1e-9)
 
-    def contains(p: Point) -> bool:
-        v = p[0]
-        ok_lo = v >= lo if closed_lo else v > lo
-        ok_hi = v <= hi if closed_hi else v < hi
-        return ok_lo and ok_hi
+    # one predicate per closedness, chosen here rather than on every call
+    if closed_lo and closed_hi:
+        def contains(p: Point) -> bool:
+            return lo <= p[0] <= hi
+    elif closed_lo:
+        def contains(p: Point) -> bool:
+            return lo <= p[0] < hi
+    elif closed_hi:
+        def contains(p: Point) -> bool:
+            return lo < p[0] <= hi
+    else:
+        def contains(p: Point) -> bool:
+            return lo < p[0] < hi
 
     span = s_hi - s_lo
 

@@ -9,6 +9,7 @@ contraction constant.  Certification is sample based: verdicts are
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -89,6 +90,37 @@ class RelationP:
     draw: Callable[[random.Random, int], list[Quadruple]]
 
 
+class Block(NamedTuple):
+    """One certification campaign's samples, checked and evaluated in arrays.
+
+    ``terms`` holds six float64 columns, one entry per sample: rho(x, y),
+    f_A(u), f_B(v), rho(T_A, T_B), f_A(H_A) and f_B(H_B), each bit-identical
+    to the value the system's own callables give for that sample.  ``ok`` is
+    True when every sample is in P, both T outputs are in their regions and
+    every point has the space's dimension.  ``row(i)`` is sample i as the
+    Quadruple that ``p.draw`` returns in position i.
+    """
+
+    terms: tuple
+    ok: bool
+    row: Callable[[int], Quadruple]
+
+
+@dataclass(frozen=True)
+class BlockKernel:
+    """A system's campaign in numpy arrays, bound to the callables it reproduces.
+
+    ``run(rng, n)`` consumes rng exactly as ``p.draw(rng, n)`` does and
+    returns a ``Block`` over the same n samples.  ``bound`` holds the pair,
+    the relation's two callables, the four maps and both penalty functions
+    the kernel was declared with; once any of them is replaced, the kernel
+    no longer describes the system and is not used.
+    """
+
+    run: Callable[[random.Random, int], Block]
+    bound: tuple
+
+
 @dataclass(frozen=True)
 class ExternalFactorSystem:
     """The six maps, the external set, the relation P and the constant.
@@ -96,7 +128,8 @@ class ExternalFactorSystem:
     Every map must be pure: its output depends on its arguments only.  A
     system whose external update on a side is that side's point map says so
     by passing the same object as T and H; the engine then evaluates it once
-    per state and reuses T's output as H's.
+    per state and reuses T's output as H's.  ``block`` is an optional array
+    kernel for certification campaigns; see ``declare_block``.
     """
 
     name: str
@@ -110,6 +143,7 @@ class ExternalFactorSystem:
     f_b: ExternalFactor
     p: RelationP
     lam: float
+    block: Optional[BlockKernel] = None
 
     def __post_init__(self):
         if not (0.0 <= self.lam < 1.0):
@@ -117,6 +151,35 @@ class ExternalFactorSystem:
 
     def in_p(self, q: Quadruple) -> bool:
         return self.p.contains(q.x, q.y, q.u, q.v)
+
+
+def _block_bound(system: ExternalFactorSystem) -> tuple:
+    return (
+        system.pair, system.p.draw, system.p.contains, system.t_a, system.h_a,
+        system.t_b, system.h_b, system.f_a.fn, system.f_b.fn,
+    )
+
+
+def declare_block(
+    system: ExternalFactorSystem, run: Callable[[random.Random, int], Block]
+) -> ExternalFactorSystem:
+    """The system with ``run`` as its block kernel, bound to its current callables."""
+    return dataclasses.replace(system, block=BlockKernel(run, _block_bound(system)))
+
+
+def live_block(system: ExternalFactorSystem) -> Optional[Callable[[random.Random, int], Block]]:
+    """The system's block kernel, or None when it has none or a bound callable was replaced.
+
+    ``dataclasses.replace(system, lam=...)`` keeps the kernel live; replacing
+    a map, a penalty, the relation or the pair (as a tracing wrapper does)
+    retires it.
+    """
+    block = system.block
+    if block is None:
+        return None
+    if all(a is b for a, b in zip(block.bound, _block_bound(system))):
+        return block.run
+    return None
 
 
 @dataclass(frozen=True)
@@ -336,35 +399,28 @@ def verify_contraction(
       quadruple is the witness;
     - ``negative-residual``: a residual is below -RESIDUAL_TOL; the worst
       quadruple is the witness.
+
+    A system with a live block kernel (``live_block``) is checked in numpy
+    arrays when numpy imports, with the same report; otherwise, or when a
+    sample fails a check, each sample goes through ``_one_step``.
     """
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
     if constants is None:
         constants = resolve_constants(system, seed=seed)
-    quads = system.p.draw(random.Random(seed), samples)
-    if not quads:
-        raise EstimationFailureError("relation sampler produced no quadruples")
+    lam = system.lam
+    floor = (1.0 - lam) * constants.s
+    probes = max(0, invariance_probes)
+    campaign = _block_campaign(system, samples, seed, lam, floor, probes)
+    if campaign is None:
+        campaign = _scalar_campaign(system, samples, seed, lam, floor, probes)
+    min_res, arg_min, non_finite, probed = campaign
 
     infima_finite = math.isfinite(constants.inf_a) and math.isfinite(constants.inf_b)
 
-    lam = system.lam
-    floor = (1.0 - lam) * constants.s
-    isfinite = math.isfinite
-    min_res = math.inf
-    arg_min: Optional[Quadruple] = None
-    non_finite: Optional[Quadruple] = None
-    for q, before, after in _one_step(
-        system, quads, "relation sampler produced a non-member quadruple"
-    ):
-        res = lam * before + floor - after
-        if res < min_res:
-            min_res, arg_min = res, q
-        if non_finite is None and not isfinite(res):
-            non_finite = q
-
     p_ok = True
     p_witness: Optional[Quadruple] = None
-    for q in quads[: max(0, invariance_probes)]:
+    for q in probed:
         ok, _ = check_p_invariance(system, Quadruple(*q), depth)
         if not ok:
             p_ok, p_witness = False, Quadruple(*q)
@@ -394,6 +450,59 @@ def verify_contraction(
         reason=reason,
         witness=witness,
     )
+
+
+def _scalar_campaign(system, samples, seed, lam, floor, probes) -> tuple:
+    """(min residual, its first quadruple, first non-finite one, probe quadruples)."""
+    quads = system.p.draw(random.Random(seed), samples)
+    if not quads:
+        raise EstimationFailureError("relation sampler produced no quadruples")
+    isfinite = math.isfinite
+    min_res = math.inf
+    arg_min: Optional[Quadruple] = None
+    non_finite: Optional[Quadruple] = None
+    for q, before, after in _one_step(
+        system, quads, "relation sampler produced a non-member quadruple"
+    ):
+        res = lam * before + floor - after
+        if res < min_res:
+            min_res, arg_min = res, q
+        if non_finite is None and not isfinite(res):
+            non_finite = q
+    return min_res, arg_min, non_finite, quads[:probes]
+
+
+def _block_campaign(system, samples, seed, lam, floor, probes) -> Optional[tuple]:
+    """``_scalar_campaign``'s result from the system's block kernel, bit for bit.
+
+    None, with no error raised, when the system has no live kernel, numpy
+    cannot be imported, or any sample fails a check: the scalar campaign
+    then runs from a fresh rng and raises the error, if there is one.  The
+    sums run left to right elementwise, as in ``_one_step``; only the
+    witnesses and the probe samples are built as quadruples.
+    """
+    run = live_block(system)
+    if run is None:
+        return None
+    try:
+        import numpy as np
+    except ImportError:
+        return None
+    # float arithmetic in Python makes NaN and infinities silently; so does this
+    with np.errstate(all="ignore"):
+        block = run(random.Random(seed), samples)
+        if not block.ok:
+            return None
+        rho_xy, f_a_u, f_b_v, rho_t, f_a_h, f_b_h = block.terms
+        res = lam * (rho_xy + f_a_u + f_b_v) + floor - (rho_t + f_a_h + f_b_h)
+    finite = np.isfinite(res)
+    non_finite = None if finite.all() else block.row(int(finite.argmin()))
+    # `res < min_res` never takes a NaN, but argmin would stop at the first one
+    masked = np.where(np.isnan(res), math.inf, res)
+    i = int(masked.argmin())
+    min_res = float(masked[i])
+    arg_min = block.row(i) if min_res < math.inf else None
+    return min_res, arg_min, non_finite, [block.row(k) for k in range(min(samples, probes))]
 
 
 def estimate_min_lambda(system: ExternalFactorSystem, samples: int, seed: int) -> float:

@@ -232,6 +232,16 @@ def test_grid_over_the_budget_is_an_error(capsys, monkeypatch, grid, budget):
     assert checked == []
 
 
+@pytest.mark.parametrize("grid", ["abc", "0:1:nan", "0:2000:1"])
+def test_bad_grid_is_refused_before_the_run(capsys, monkeypatch, grid):
+    runs = _count_calls(monkeypatch, "run_paired", [cli])
+    code, out, err = run_cli(
+        capsys, "scan", "--kind", "uniqueness", "--instance", "e1", f"--grid={grid}"
+    )
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert runs == []
+
+
 def test_huge_grid_stops_at_the_budget():
     # the parse stops once the grid passes the budget, before building the rest
     with pytest.raises(px.ProxiterError, match="more than --budget 1000 points"):
@@ -391,6 +401,10 @@ BAD_SPECS = {
     "unknown-map-name": _good_spec_with(maps__t_b={"name": "cubic"}),
     "unknown-region-kind": _good_spec_with(regions__a__kind="disc"),
     "unknown-space-kind": _good_spec_with(space={"kind": "plane"}),
+    # bool("false") is True; only JSON true and false are flags
+    "closed-lo-string": _good_spec_with(regions__a__closed_lo="false"),
+    "closed-hi-number": _good_spec_with(regions__a__closed_hi=0),
+    "complete-string": _good_spec_with(regions__a__complete="no"),
     # json.load accepts NaN and Infinity; a bad distance or constant is a field error
     "dist-nan": _good_spec_with(dist=math.nan),
     "dist-inf": _good_spec_with(dist=math.inf),
@@ -418,6 +432,9 @@ BAD_SPECS = {
         ("unknown-map-name", "'maps.t_b.name'"),
         ("unknown-region-kind", "'regions.a.kind'"),
         ("unknown-space-kind", "'space.kind'"),
+        ("closed-lo-string", "field 'regions.a.closed_lo': must be true or false, got 'false'"),
+        ("closed-hi-number", "field 'regions.a.closed_hi': must be true or false, got 0"),
+        ("complete-string", "field 'regions.a.complete': must be true or false, got 'no'"),
         ("dist-nan", "field 'dist': set distance must be finite"),
         ("dist-inf", "field 'dist': set distance must be finite"),
         ("dist-negative", "field 'dist': set distance cannot be negative"),

@@ -597,6 +597,25 @@ def test_cyclic_residual_invariant_under_rotation(name, seed, shift):
     assert abs(after - before) <= 8 * math.ulp(scale)
 
 
+def test_cyclic_residual_sums_the_distances_once_per_triple():
+    reads = []
+
+    class CountedDists(tuple):
+        def __iter__(self):
+            reads.append(1)
+            return super().__iter__()
+
+    dists = CountedDists((0.1, 0.2, 0.3))  # (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    ct = dataclasses.replace(px.affine_cyclic_example(), dists=dists)
+    xs = [region.draw(random.Random(3), 1)[0] for region in ct.regions]
+    for _ in range(5):
+        px.cyclic_residual(ct, *xs)
+    assert len(reads) == 1
+    assert ct.d_total.hex() == (0 + 0.1 + 0.2 + 0.3).hex()
+    rotated = px.rotate_cyclic(ct, 1)
+    assert rotated.d_total.hex() == (0 + 0.2 + 0.3 + 0.1).hex()
+
+
 def test_reduction_sample_makes_nine_cyclic_map_calls():
     # T_A at a diagonal point cubes one half (3 calls); T_B cubes two halves
     # (6 calls); H_B is T_B, so it reuses that output

@@ -151,6 +151,27 @@ def test_open_interval_membership():
     assert not region.complete
 
 
+def _reference_interval_contains(lo, hi, closed_lo, closed_hi, v):
+    """The membership test as written before the predicate was chosen at construction."""
+    ok_lo = v >= lo if closed_lo else v > lo
+    ok_hi = v <= hi if closed_hi else v < hi
+    return ok_lo and ok_hi
+
+
+@pytest.mark.parametrize("closed_lo", [True, False])
+@pytest.mark.parametrize("closed_hi", [True, False])
+@pytest.mark.parametrize(
+    "lo, hi", [(0.0, 1.0), (-0.0, 0.0), (-1.0, -0.0), (-math.inf, -1.0), (0.0, math.inf),
+               (-math.inf, math.inf)]
+)
+def test_interval_membership_matches_the_per_call_expression(lo, hi, closed_lo, closed_hi):
+    region = px.interval(lo, hi, closed_lo=closed_lo, closed_hi=closed_hi)
+    for v in (math.nan, math.inf, -math.inf, -0.0, 0.0, lo, hi, 0.5, -0.5, 5e-324):
+        want = _reference_interval_contains(lo, hi, closed_lo, closed_hi, v)
+        got = region.contains((v,))
+        assert type(got) is bool and got == want, (lo, hi, closed_lo, closed_hi, v)
+
+
 def test_metric_axioms_on_builtin_spaces():
     # 1e4 random triples per space via sliding windows over sampled points
     rng = random.Random(123)
