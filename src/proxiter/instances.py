@@ -252,15 +252,27 @@ def example1_system() -> ExternalFactorSystem:
 def estimate_lipschitz(
     map_fn: Callable[[Point], Point], space: MetricSpace, region: Region
 ) -> float:
-    """Supremum of displacement ratios over 2000 pairs drawn at seed 0; a lower estimate."""
-    pts = sample_region(region, 4000, 0)
+    """Supremum of displacement ratios over 2000 pairs drawn at seed 0; a lower estimate.
+
+    The metric is called directly; distance() runs only on a pair whose
+    length is not the space's dimension, so it raises its error.  ``r >
+    best`` keeps the earlier value on ties and NaN, as ``max(best, r)`` does.
+    """
+    it = iter(sample_region(region, 4000, 0))
+    metric, dim = space.metric, space.dim
     best = 0.0
-    for i in range(0, len(pts) - 1, 2):
-        x, y = pts[i], pts[i + 1]
-        dxy = distance(space, x, y)
+    for x, y in zip(it, it):
+        if len(x) != dim or len(y) != dim:
+            distance(space, x, y)
+        dxy = metric(x, y)
         if dxy <= 1e-12:
             continue
-        best = max(best, distance(space, map_fn(x), map_fn(y)) / dxy)
+        fx, fy = map_fn(x), map_fn(y)
+        if len(fx) != dim or len(fy) != dim:
+            distance(space, fx, fy)
+        r = metric(fx, fy) / dxy
+        if r > best:
+            best = r
     return best
 
 
@@ -329,20 +341,55 @@ def _whole_line_region() -> Region:
     return interval(-math.inf, math.inf, name="R")
 
 
-def banach_half_system() -> ExternalFactorSystem:
-    return banach_system(
-        lambda x: (x[0] / 2.0,), real_line(), _whole_line_region(), 0.5, name="banach-half"
+def _line_banach_system(g: Callable, name: str) -> ExternalFactorSystem:
+    """banach_system for the float map g on the whole line, constant 1/2, with a block kernel.
+
+    g is written once and must give the same bits on a float and on each
+    entry of a float64 array: the scalar map is ``(g(x[0]),)`` and the
+    block applies g to the whole column.
+    """
+    system = banach_system(
+        lambda x: (g(x[0]),), real_line(), _whole_line_region(), 0.5, name=name
     )
+
+    def block(rng: random.Random, n: int) -> Block:
+        # p.draw's rows: n x values, then n y values, each the whole line's
+        # draw -100.0 + 200.0 * r; u and v are the atom, both penalties 0.0
+        import numpy as np
+
+        r = np.fromiter(iter(rng.random, None), np.float64, 2 * n)
+        xs, ys = -100.0 + 200.0 * r[:n], -100.0 + 200.0 * r[n:]
+        del r
+        tx, ty = g(xs), g(ys)
+        # the whole line holds every point but NaN, and every point has dimension 1
+        ok = not bool((np.isnan(xs) | np.isnan(ys) | np.isnan(tx) | np.isnan(ty)).any())
+        rho_t = np.abs(tx - ty)
+        del tx, ty
+        # separate zero columns: a product's block adds into factor 1's in place
+        terms = (np.abs(xs - ys), np.zeros(n), np.zeros(n), rho_t, np.zeros(n), np.zeros(n))
+
+        def row(i: int) -> Quadruple:
+            return _atom_quadruple((float(xs[i]),), (float(ys[i]),))
+
+        return Block(terms, ok, row)
+
+    return declare_block(system, block)
+
+
+def _half(x):
+    return x / 2.0
+
+
+def _half_toward_4(x):
+    return (x + 4.0) / 2.0
+
+
+def banach_half_system() -> ExternalFactorSystem:
+    return _line_banach_system(_half, "banach-half")
 
 
 def banach_affine_system() -> ExternalFactorSystem:
-    return banach_system(
-        lambda x: ((x[0] + 4.0) / 2.0,),
-        real_line(),
-        _whole_line_region(),
-        0.5,
-        name="banach-affine",
-    )
+    return _line_banach_system(_half_toward_4, "banach-affine")
 
 
 # ---------------------------------------------------------------------------

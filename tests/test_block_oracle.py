@@ -31,6 +31,9 @@ from proxiter import (
     Quadruple,
     RelationP,
     SetPair,
+    banach_affine_system,
+    banach_half_system,
+    banach_system,
     declare_block,
     example1_T,
     example1_system,
@@ -46,14 +49,29 @@ from proxiter.errors import DomainViolationError, InvalidInputError
 np = pytest.importorskip("numpy")
 
 SIZES = (1, 2, 7, 4099)
-SYSTEM_NAMES = ("e1", "e1-product")
-#: 5/8 (e1's own) and 0.75 certify on e1's samples; 0.5 and 0.0 refute on most
-LAMBDAS = (None, 0.75, 0.5, 0.0)
+#: each system with a block kernel, and rng.random() draws per sample
+DRAWS_PER_SAMPLE = {
+    "e1": 2,
+    "e1-product": 4,
+    "banach-half": 2,
+    "banach-affine": 2,
+    "e1 x banach-affine": 4,
+    "banach-half x banach-affine": 4,
+}
+SYSTEM_NAMES = tuple(DRAWS_PER_SAMPLE)
+#: the system's own constant and 0.75 certify on every system's samples
+#: (the banach maps halve every distance); 0.5 refutes e1 on most, 0.4 and
+#: 0.0 refute every system on most
+LAMBDAS = (None, 0.75, 0.5, 0.4, 0.0)
+BUILDERS = {"e1": example1_system, "banach-half": banach_half_system,
+            "banach-affine": banach_affine_system}
 
 
 def _build(name):
-    e1 = example1_system()
-    return e1 if name == "e1" else product_system(e1, example1_system())
+    if name == "e1-product":
+        return product_system(example1_system(), example1_system())
+    factors = [BUILDERS[part]() for part in name.split(" x ")]
+    return factors[0] if len(factors) == 1 else product_system(*factors)
 
 
 def _scalar(system):
@@ -69,10 +87,10 @@ def _outcome(fn, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# e1 and its product: the same report, rows, terms and rng state
+# every system with a block: the same report, rows, terms and rng state
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     name=st.sampled_from(SYSTEM_NAMES),
     seed=st.integers(0, 2**32 - 1),
@@ -96,7 +114,7 @@ def test_both_verdicts_are_reached_on_the_block_path(name, monkeypatch):
     monkeypatch.setattr(systems, "_scalar_campaign", None)  # the block path must not need it
     system = _build(name)
     assert verify_contraction(system, 4099, 1).certified
-    refuted = verify_contraction(dataclasses.replace(system, lam=0.5), 4099, 1)
+    refuted = verify_contraction(dataclasses.replace(system, lam=0.4), 4099, 1)
     assert refuted.reason == "negative-residual" and refuted.witness is not None
 
 
@@ -143,15 +161,17 @@ def test_block_rows_terms_and_rng_state_match_the_scalar_callables(name, n, seed
     _assert_block_is_the_scalar_campaign(_build(name), lambda: random.Random(seed), n)
 
 
-#: x = 0 and y = -1 exactly (where alpha_parity is 0 by convention; 1.0 is
-#: no draw of random(), but p_draw maps it all the same), the band edges
-#: x = 1, 2, 4, the largest and the least nonzero draw
-EDGE_DRAWS = [0.0, 1.0, 0.01, 0.0, 0.02, 1.0 - 2.0**-53, 0.04, 0.5, 2.0**-53, 1.0 / 99.0]
+#: in e1, x = 0 and y = -1 exactly (where alpha_parity is 0 by convention;
+#: 1.0 is no draw of random(), but p_draw maps it all the same), the band
+#: edges x = 1, 2, 4, the largest and the least nonzero draw; on the whole
+#: line, both ends of the sampling box and 0
+EDGE_DRAWS = [0.0, 1.0, 0.01, 0.0, 0.02, 1.0 - 2.0**-53, 0.04, 0.5, 2.0**-53, 1.0 / 99.0,
+              0.5, 0.5]
 
 
 @pytest.mark.parametrize("name", SYSTEM_NAMES)
 def test_block_matches_at_the_parity_edges(name):
-    n = len(EDGE_DRAWS) // (2 if name == "e1" else 4)
+    n = len(EDGE_DRAWS) // DRAWS_PER_SAMPLE[name]
     _assert_block_is_the_scalar_campaign(_build(name), lambda: Scripted(EDGE_DRAWS), n)
 
 
@@ -175,6 +195,19 @@ def test_replacing_lambda_keeps_the_block_and_replacing_a_callable_retires_it():
     assert live_block(product_system(e1, e1)) is not None
     assert live_block(product_system(e1, replaced["t_a"])) is None
     assert live_block(product_system(replaced["f_a"], e1)) is None
+
+
+@pytest.mark.parametrize("build", (banach_half_system, banach_affine_system))
+def test_the_banach_blocks_retire_with_their_map(build):
+    system = build()
+    assert live_block(dataclasses.replace(system, lam=0.4)) is live_block(system) is not None
+    assert live_block(dataclasses.replace(system, t_a=lambda x, c: system.t_a(x, c))) is None
+    assert live_block(product_system(example1_system(), system)) is not None
+
+
+def test_banach_system_with_a_plain_map_stays_scalar():
+    system = banach_system(lambda x: (x[0] / 2.0,), real_line(), interval(-1.0, 1.0), 0.5)
+    assert live_block(system) is None
 
 
 def test_a_stand_in_point_map_leaves_e1_scalar(monkeypatch):
@@ -336,10 +369,32 @@ def test_block_reduction_matches_the_scalar_loop(fa, fa_next, fb, fb_next, lam, 
 # numpy stays optional and out of import and build time
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-COMMANDS = [
+#: a JSON instance (read with load_instance_json) on the whole line
+JSON_SPEC = {
+    "name": "halving",
+    "space": {"kind": "real"},
+    "regions": {"a": {"sample_lo": -10.0, "sample_hi": 10.0}},
+    "maps": {
+        "t_a": {"name": "affine", "slope": 0.5, "offset": 1.0},
+        "t_b": {"name": "affine", "slope": 0.5, "offset": 1.0},
+    },
+    "lambda": 0.5,
+    "dist": 0.0,
+    "x0": 3.0,
+    "y0": -2.0,
+}
+#: commands that have no block kernel to run; they must never load numpy
+SCALAR_COMMANDS = [
+    ["verify", "--instance", "{json}", "--samples", "500", "--seed", "2"],
+    ["run", "--instance", "cyclic3-affine"],
+    ["verify", "--instance", "cyclic3-affine", "--samples", "500", "--seed", "2"],
+]
+BLOCK_COMMANDS = [
     ["verify", "--instance", "e1", "--samples", "3000", "--seed", "5"],
     ["verify", "--instance", "e1", "--samples", "3000", "--seed", "5", "--lambda", "0.5"],
     ["verify", "--instance", "e1-product", "--samples", "2000", "--seed", "3", "--depth", "-1"],
+    ["verify", "--instance", "banach-affine", "--samples", "3000", "--seed", "5"],
+    ["verify", "--instance", "banach-affine", "--samples", "3000", "--seed", "5", "--lambda", "0.4"],
 ]
 PROBE = """
 import contextlib, io, json, sys
@@ -348,30 +403,40 @@ if sys.argv[2] == "hidden":
     sys.modules["numpy"] = None  # import numpy now raises ImportError
 from proxiter import SYSTEMS
 from proxiter.cli import main
+def loaded():
+    return "numpy" in sys.modules and sys.modules["numpy"] is not None
 for entry in SYSTEMS.values():
     entry.build()
-built = "numpy" in sys.modules and sys.modules["numpy"] is not None
+built = loaded()
 outs = []
 for argv in json.loads(sys.argv[3]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
-    outs.append([code, buf.getvalue()])
+    outs.append([code, buf.getvalue(), loaded()])
 print(json.dumps({"numpy_after_build": built, "outs": outs}))
 """
 
 
-def _probe(mode):
+def _probe(mode, commands):
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", PROBE, SRC, mode, json.dumps(COMMANDS)],
+        [sys.executable, "-I", "-c", PROBE, SRC, mode, json.dumps(commands)],
         capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout)
 
 
-def test_reports_are_the_same_with_numpy_hidden():
-    hidden, present = _probe("hidden"), _probe("present")
+def test_reports_are_the_same_with_numpy_hidden(tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(JSON_SPEC))
+    scalar = [[str(path) if a == "{json}" else a for a in argv] for argv in SCALAR_COMMANDS]
+    # the scalar commands run first, so numpy is loaded after one only if it loads it
+    commands = scalar + BLOCK_COMMANDS
+    hidden, present = _probe("hidden", commands), _probe("present", commands)
     # building the registry never loads numpy; the first block campaign does
     assert not hidden["numpy_after_build"] and not present["numpy_after_build"]
-    assert hidden["outs"] == present["outs"]
-    assert [code for code, _ in present["outs"]] == [0, 3, 0]
+    assert [out[:2] for out in hidden["outs"]] == [out[:2] for out in present["outs"]]
+    assert [code for code, _, _ in present["outs"]] == [0, 0, 0, 0, 3, 0, 0, 3]
+    assert [numpy for _, _, numpy in present["outs"]] == [False] * len(scalar) + [True] * len(
+        BLOCK_COMMANDS
+    )
