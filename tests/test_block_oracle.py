@@ -99,6 +99,17 @@ def _outcome(fn, *args, **kwargs):
     depth=st.sampled_from((-1, 0, 8)),
 )
 def test_block_report_is_the_scalar_report(name, seed, n, lam, depth):
+    _assert_same_report(name, seed, n, lam, depth)
+
+
+@pytest.mark.parametrize("name", ("banach-half", "banach-affine"))
+@pytest.mark.parametrize("lam", (None, 0.75, 0.4, 0.0))
+def test_banach_block_report_is_the_scalar_report_at_every_lambda(name, lam):
+    for n in SIZES:
+        _assert_same_report(name, 17, n, lam, 8)
+
+
+def _assert_same_report(name, seed, n, lam, depth):
     system = _build(name)
     if lam is not None:
         system = dataclasses.replace(system, lam=lam)
