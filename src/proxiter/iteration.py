@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -12,7 +13,16 @@ from .errors import (
     NotAnInfimumSequenceError,
     NumericFailureError,
 )
-from .spaces import MetricSpace, Point, Region, SetPair, distance, format_point, set_distance
+from .spaces import (
+    MetricSpace,
+    Point,
+    Region,
+    SetPair,
+    _point_template,
+    distance,
+    format_point,
+    set_distance,
+)
 from .systems import (
     CElement,
     ExternalFactorSystem,
@@ -160,6 +170,21 @@ def detect_limit(
     return trace.points[-1] if _settled(trace.space, trace.points, tol, window) else None
 
 
+def _beyond_guard(x: Point, y: Point, step: int) -> bool:
+    """Whether a coordinate of x or y exceeds DIVERGENCE_GUARD in magnitude.
+
+    The first non-finite coordinate, x before y, raises instead.
+    """
+    big = False
+    for p in (x, y):
+        for c in p:
+            if not math.isfinite(c):
+                raise NumericFailureError(f"non-finite coordinate at step {step}: {p}")
+            if abs(c) > DIVERGENCE_GUARD:
+                big = True
+    return big
+
+
 def run_paired(
     system: ExternalFactorSystem,
     q0: Quadruple,
@@ -196,20 +221,29 @@ def run_paired(
     a_contains, b_contains = region_a.contains, region_b.contains
     fa, fb = system.f_a.fn, system.f_b.fn
     metric, dim = space.metric, space.dim
-    isfinite, guard = math.isfinite, DIVERGENCE_GUARD
+    guard = DIVERGENCE_GUARD
+    lo = -guard
+    append_x, append_u, append_fa = xs.append, us.append, fa_vals.append
+    append_y, append_v, append_fb = ys.append, vs.append, fb_vals.append
+    append_rho = rho.append
+    x_prev, y_prev = q0.x, q0.y
     settled = 0
     window = CONFIRM_WINDOW
     stop_reason = "max-steps"
     orbit_a = _orbit(system.t_a, system.h_a, q0.x, q0.u)
     orbit_b = _orbit(system.t_b, system.h_b, q0.y, q0.v)
     for k, (x_next, u_next), (y_next, v_next) in zip(range(1, max_steps + 1), orbit_a, orbit_b):
+        # a coordinate fails the chained test only when it is NaN or beyond
+        # the guard; then the exact pass raises on a non-finite one or trips it
         big = False
-        for p in (x_next, y_next):
-            for c in p:
-                if not isfinite(c):
-                    raise NumericFailureError(f"non-finite coordinate at step {k}: {p}")
-                if abs(c) > guard:
-                    big = True
+        for c in x_next:
+            if not lo <= c <= guard:
+                big = True
+        for c in y_next:
+            if not lo <= c <= guard:
+                big = True
+        if big:
+            big = _beyond_guard(x_next, y_next, k)
         if not a_contains(x_next):
             raise DomainViolationError(
                 f"T_A output {x_next} left region {region_a.name} at step {k}", step=k
@@ -219,26 +253,28 @@ def run_paired(
                 f"T_B output {y_next} left region {region_b.name} at step {k}", step=k
             )
         if len(x_next) != dim or len(y_next) != dim:
-            distance(space, xs[-1], x_next)
-            distance(space, ys[-1], y_next)
-        da = metric(xs[-1], x_next)
-        db = metric(ys[-1], y_next)
-        xs.append(x_next)
-        us.append(u_next)
-        ys.append(y_next)
-        vs.append(v_next)
-        fa_vals.append(fa(u_next))
-        fb_vals.append(fb(v_next))
+            distance(space, x_prev, x_next)
+            distance(space, y_prev, y_next)
+        da = metric(x_prev, x_next)
+        db = metric(y_prev, y_next)
+        append_x(x_next)
+        append_u(u_next)
+        append_y(y_next)
+        append_v(v_next)
+        append_fa(fa(u_next))
+        append_fb(fb(v_next))
         r = metric(x_next, y_next)
-        rho.append(r)
+        append_rho(r)
 
         if big or r > guard:
             stop_reason = "divergence-guard"
             break
-        settled = settled + 1 if max(da, db) < tol else 0
+        # max(da, db), NaN included: da unless db is greater
+        settled = settled + 1 if (db if db > da else da) < tol else 0
         if settled >= window:
             stop_reason = "tolerance-met"
             break
+        x_prev, y_prev = x_next, y_next
 
     trace_a = IterationTrace(space, tuple(xs), tuple(us), tuple(fa_vals))
     trace_b = IterationTrace(space, tuple(ys), tuple(vs), tuple(fb_vals))
@@ -400,28 +436,67 @@ def proximity_residual(report: ConvergenceReport, pair: SetPair) -> Optional[flo
     return abs(report.rho_alpha_y_tail - dist)
 
 
+@functools.lru_cache(maxsize=64)
+def _row_template(x_slot: str, y_slot: str) -> str:
+    """One trace row as a single ``%`` template, with the given x and y slots."""
+    return f"%d,{x_slot},%s,{y_slot},%s,%.17g,%.17g,%.17g\n"
+
+
+def _point_columns(points: Sequence[Point]) -> tuple:
+    """A row slot for a chunk of points and the columns that fill it.
+
+    When every point has the same nonzero length d, the slot is d ``%.17g``
+    slots, format_point's own template, filled from the transposed points;
+    otherwise it is one ``%s`` filled by format_point.
+    """
+    lengths = set(map(len, points))
+    d = lengths.pop() if len(lengths) == 1 else 0
+    if d:
+        return _point_template(d, 17), zip(*points)
+    return "%s", (map(format_point, points),)
+
+
+def _celement_texts(celements: Sequence[CElement]) -> list[str]:
+    """format_celement of each element, called once per run of the same object."""
+    texts = []
+    last, text = object(), ""
+    for c in celements:
+        if c is not last:
+            last, text = c, format_celement(c)
+        texts.append(text)
+    return texts
+
+
 def write_trace_csv(paired: PairedTrace, fh) -> None:
     """Trace table: n, x_n, u_n, y_n, v_n, rho_xy, f_a_u, f_b_v.
 
     Coordinates are semicolon-joined and printed with 17 significant digits
-    so that values round-trip exactly.  Rows are formatted column by column
-    and written CSV_CHUNK_ROWS at a time, so a long trace is never held whole
-    as text.
+    so that values round-trip exactly.  Rows are written CSV_CHUNK_ROWS at a
+    time, so a long trace is never held whole as text, and each row is one
+    ``%`` call.  Columns of different lengths are refused before anything is
+    written: a CSV trace is the whole run or nothing.
     """
-    fh.write("n,x_n,u_n,y_n,v_n,rho_xy,f_a_u,f_b_v\n")
     a, b = paired.a, paired.b
-    number = "%.17g".__mod__
-    row = "%d,%s,%s,%s,%s,%s,%s,%s\n".__mod__
+    columns = {
+        "x_n": a.points, "u_n": a.celements, "y_n": b.points, "v_n": b.celements,
+        "rho_xy": paired.rho_xy, "f_a_u": a.f_values, "f_b_v": b.f_values,
+    }
+    if len({len(column) for column in columns.values()}) > 1:
+        lengths = ", ".join(f"{name} {len(column)}" for name, column in columns.items())
+        raise InvalidInputError(f"trace columns differ in length: {lengths}")
+    fh.write("n,x_n,u_n,y_n,v_n,rho_xy,f_a_u,f_b_v\n")
     for lo in range(0, len(a.points), CSV_CHUNK_ROWS):
         hi = lo + CSV_CHUNK_ROWS
+        x_slot, x_columns = _point_columns(a.points[lo:hi])
+        y_slot, y_columns = _point_columns(b.points[lo:hi])
         rows = zip(
             range(lo, hi),
-            map(format_point, a.points[lo:hi]),
-            map(format_celement, a.celements[lo:hi]),
-            map(format_point, b.points[lo:hi]),
-            map(format_celement, b.celements[lo:hi]),
-            map(number, paired.rho_xy[lo:hi]),
-            map(number, a.f_values[lo:hi]),
-            map(number, b.f_values[lo:hi]),
+            *x_columns,
+            _celement_texts(a.celements[lo:hi]),
+            *y_columns,
+            _celement_texts(b.celements[lo:hi]),
+            paired.rho_xy[lo:hi],
+            a.f_values[lo:hi],
+            b.f_values[lo:hi],
         )
-        fh.write("".join(map(row, rows)))
+        fh.write("".join(map(_row_template(x_slot, y_slot).__mod__, rows)))

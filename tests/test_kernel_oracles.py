@@ -19,6 +19,7 @@ import random
 import re
 from typing import Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,7 @@ from proxiter import (
     real_line,
     vector_space,
 )
-from proxiter.errors import DomainViolationError, InvalidInputError
+from proxiter.errors import DomainViolationError, InvalidInputError, NumericFailureError
 from proxiter.instances import _half, _half_toward_4, _whole_line_region, estimate_lipschitz
 from proxiter.iteration import (
     CONFIRM_WINDOW,
@@ -196,6 +197,11 @@ BAD_POINTS = {
     "short": lambda d: (1.0,) * (d - 1),
     "empty": lambda d: (),
     "-0.0": lambda d: (-0.0,) * d,
+    # the guard's edges: on it (kept) and one ulp beyond it (tripped)
+    "at-guard": lambda d: (DIVERGENCE_GUARD,) * d,
+    "-at-guard": lambda d: (-DIVERGENCE_GUARD,) * d,
+    "past-guard": lambda d: (math.nextafter(DIVERGENCE_GUARD, math.inf),) * d,
+    "-past-guard": lambda d: (math.nextafter(-DIVERGENCE_GUARD, -math.inf),) * d,
 }
 #: the sides move to +-scale * DIVERGENCE_GUARD: only together do they trip the
 #: guard, through rho, and at scale 0.5 rho lands on it exactly without tripping it
@@ -325,6 +331,65 @@ def test_run_paired_matches_the_reference(
         lambda system: (system, q0, max_steps, tol),
         constants=EXACT_ZERO,
     )
+
+
+#: (side A fault, side B fault), both at one step: the guard's edges, signed
+#: zeros, non-finite values on either side, a non-finite side B behind a big
+#: side A (the NaN must still raise, not trip the guard) and wrong dimensions
+FAULT_PAIRS = [
+    ("at-guard", "none"),
+    ("-at-guard", "none"),
+    ("none", "at-guard"),
+    ("past-guard", "none"),
+    ("-past-guard", "none"),
+    ("none", "past-guard"),
+    ("at-guard", "-at-guard"),
+    ("-0.0", "-0.0"),
+    ("-0.0", "none"),
+    ("guard", "nan"),
+    ("past-guard", "nan"),
+    ("-guard", "inf"),
+    ("nan", "guard"),
+    ("inf", "none"),
+    ("none", "-inf"),
+    ("-inf", "inf"),
+    ("wide", "none"),
+    ("none", "short"),
+    ("past-guard", "wide"),
+    ("empty", "guard"),
+]
+
+
+@pytest.mark.parametrize("space_key", sorted(SPACES))
+@pytest.mark.parametrize("fault_a, fault_b", FAULT_PAIRS)
+def test_run_paired_matches_the_reference_at_the_step_checks_edges(space_key, fault_a, fault_b):
+    dim = SPACES[space_key].dim
+    q0 = Quadruple((1.0,) * dim, (1.0,) * dim, (0,), (0,))
+    faults = {"a": (fault_a, 3), "b": (fault_b, 3)}
+    outcome = _same_outcome_and_calls(
+        reference_run_paired, run_paired, (space_key, 0.5, 1.0, faults, (1.0, 1.0)),
+        lambda system: (system, q0, 8, 1e-9), constants=EXACT_ZERO,
+    )
+    non_finite = ("nan", "inf", "-inf")
+    if fault_a in non_finite or fault_b in non_finite:
+        # the first non-finite point, side A before side B, names the error
+        bad = fault_a if fault_a in non_finite else fault_b
+        assert outcome[:2] == ("raised", NumericFailureError)
+        assert outcome[2] == f"non-finite coordinate at step 3: {BAD_POINTS[bad](dim)}"
+    elif "past-guard" in (fault_a, fault_b) and "wide" not in (fault_a, fault_b):
+        assert "stop_reason='divergence-guard'" in outcome[1] and "steps=3" in outcome[1]
+
+
+def test_run_paired_keeps_a_point_on_the_guard():
+    # x lands on +guard and y stays near 2, so rho is under the guard as well
+    q0 = Quadruple((1.0,), (1.0,), (0,), (0,))
+    faults = {"a": ("at-guard", 3), "b": ("none", 0)}
+    outcome = _same_outcome_and_calls(
+        reference_run_paired, run_paired, ("R", 0.5, 1.0, faults, (1.0, 1.0)),
+        lambda system: (system, q0, 8, 1e-9), constants=EXACT_ZERO,
+    )
+    assert "stop_reason='max-steps'" in outcome[1] and "steps=8" in outcome[1]
+    assert "(1000000000000000.0,)" in outcome[1]
 
 
 #: ways to break a trace; a wrong-dimension point raises, so it is drawn less often

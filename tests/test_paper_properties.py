@@ -4,6 +4,11 @@
   however many other commands ran in the same process before it.
 - Products: the sum-metric product of two systems that certify on samples
   certifies at the larger of their two constants.
+- Bounds: the one-sided (L1) and two-sided (L2) trace bounds hold along
+  paired runs from sampled starts on the built-in systems.
+- Uniqueness: two e1 starts that share (y0, v0) never settle on different
+  limits, and the cyclic reduction finds best-proximity points whose gap and
+  cycle residuals are under the tolerance.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,3 +91,40 @@ def test_a_product_of_certified_systems_certifies_at_the_larger_constant(s1, s2,
     assert product.lam == max(s1.lam, s2.lam)
     report = px.verify_contraction(product, 200, seed)
     assert report.certified and report.lam == max(s1.lam, s2.lam)
+
+
+#: the built-in systems the bound checks run on, built once
+BOUND_SYSTEMS = {
+    "e1": px.example1_system(),
+    "e1-product": px.example1_product_system(),
+    "banach-half": px.banach_half_system(),
+    "banach-affine": px.banach_affine_system(),
+}
+
+
+@settings(max_examples=40, deadline=1000)
+@given(name=st.sampled_from(sorted(BOUND_SYSTEMS)), seed=seeds, steps=st.integers(2, 60))
+def test_the_trace_bounds_hold_from_sampled_starts(name, seed, steps):
+    system = BOUND_SYSTEMS[name]
+    q0 = system.p.draw(random.Random(seed), 1)[0]
+    paired, report = px.run_paired(system, q0, steps, 1e-9)
+    assert report.stop_reason != "divergence-guard"
+    assert px.check_l1_bound(paired, system)
+    assert px.check_l2_bound(paired, system).ok
+
+
+@settings(max_examples=40, deadline=1000)
+@given(seed=seeds)
+def test_e1_starts_sharing_the_second_side_never_split(seed):
+    system = BOUND_SYSTEMS["e1"]
+    q1, q2 = system.p.draw(random.Random(seed), 2)
+    q2 = px.Quadruple(q2.x, q1.y, q2.u, q1.v)
+    assert px.limit_uniqueness_check(system, q1, q2, 400, 1e-9) in (True, None)
+
+
+def test_cyclic3_affine_residuals_are_under_the_tolerance():
+    triple, tol = px.affine_cyclic_example(), 1e-9
+    for seed in range(20):
+        result = px.cyclic3_solve(triple, tol=tol, seed=seed)
+        assert result is not None, seed
+        assert max(result.gap_residuals + result.cycle_residuals) < tol, seed

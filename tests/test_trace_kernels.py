@@ -331,3 +331,137 @@ def test_cd_falsify_matches_distance_everywhere(drawn, dist, tol):
     gen = lambda i: pool[i]  # noqa: E731
     got = outcome(cd_falsify, pair, gen, len(pool), tol, window=4)
     assert got == outcome(reference_cd_falsify, pair, gen, len(pool), tol, window=4)
+
+
+# ---------------------------------------------------------------------------
+# the one-template CSV rows: uniform chunks, fallback chunks, element runs
+
+
+def side_rows(length, dx, dy, element=lambda n: Atom("one")):
+    """length rows with dx- and dy-coordinate points (a callable gives a length per row)."""
+    def dim(d, n):
+        return d(n) if callable(d) else d
+
+    return [
+        (
+            tuple(n / 7.0 - j for j in range(dim(dx, n))),
+            element(n),
+            tuple(SPECIALS[(n + j) % len(SPECIALS)] for j in range(dim(dy, n))),
+            element(n + 1),
+            n * 0.25,
+            -n / 3.0,
+            SPECIALS[n % len(SPECIALS)],
+        )
+        for n in range(length)
+    ]
+
+
+@pytest.mark.parametrize("dx", [1, 2, 3, 4])
+@pytest.mark.parametrize("dy", [1, 4])
+def test_write_trace_csv_of_uniform_dimensions(dx, dy):
+    assert_same_csv(paired_trace(side_rows(CSV_CHUNK_ROWS + 3, dx, dy)))
+
+
+@pytest.mark.parametrize("dx, dy", [(0, 0), (0, 2), (3, 0)])
+def test_write_trace_csv_of_zero_length_points(dx, dy):
+    assert_same_csv(paired_trace(side_rows(5, dx, dy)))
+
+
+@pytest.mark.parametrize("mixed_first", [False, True])
+def test_write_trace_csv_of_a_mixed_chunk_next_to_a_uniform_one(mixed_first):
+    # one chunk of two-coordinate points, the next with lengths 0 to 3; the
+    # boundary rows differ in length, so a chunk split in the wrong place shows
+    def dim(n):
+        mixed = (n >= CSV_CHUNK_ROWS) != mixed_first
+        return n % 4 if mixed else 2
+
+    assert_same_csv(paired_trace(side_rows(2 * CSV_CHUNK_ROWS, dim, dim)))
+
+
+@pytest.mark.parametrize(
+    "value, tail",
+    [
+        (math.nan, ",nan,nan,nan"),
+        (math.inf, ",inf,inf,-inf"),
+        (-math.inf, ",-inf,-inf,inf"),
+        (-0.0, ",-0,-0,0"),
+        (0.0, ",0,0,-0"),
+    ],
+)
+def test_write_trace_csv_of_special_rho_and_f_values(value, tail):
+    rows = [(x, u, y, v, value, value, -value) for x, u, y, v, _, _, _ in side_rows(7, 1, 2)]
+    assert_same_csv(paired_trace(rows))
+    got = io.StringIO()
+    write_trace_csv(paired_trace(rows), got)
+    assert all(line.endswith(tail) for line in got.getvalue().splitlines()[1:])
+
+
+def count_celement_calls(monkeypatch):
+    import proxiter.iteration as iteration
+
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return reference_format_celement(c)
+
+    monkeypatch.setattr(iteration, "format_celement", counted)
+    return calls
+
+
+def test_write_trace_csv_formats_a_repeated_element_once_per_chunk(monkeypatch):
+    calls = count_celement_calls(monkeypatch)
+    atom = Atom("unit")
+    length = 2 * CSV_CHUNK_ROWS + 1
+    rows = side_rows(length, 1, 1, element=lambda n: atom)
+    assert_same_csv(paired_trace(rows))
+    # one call per side per chunk, and the reference writer's calls go elsewhere
+    assert calls == [atom] * 6
+
+
+def test_write_trace_csv_formats_equal_but_distinct_elements_one_by_one(monkeypatch):
+    calls = count_celement_calls(monkeypatch)
+    length = CSV_CHUNK_ROWS + 2
+    distinct = side_rows(length, 1, 1, element=lambda n: Atom("unit"))
+    same = Atom("unit")
+    shared = side_rows(length, 1, 1, element=lambda n: same)
+    got, want = io.StringIO(), io.StringIO()
+    write_trace_csv(paired_trace(distinct), got)
+    assert len(calls) == 2 * length
+    write_trace_csv(paired_trace(shared), want)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_write_trace_csv_keeps_zero_signs_apart_in_element_runs():
+    # (0.0,) == (-0.0,), but they print differently; runs go by identity
+    zero, negative_zero = (0.0,), (-0.0,)
+    rows = side_rows(6, 1, 1, element=lambda n: (zero, negative_zero)[n // 2 % 2])
+    assert_same_csv(paired_trace(rows))
+
+
+@pytest.mark.parametrize(
+    "trim, message",
+    [
+        ({"b_points": 2, "b_celements": 2, "b_f": 2},
+         "x_n 3, u_n 3, y_n 2, v_n 2, rho_xy 3, f_a_u 3, f_b_v 2"),
+        ({"rho": 1}, "x_n 3, u_n 3, y_n 3, v_n 3, rho_xy 1, f_a_u 3, f_b_v 3"),
+        ({"a_f": 4}, "x_n 3, u_n 3, y_n 3, v_n 3, rho_xy 3, f_a_u 4, f_b_v 3"),
+    ],
+    ids=["short-side-b", "short-rho", "long-f-a"],
+)
+def test_write_trace_csv_refuses_columns_of_different_lengths(trim, message):
+    space = real_line()
+    points, elements, values = ((1.0,), (2.0,), (3.0,)), (Atom("one"),) * 3, (0.0, 0.5, 1.0)
+
+    def column(key, full):
+        n = trim.get(key, len(full))
+        return (full * 2)[:n]
+
+    a = IterationTrace(space, column("a_points", points), column("a_celements", elements),
+                       column("a_f", values))
+    b = IterationTrace(space, column("b_points", points), column("b_celements", elements),
+                       column("b_f", values))
+    log = WriteLog()
+    with pytest.raises(InvalidInputError, match=f"^trace columns differ in length: {message}$"):
+        write_trace_csv(PairedTrace(a, b, column("rho", values)), log)
+    assert log.writes == []
