@@ -397,15 +397,13 @@ def test_write_trace_csv_of_special_rho_and_f_values(value, tail):
 
 
 def count_celement_calls(monkeypatch):
-    import proxiter.iteration as iteration
-
     calls = []
 
     def counted(c):
         calls.append(c)
         return reference_format_celement(c)
 
-    monkeypatch.setattr(iteration, "format_celement", counted)
+    monkeypatch.setattr("proxiter.iteration.format_celement", counted)
     return calls
 
 
