@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import json
 import math
 import os
@@ -352,10 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser, built on the first main() call and reused: parsing leaves it
+#: unchanged, and each handler looks its helpers up when it runs
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 after printing a usage error; 2 means undecided here
         if exc.code == 2:

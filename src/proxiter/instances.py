@@ -133,6 +133,31 @@ def example1_fb(c: float) -> float:
     return _example1_fb_point((c,))
 
 
+def _uniforms(rng: random.Random, m: int):
+    """The next m ``rng.random()`` values as a float64 array; rng ends where m calls leave it.
+
+    A plain ``random.Random`` is drawn in C: numpy's MT19937 runs CPython's
+    Mersenne Twister, so it is loaded with rng's key and position, and
+    ``Generator.random`` forms each double from two 32-bit words as
+    ``random()`` does, ``((a >> 5) * 67108864.0 + (b >> 6)) / 2**53``.  The
+    advanced key and position are written back, keeping rng's version and
+    ``gauss_next``.  Any other rng, such as a subclass that overrides
+    ``random()``, is called once per draw.
+    """
+    import numpy as np
+
+    if type(rng) is not random.Random:
+        return np.fromiter(iter(rng.random, None), np.float64, m)
+    version, internal, gauss_next = rng.getstate()
+    bits = np.random.MT19937()
+    key, pos = internal[:-1], internal[-1]
+    bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
+    out = np.random.Generator(bits).random(m)
+    state = bits.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
+    return out
+
+
 def _example1_block(rng: random.Random, n: int) -> Block:
     """example1_system's campaign over n samples in arrays, bit for bit.
 
@@ -166,7 +191,7 @@ def _example1_block(rng: random.Random, n: int) -> Block:
     def f_b(c):
         return -4.0 * (c + 1.0) * ((np.frexp(-c - 1.0)[1] - 1) % 2)
 
-    r = np.fromiter(iter(rng.random, None), np.float64, 2 * n)
+    r = _uniforms(rng, 2 * n)
     xs = 0.0 + 100.0 * r[0::2]
     ys = -100.0 + 99.0 * r[1::2]
     del r
@@ -357,7 +382,7 @@ def _line_banach_system(g: Callable, name: str) -> ExternalFactorSystem:
         # draw -100.0 + 200.0 * r; u and v are the atom, both penalties 0.0
         import numpy as np
 
-        r = np.fromiter(iter(rng.random, None), np.float64, 2 * n)
+        r = _uniforms(rng, 2 * n)
         xs, ys = -100.0 + 200.0 * r[:n], -100.0 + 200.0 * r[n:]
         del r
         tx, ty = g(xs), g(ys)

@@ -315,6 +315,8 @@ def check_p_invariance(
     Returns (ok, first_failure) where first_failure is the (n, m) index pair
     of the first cross pairing that left P, or None.
     """
+    if depth < 0:
+        raise InvalidInputError(f"depth must be >= 0, got {depth}")
     q = Quadruple(*q)
     if not system.in_p(q):
         raise InvalidInputError(f"quadruple not in P: {q}")
@@ -406,6 +408,8 @@ def verify_contraction(
     """
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
+    if depth < 0:
+        raise InvalidInputError(f"depth must be >= 0, got {depth}")
     if constants is None:
         constants = resolve_constants(system, seed=seed)
     lam = system.lam

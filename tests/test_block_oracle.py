@@ -45,6 +45,7 @@ from proxiter import (
     verify_contraction,
 )
 from proxiter.errors import DomainViolationError, InvalidInputError
+from proxiter.instances import _uniforms
 
 np = pytest.importorskip("numpy")
 
@@ -96,7 +97,7 @@ def _outcome(fn, *args, **kwargs):
     seed=st.integers(0, 2**32 - 1),
     n=st.sampled_from(SIZES),
     lam=st.sampled_from(LAMBDAS),
-    depth=st.sampled_from((-1, 0, 8)),
+    depth=st.sampled_from((0, 8)),
 )
 def test_block_report_is_the_scalar_report(name, seed, n, lam, depth):
     _assert_same_report(name, seed, n, lam, depth)
@@ -184,6 +185,49 @@ EDGE_DRAWS = [0.0, 1.0, 0.01, 0.0, 0.02, 1.0 - 2.0**-53, 0.04, 0.5, 2.0**-53, 1.
 def test_block_matches_at_the_parity_edges(name):
     n = len(EDGE_DRAWS) // DRAWS_PER_SAMPLE[name]
     _assert_block_is_the_scalar_campaign(_build(name), lambda: Scripted(EDGE_DRAWS), n)
+
+
+# ---------------------------------------------------------------------------
+# the block draws: rng.random() values from numpy's MT19937, state written back
+
+#: around the Mersenne Twister's 624-word twist and well past it
+DRAW_SIZES = (0, 1, 2, 311, 312, 313, 623, 624, 625, 1001, 4099, 40000)
+
+
+def _prepared(seed, before):
+    rng = random.Random(seed)
+    if before == "random":
+        rng.random()
+    elif before == "gauss":
+        rng.gauss(0.0, 1.0)  # leaves gauss_next set
+    return rng
+
+
+@pytest.mark.parametrize("seed", (0, 1, 29, -5, "abc", 2**31 - 1, 10**30))
+@pytest.mark.parametrize("before", (None, "random", "gauss"))
+def test_uniforms_are_the_rngs_own_random_calls(seed, before):
+    for m in DRAW_SIZES:
+        calls, block = _prepared(seed, before), _prepared(seed, before)
+        want = np.array([calls.random() for _ in range(m)], dtype=np.float64)
+        got = _uniforms(block, m)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), m
+        assert block.getstate() == calls.getstate(), m
+        assert block.random() == calls.random(), m
+
+
+def test_uniforms_call_an_overridden_random_once_per_draw():
+    class Counting(random.Random):
+        def random(self):
+            self.calls += 1
+            return super().random()
+
+    for m in (0, 1, 625, 4099):
+        rng, plain = Counting(7), random.Random(7)
+        rng.calls = 0
+        got = _uniforms(rng, m)
+        assert rng.calls == m
+        assert got.tobytes() == np.array([plain.random() for _ in range(m)]).tobytes()
+        assert rng.getstate() == plain.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +447,7 @@ SCALAR_COMMANDS = [
 BLOCK_COMMANDS = [
     ["verify", "--instance", "e1", "--samples", "3000", "--seed", "5"],
     ["verify", "--instance", "e1", "--samples", "3000", "--seed", "5", "--lambda", "0.5"],
-    ["verify", "--instance", "e1-product", "--samples", "2000", "--seed", "3", "--depth", "-1"],
+    ["verify", "--instance", "e1-product", "--samples", "2000", "--seed", "3", "--depth", "0"],
     ["verify", "--instance", "banach-affine", "--samples", "3000", "--seed", "5"],
     ["verify", "--instance", "banach-affine", "--samples", "3000", "--seed", "5", "--lambda", "0.4"],
 ]

@@ -646,3 +646,36 @@ def test_out_check_leaves_an_existing_file_alone(capsys, monkeypatch, tmp_path):
         code, _, err = run_cli(capsys, "verify", "--instance", "e1", "--out", str(target))
         assert code == 1 and err == "error: stop\n"
     assert path.read_text() == "old\n" and not fresh.exists()
+
+
+@pytest.mark.parametrize("instance", ["e1", "banach-affine", "e1-product", "cyclic3-affine"])
+def test_a_negative_depth_is_refused(capsys, instance):
+    # range(depth + 1) is empty below 0: the P probe would test nothing and pass
+    code, out, err = run_cli(
+        capsys, "verify", "--instance", instance, "--samples", "50", "--depth", "-1"
+    )
+    assert (code, out, err) == (1, "", "error: depth must be >= 0, got -1\n")
+
+
+def test_one_parser_serves_every_command_in_a_process(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "verify", "--instance", "e1", "--samples", "50", "--lambda", "0.5")
+    assert code == 3 and json.loads(out)["config"]["lam"] == 0.5
+    # nothing the last command parsed carries over
+    code, out, _ = run_cli(capsys, "verify", "--instance", "e1", "--samples", "50")
+    assert code == 0 and json.loads(out)["config"]["lam"] is None
+    code, out, err = run_cli(capsys, "verify", "--instance", "e1", "--samples", "abc")
+    assert code == 1 and out == "" and "invalid int value: 'abc'" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0 and capsys.readouterr().out == f"proxiter {px.__version__}\n"
+    assert cli._parser.cache_info().currsize == 1
+    # a report made after other commands is the one a fresh process makes
+    argv = ["verify", "--instance", "banach-affine", "--samples", "300", "--seed", "4"]
+    code, out, err = run_cli(capsys, *argv)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "proxiter.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

@@ -1,7 +1,8 @@
 """Generated JSON instances through the command line.
 
-Each instance has one affine map x -> a*x + b on both sides of the whole real
-line, with dist(A,B) = 0.  Well-formed instances must get the verdict the
+Each instance has one affine map x -> a*x + b on both sides of one region,
+the whole real line or a closed interval that the map keeps invariant, with
+dist(A,B) = 0.  Well-formed instances must get the verdict the
 geometry dictates; malformed ones (a key dropped, or a value replaced by an
 arbitrary JSON value) must fail cleanly.  Whatever the input, the exit code
 is one of 0, 1, 2, 3 and nothing escapes as a traceback.
@@ -79,6 +80,55 @@ def test_verify_refutes_a_map_steeper_than_its_constant(lam, excess, sign, offse
     code, out, err = _cli(_spec(slope, offset, lam), "verify", "--samples", SAMPLES)
     _contract(code, err)
     assert code == 3, err
+    assert json.loads(out)["verdict"] == "refuted"
+
+
+def _interval_spec(lo: float, width: float, slope: float, lam: float) -> dict:
+    """x -> slope*x + mid*(1 - slope) on the closed [lo, lo + width], started at both ends.
+
+    The map fixes the midpoint and moves every point toward it by |slope| <= 1,
+    so the interval is invariant.
+    """
+    hi = lo + width
+    mid = lo + width / 2.0
+    affine = {"name": "affine", "slope": slope, "offset": mid * (1.0 - slope)}
+    return {
+        "name": "generated-interval",
+        "space": {"kind": "real"},
+        "regions": {"a": {"lo": lo, "hi": hi}},
+        "maps": {"t_a": affine, "t_b": affine},
+        "lambda": lam,
+        "dist": 0.0,
+        "x0": lo,
+        "y0": hi,
+    }
+
+
+#: interval ends within +-2000: RESIDUAL_TOL is an absolute 1e-10, which float
+#: rounding of the map at coordinates near 1e5 and beyond already exceeds
+lows = st.floats(-1000.0, 1000.0)
+widths = st.floats(1.0, 1000.0)
+slopes = st.floats(-0.999, 0.999)
+
+
+@settings(max_examples=40, deadline=1000)
+@given(lo=lows, width=widths, slope=slopes, fraction=st.floats(0.0, 1.0))
+def test_verify_certifies_an_interval_contraction_within_its_constant(lo, width, slope, fraction):
+    lam = abs(slope) + fraction * (0.999 - abs(slope))  # |a| <= lambda < 1
+    code, out, err = _cli(_interval_spec(lo, width, slope, lam), "verify", "--samples", SAMPLES)
+    _contract(code, err)
+    assert code == 0, out + err
+    assert json.loads(out)["verdict"] == "certified-on-samples"
+
+
+@settings(max_examples=40, deadline=1000)
+@given(lo=lows, width=widths, slope=slopes.filter(lambda a: abs(a) >= 2e-6),
+       fraction=st.floats(0.0, 1.0))
+def test_verify_refutes_an_interval_map_steeper_than_its_constant(lo, width, slope, fraction):
+    lam = fraction * (abs(slope) - 2e-6)  # lambda <= |a| - 2e-6
+    code, out, err = _cli(_interval_spec(lo, width, slope, lam), "verify", "--samples", SAMPLES)
+    _contract(code, err)
+    assert code == 3, out + err
     assert json.loads(out)["verdict"] == "refuted"
 
 

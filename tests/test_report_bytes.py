@@ -102,12 +102,12 @@ EXPECTED = {
     "run --instance guard-pair.json": "61e2ea629670cf854bedd132863515bcd66b73c1fcd51f9cf4e18da132b4337a",
     "run --instance guard-pair.json --format csv --steps 60": "b42323000a20d5901ef3fd00ad88b300c91843eaf863b5ba4564b0b00fb4dbcb",
     "verify --instance e1 --samples 300 --seed 1": "9cfd087781dadae46848a70cd0d96221004db8fbfe9c82a445aa1c857d80a042",
-    "verify --instance e1 --samples 200 --depth -1": "e5ff9c1bde965f1a8b51b5b825b814d03f390f54fb7e948d96cbf561e6350566",
+    "verify --instance e1 --samples 200 --depth -1": "58cf92633bb8b90d79f53d789bb3cf19a3e1b5f2fe5049f0f8141e61396278b0",
     "verify --instance e1 --samples 300 --lambda 0.5": "362e4005193315b926455ff6e71952f8b79c72982e195712859b2cb399915c6e",
     "verify --instance e1-product --samples 200": "da52b41151673c47b394e04d7413d2fab1687cd0863aa9a0dc74ffa12e75453c",
     "verify --instance e1-product --samples 200 --lambda 0.5": "c1e6a7be3e335d462deaeb5b4db19ca7da882feb459eaf314817b2c500f7bc1c",
     "verify --instance banach-half --samples 300": "2dc2b034e820bd01ffb0fb6b5c5585dc7dfd7a7377f5263368d2eaecdd224168",
-    "verify --instance banach-affine --samples 300 --depth -1": "ec79f4756d52604b298dcfa1a5ba1420595d46159f0f3c80bc0c48c4b6460397",
+    "verify --instance banach-affine --samples 300 --depth -1": "58cf92633bb8b90d79f53d789bb3cf19a3e1b5f2fe5049f0f8141e61396278b0",
     "verify --instance banach-affine --samples 300 --lambda 0.3": "928fc8ccc0b7aa8f51053f76ef5f7e2b1828fcab08865bdb97f04ec3e31e97f4",
     "verify --instance cyclic3-singleton --samples 200": "3bd87e306f13b9baabdf8bb4c4e58f1a65415d6fc2d61d1ab16990a3414876a3",
     "verify --instance guard-pair.json --samples 200": "42ebd1d0a941b37fd040c30af5091cad805d3c3b4ab0649ac63db9d57a8f2ab6",

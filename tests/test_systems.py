@@ -251,12 +251,23 @@ def test_check_p_invariance_restricted_relation_fails():
     assert failure is not None and max(failure) == 1
 
 
-@pytest.mark.parametrize("depth", [-1, 0, 1, 6])
+@pytest.mark.parametrize("depth", [0, 1, 6])
 def test_check_p_invariance_calls_each_map_once_per_step(depth):
     log = []
     system = logged_maps(px.example1_system(), log)
     assert px.check_p_invariance(system, E1_Q0, depth) == (True, None)
-    assert log == ["t_a", "h_a", "t_b", "h_b"] * max(0, depth)
+    assert log == ["t_a", "h_a", "t_b", "h_b"] * depth
+
+
+def test_a_negative_depth_is_refused_before_any_work():
+    # range(depth + 1) is empty below 0: the probe would test nothing and pass
+    log = []
+    system = logged_maps(px.example1_system(), log)
+    with pytest.raises(px.InvalidInputError, match="depth must be >= 0, got -1"):
+        px.check_p_invariance(system, E1_Q0, -1)
+    with pytest.raises(px.InvalidInputError, match="depth must be >= 0, got -3"):
+        px.verify_contraction(system, 50, 0, depth=-3)
+    assert log == []
 
 
 def test_p_invariance_monotone_in_depth():
