@@ -24,9 +24,10 @@ from .instances import (
     CYCLIC,
     PAIRS,
     SYSTEMS,
-    _cyclic3_solve,
     certify_cyclic,
     cyclic3_reduce,
+    cyclic3_solve,
+    cyclic_refuted,
     list_instances,
     load_instance_json,
     pair_cd_generator,
@@ -34,7 +35,7 @@ from .instances import (
 )
 from .iteration import make_infimum_sequence, run_paired, uniqueness_scan, write_trace_csv
 from .spaces import format_point, parse_point
-from .systems import RESIDUAL_TOL, resolve_constants, verify_contraction
+from .systems import resolve_constants, verify_contraction
 from .validators import cd_falsify, check_l1_bound, check_l2_bound, uc_falsify
 
 EXIT_OK = 0
@@ -140,7 +141,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "--x0 and --y0 apply to system instances; a cyclic run starts "
                 "from its instance's own points"
             )
-        result, first = _cyclic3_solve(entry.build(), None, args.steps, args.tol, args.seed)
+        result, first = cyclic3_solve(entry.build(), None, args.steps, args.tol, seed=args.seed)
         if args.format == "csv":
             _write_csv(first, args.out)
             return EXIT_OK if result is not None else EXIT_UNDECIDED
@@ -181,11 +182,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ct = entry.build()
         worst, arg = certify_cyclic(ct, samples=args.samples, seed=args.seed)
         payload = {"summed_residual_min": worst}
-        if worst < -RESIDUAL_TOL:
+        if cyclic_refuted(worst):
             payload["witness"] = [format_point(p) for p in arg]
             _emit(_report("verify", args, verdict="refuted", **payload), args.out)
             return EXIT_REFUTED
-        system = cyclic3_reduce(ct, certificate=(worst, arg))
+        system = cyclic3_reduce(ct)
         cert = verify_contraction(system, args.samples, args.seed, depth=args.depth)
         payload["reduction"] = cert.to_dict()
         verdict = "certified-on-samples" if cert.certified else "refuted"

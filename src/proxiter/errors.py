@@ -34,4 +34,4 @@ class NotAnInfimumSequenceError(ProxiterError, ValueError):
 
 
 class RefutedError(ProxiterError, RuntimeError):
-    """A construction-time certification check failed."""
+    """A certification that a solve rests on failed before it ran."""

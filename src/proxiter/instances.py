@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError, RefutedError
-from .iteration import run_paired
+from .iteration import PairedTrace, run_paired
 from .spaces import (
     MetricSpace,
     Point,
@@ -27,7 +27,6 @@ from .spaces import (
     as_point,
     circle_region,
     compose_spaces,
-    distance,
     draw_columns,
     format_point,
     interval,
@@ -274,33 +273,6 @@ def example1_system() -> ExternalFactorSystem:
 # degenerate single-region systems
 
 
-def estimate_lipschitz(
-    map_fn: Callable[[Point], Point], space: MetricSpace, region: Region
-) -> float:
-    """Supremum of displacement ratios over 2000 pairs drawn at seed 0; a lower estimate.
-
-    The metric is called directly; distance() runs only on a pair whose
-    length is not the space's dimension, so it raises its error.  ``r >
-    best`` keeps the earlier value on ties and NaN, as ``max(best, r)`` does.
-    """
-    it = iter(sample_region(region, 4000, 0))
-    metric, dim = space.metric, space.dim
-    best = 0.0
-    for x, y in zip(it, it):
-        if len(x) != dim or len(y) != dim:
-            distance(space, x, y)
-        dxy = metric(x, y)
-        if dxy <= 1e-12:
-            continue
-        fx, fy = map_fn(x), map_fn(y)
-        if len(fx) != dim or len(fy) != dim:
-            distance(space, fx, fy)
-        r = metric(fx, fy) / dxy
-        if r > best:
-            best = r
-    return best
-
-
 #: the one member of a single-atom system's external set
 UNIT_ATOM = Atom("unit")
 
@@ -346,17 +318,11 @@ def banach_system(
 
     Both sides share the region and the map, the penalties vanish, and the
     contraction inequality collapses to the classical displacement bound.
-    The declared constant is probed against a sampled estimate before the
-    system is built; an exceedance refuses construction.
+    The declared constant is taken as given and the map is not called:
+    ``verify_contraction`` refutes a false one (``negative-residual``).
     """
     if not (0.0 <= lipschitz < 1.0):
         raise InvalidInputError("lipschitz constant must be in [0,1)")
-    est = estimate_lipschitz(map_fn, space, region)
-    if est > lipschitz + 1e-9:
-        raise RefutedError(
-            f"refuted at construction: sampled displacement ratio {est:.6g} "
-            f"exceeds declared constant {lipschitz}"
-        )
     pair = SetPair(space, region, region, dist_ab=0.0)
     t = lambda x, c: map_fn(x)  # noqa: E731
     return _single_atom_system(name, pair, t, t, lipschitz, 0.0, 0.0)
@@ -536,15 +502,28 @@ def cyclic_residual(ct: CyclicTriple, x1: Point, x2: Point, x3: Point) -> float:
 def certify_cyclic(
     ct: CyclicTriple, samples: int = 2000, seed: int = 0
 ) -> tuple[float, Optional[tuple[Point, Point, Point]]]:
-    """Minimum sampled residual and the worst triple."""
+    """Minimum sampled residual and the worst triple.
+
+    The first NaN or infinite residual is returned at once with its triple,
+    so that ``cyclic_refuted`` refuses it.
+    """
+    if samples < 1:
+        raise InvalidInputError("samples must be >= 1")
     draw = draw_columns([region.draw for region in ct.regions], lambda *xs: xs)
     worst = math.inf
     arg = None
     for x1, x2, x3 in draw(random.Random(seed), samples):
         r = cyclic_residual(ct, x1, x2, x3)
+        if not math.isfinite(r):
+            return r, (x1, x2, x3)
         if r < worst:
             worst, arg = r, (x1, x2, x3)
     return worst, arg
+
+
+def cyclic_refuted(worst: float) -> bool:
+    """Whether a ``certify_cyclic`` minimum refutes: below the slack, or not finite."""
+    return not -RESIDUAL_TOL <= worst < math.inf
 
 
 def rotate_cyclic(ct: CyclicTriple, shift: int) -> CyclicTriple:
@@ -564,29 +543,15 @@ def _reduction_quadruple(g: Point, b: Point, c: Point) -> Quadruple:
     return Quadruple(g + g, y, ONE_ATOM, y)
 
 
-def cyclic3_reduce(
-    ct: CyclicTriple,
-    *,
-    samples: int = 1000,
-    seed: int = 0,
-    certificate: Optional[tuple[float, Optional[tuple[Point, Point, Point]]]] = None,
-) -> ExternalFactorSystem:
+def cyclic3_reduce(ct: CyclicTriple) -> ExternalFactorSystem:
     """Rebuild a cyclic triple as a paired system on the product space.
 
     First-side points are diagonal pairs over the first region driven by the
     cubed map; second-side points pair the other two regions; the second
     penalty charges the cross gap inside a second-side point.  The composed
-    constant is k cubed.  Construction refuses when the sampled summed
-    residual dips below the certification slack.  ``certificate`` is a
-    finished ``certify_cyclic`` result to judge instead of sampling again.
+    constant is k cubed.  Nothing is sampled: ``certify_cyclic`` certifies
+    the triple, once, where a command makes its verdict.
     """
-    if certificate is None:
-        certificate = certify_cyclic(ct, samples, seed)
-    worst, arg = certificate
-    if worst < -RESIDUAL_TOL:
-        raise RefutedError(
-            f"refuted at construction: summed-contraction residual {worst:.3g} at {arg}"
-        )
     base = ct.space
     d = base.dim
     space2 = compose_spaces(base, base)
@@ -671,25 +636,27 @@ def cyclic3_solve(
     tol: float = 1e-9,
     *,
     seed: int = 0,
-) -> Optional[BestProximityResult]:
+) -> tuple[Optional[BestProximityResult], PairedTrace]:
     """Locate the three best-proximity points through rotated reductions.
 
-    Each rotation contributes the diagonal limit over its first region; the
-    second-side limits converge in distance only, so they are not read off.
-    Each reduction is certified on 1000 sampled triples.  Returns None
-    (undecided) when any rotation misses the confirmation window within
-    max_steps.
+    The triple is certified once, on 1000 triples drawn at ``seed``; the
+    summed inequality is the same under rotation, so no rotation certifies
+    again, and a refutation raises ``RefutedError``.  Each rotation
+    contributes the diagonal limit over its first region; the second-side
+    limits converge in distance only, so they are not read off.  Returns the
+    result, or None (undecided) when any rotation misses the confirmation
+    window within max_steps, and the PairedTrace of the first rotation.
     """
-    return _cyclic3_solve(ct, starts, max_steps, tol, seed)[0]
-
-
-def _cyclic3_solve(ct: CyclicTriple, starts, max_steps, tol, seed) -> tuple:
-    """``cyclic3_solve``'s result and the PairedTrace of its first rotation."""
+    worst, arg = certify_cyclic(ct, 1000, seed)
+    if cyclic_refuted(worst):
+        raise RefutedError(
+            f"refuted at construction: summed-contraction residual {worst:.3g} at {arg}"
+        )
     d = ct.space.dim
     zs: list[Point] = []
     for i in range(3):
         rotated = rotate_cyclic(ct, i)
-        system = cyclic3_reduce(rotated, seed=seed)
+        system = cyclic3_reduce(rotated)
         rng = random.Random(seed + 17 * i)
         if starts is not None and i < len(starts) and starts[i] is not None:
             g = as_point(starts[i])

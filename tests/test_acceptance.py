@@ -118,14 +118,14 @@ def test_criterion_4_uniqueness():
 
 def test_criterion_5_cyclic_reduction():
     ct = px.affine_cyclic_example()
-    result = px.cyclic3_solve(ct, max_steps=400, tol=1e-9)
+    result, _ = px.cyclic3_solve(ct, max_steps=400, tol=1e-9)
     assert result is not None
     for z, v in zip(result.z, AFFINE_Z):
         assert ct.space.metric(z, v) <= 1e-8
     assert max(result.gap_residuals) <= 1e-8
     assert max(result.cycle_residuals) <= 1e-8
 
-    singleton = px.cyclic3_solve(px.singleton_cyclic_example(), max_steps=100, tol=1e-9)
+    singleton, _ = px.cyclic3_solve(px.singleton_cyclic_example(), max_steps=100, tol=1e-9)
     assert singleton.gap_residuals == (0.0, 0.0, 0.0)
     assert singleton.cycle_residuals == (0.0, 0.0, 0.0)
 

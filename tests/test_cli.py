@@ -81,7 +81,7 @@ def test_cyclic_csv_is_the_solved_first_rotation(capsys, name):
         assert code == 0
         rng = random.Random(seed)  # cyclic3_solve draws rotation i from seed + 17 * i
         g, b, c = (region.draw(rng, 1)[0] for region in ct.regions)
-        system = px.cyclic3_reduce(ct, seed=seed)
+        system = px.cyclic3_reduce(ct)
         paired, _ = px.run_paired(system, px.Quadruple(g + g, b + c, ONE_ATOM, b + c), 500, 1e-9)
         expected = io.StringIO()
         px.write_trace_csv(paired, expected)
@@ -287,6 +287,21 @@ def test_verify_cyclic_certifies_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["verdict"] == "certified-on-samples"
     assert len(calls) == 1
+
+
+def test_run_cyclic_certifies_once(capsys, monkeypatch):
+    # the summed inequality is rotation invariant: one certification, not one per rotation
+    calls = _count_calls(monkeypatch, "certify_cyclic", (cli, instances))
+    code, out, _ = run_cli(capsys, "run", "--instance", "cyclic3-affine")
+    assert code == 0 and json.loads(out)["outcome"] == "converged"
+    assert len(calls) == 1
+
+
+def test_verify_cyclic_without_samples_is_an_error(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--instance", "cyclic3-affine", "--samples", "0"
+    )
+    assert (code, out, err) == (1, "", "error: samples must be >= 1\n")
 
 
 def test_scan_uniqueness_grid(capsys):
@@ -622,7 +637,7 @@ def test_unwritable_out_fails_before_any_work(capsys, monkeypatch, tmp_path, arg
     def never(*args, **kwargs):
         raise AssertionError("the command worked before checking --out")
 
-    for name in ("verify_contraction", "run_paired", "certify_cyclic", "_cyclic3_solve"):
+    for name in ("verify_contraction", "run_paired", "certify_cyclic", "cyclic3_solve"):
         monkeypatch.setattr(cli, name, never)
     path = tmp_path / "missing-dir" / "report"
     code, out, err = run_cli(capsys, *argv, "--out", str(path))

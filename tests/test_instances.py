@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxiter as px
-from proxiter.instances import ONE_ATOM
+from proxiter.instances import ONE_ATOM, cyclic_refuted
 
 
 def test_alpha_parity_small_cases():
@@ -113,10 +113,24 @@ def test_banach_affine_fixed_point():
     assert report.limit[0] == pytest.approx(4.0, abs=1e-8)
 
 
-def test_banach_identity_refused_at_construction():
+def test_banach_identity_is_refuted_by_verification():
+    # construction takes the declared constant as given; certification refutes it
     region = px.interval(-1e9, 1e9, sample_lo=-100.0, sample_hi=100.0, name="R")
-    with pytest.raises(px.RefutedError):
-        px.banach_system(lambda x: x, px.real_line(), region, 0.99)
+    system = px.banach_system(lambda x: x, px.real_line(), region, 0.99)
+    report = px.verify_contraction(system, 1000, seed=0)
+    assert (report.verdict, report.reason) == ("refuted", "negative-residual")
+    assert report.min_residual < -1.9  # (0.99 - 1) * |x - y|, with |x - y| near 200
+
+
+def test_banach_system_does_not_call_its_map():
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return (x[0] / 2.0,)
+
+    px.banach_system(counted, px.real_line(), px.interval(-1.0, 1.0), 0.5)
+    assert calls == []
 
 
 def test_product_system_constants():
@@ -284,16 +298,52 @@ def test_cyclic_reduction_certifies():
     assert system.lam == 0.5 ** 3
 
 
-def test_cyclic_reduction_refuses_broken_triple():
-    # shrink the declared constant below the true one: the gate must trip
+def test_cyclic3_solve_refuses_broken_triple():
+    # shrink the declared constant below the true one: the gate must trip,
+    # naming the worst of the 1000 triples drawn at the solve's seed
     ct = px.affine_cyclic_example()
     broken = px.CyclicTriple(ct.space, ct.regions, ct.t, 0.05, ct.dists)
+    with pytest.raises(px.RefutedError) as got:
+        px.cyclic3_solve(broken, seed=2)
+    assert str(got.value) == (
+        "refuted at construction: summed-contraction residual -2.24 at "
+        "((9.624961513662317e-17, 1.5718755024491289), "
+        "(-1.2760586937010343, -0.736732830310054), "
+        "(1.3518216652570736, -0.7804746023325404))"
+    )
+
+
+def test_cyclic3_reduce_builds_without_sampling():
+    ct = px.affine_cyclic_example()
+    broken = px.CyclicTriple(ct.space, ct.regions, ct.t, 0.05, ct.dists)
+    assert px.cyclic3_reduce(broken).lam == 0.05 ** 3
+
+
+@pytest.mark.parametrize(
+    "change, want",
+    [({"t": lambda p: (math.nan, math.nan)}, "nan"), ({"dists": (math.inf, 1.0, 1.0)}, "inf")],
+    ids=["nan", "inf"],
+)
+def test_non_finite_cyclic_residual_refutes(change, want):
+    # r < worst is false for NaN and +inf: the first one is returned, not skipped
+    ct = px.affine_cyclic_example()
+    bad = dataclasses.replace(ct, **change)
+    worst, arg = px.certify_cyclic(bad, 50, seed=3)
+    assert repr(worst) == want and cyclic_refuted(worst)
+    draw = px.draw_columns([region.draw for region in ct.regions], lambda *xs: xs)
+    assert arg == draw(random.Random(3), 50)[0]
     with pytest.raises(px.RefutedError):
-        px.cyclic3_reduce(broken, samples=4000, seed=2)
+        px.cyclic3_solve(bad, seed=3)
+
+
+def test_cyclic_refuted_gate():
+    assert not cyclic_refuted(0.0) and not cyclic_refuted(-0.5 * px.RESIDUAL_TOL)
+    for worst in (-1e-9, -math.inf, math.inf, math.nan):
+        assert cyclic_refuted(worst), worst
 
 
 def test_cyclic3_solve_singleton_exact():
-    result = px.cyclic3_solve(px.singleton_cyclic_example(), max_steps=100, tol=1e-9)
+    result, _ = px.cyclic3_solve(px.singleton_cyclic_example(), max_steps=100, tol=1e-9)
     assert result.z == ((10.0,), (20.0,), (30.0,))
     assert result.gap_residuals == (0.0, 0.0, 0.0)
     assert result.cycle_residuals == (0.0, 0.0, 0.0)
@@ -309,7 +359,7 @@ def test_cyclic3_solve_affine_matches_closed_form():
          r * math.sin(math.pi / 2 + j * 2 * math.pi / 3))
         for j in range(3)
     ]
-    result = px.cyclic3_solve(ct, max_steps=400, tol=1e-9)
+    result, _ = px.cyclic3_solve(ct, max_steps=400, tol=1e-9)
     assert result is not None
     for z, v in zip(result.z, vertices):
         assert ct.space.metric(z, v) <= 1e-8
@@ -319,16 +369,17 @@ def test_cyclic3_solve_affine_matches_closed_form():
 
 def test_cyclic3_solve_start_independent():
     ct = px.affine_cyclic_example()
-    r1 = px.cyclic3_solve(ct, max_steps=400, tol=1e-9, seed=0)
+    r1, _ = px.cyclic3_solve(ct, max_steps=400, tol=1e-9, seed=0)
     starts = [px.sample_region(reg, 1, seed=77)[0] for reg in ct.regions]
-    r2 = px.cyclic3_solve(ct, starts=starts, max_steps=400, tol=1e-9, seed=1)
+    r2, _ = px.cyclic3_solve(ct, starts=starts, max_steps=400, tol=1e-9, seed=1)
     for a, b in zip(r1.z, r2.z):
         assert ct.space.metric(a, b) <= 1e-8
 
 
 def test_cyclic3_solve_undecided_on_tiny_budget():
     ct = px.affine_cyclic_example()
-    assert px.cyclic3_solve(ct, max_steps=3, tol=1e-12) is None
+    result, first = px.cyclic3_solve(ct, max_steps=3, tol=1e-12)
+    assert result is None and first.steps == 3
 
 
 def test_rotate_cyclic_relabels_distances():
@@ -535,7 +586,7 @@ def _reduction_points(rot, seed):
 def test_reduction_map_matches_two_cubed_calls(name, seed, shift):
     ct = px.CYCLIC[name].build()
     rot = px.rotate_cyclic(ct, shift)
-    system = px.cyclic3_reduce(rot, certificate=(0.0, None))
+    system = px.cyclic3_reduce(rot)
     assert system.t_a is system.t_b is system.h_b
     d = ct.space.dim
     for p in _reduction_points(rot, seed):
@@ -547,7 +598,7 @@ def test_reduction_map_matches_two_cubed_calls(name, seed, shift):
 def test_reduction_map_signed_zero_halves_off_the_regions(name):
     # no region of either triple holds a zero coordinate: both paths refuse alike
     ct = px.CYCLIC[name].build()
-    system = px.cyclic3_reduce(ct, certificate=(0.0, None))
+    system = px.cyclic3_reduce(ct)
     d = ct.space.dim
     p = (0.0,) * d + (-0.0,) * d
     with pytest.raises(px.InvalidInputError) as got:
@@ -565,7 +616,7 @@ def test_reduction_map_keeps_the_sign_of_a_zero_half():
         return (math.copysign(0.5, p[0]) if p[0] == 0.0 else p[0] / 2.0,)
 
     ct = px.CyclicTriple(px.real_line(), (region,) * 3, t, 0.5, (0.0, 0.0, 0.0))
-    system = px.cyclic3_reduce(ct, certificate=(0.0, None))
+    system = px.cyclic3_reduce(ct)
     for p in [(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0), (0.5, 0.5)]:
         got = system.t_a(p, ONE_ATOM)
         assert [c.hex() for c in got] == [c.hex() for c in _two_call_reference(ct, p, 1)]
@@ -626,7 +677,7 @@ def test_reduction_sample_makes_nine_cyclic_map_calls():
         calls.append(p)
         return ct.t(p)
 
-    system = px.cyclic3_reduce(dataclasses.replace(ct, t=counted), certificate=(0.0, None))
+    system = px.cyclic3_reduce(dataclasses.replace(ct, t=counted))
     samples = 200
     px.verify_contraction(system, samples, seed=1, invariance_probes=0)
     assert len(calls) == 9 * samples

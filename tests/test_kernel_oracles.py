@@ -6,9 +6,7 @@ metric value, a generator-expression divergence guard, and the envelope
 ``lam ** (min(m, n) - 1)`` recomputed in every cell.  The package must give
 the same traces, reports and certificates bit for bit (compared through
 ``repr``, so ``-0.0`` and NaN count), and where a reference raises, the
-same exception type with the same message.  ``reference_estimate_lipschitz``
-is the construction-time Lipschitz probe's loop as it was: index pairs, a
-``distance()`` call per metric value and ``max``.
+same exception type with the same message.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from proxiter import (
     vector_space,
 )
 from proxiter.errors import DomainViolationError, InvalidInputError, NumericFailureError
-from proxiter.instances import _half, _half_toward_4, _whole_line_region, estimate_lipschitz
 from proxiter.iteration import (
     CONFIRM_WINDOW,
     DIVERGENCE_GUARD,
@@ -45,15 +42,7 @@ from proxiter.iteration import (
     _check_tol,
     run_paired,
 )
-from proxiter.spaces import (
-    MetricSpace,
-    Region,
-    distance,
-    interval,
-    sample_region,
-    segment_region,
-    singleton_region,
-)
+from proxiter.spaces import MetricSpace, Region, distance
 from proxiter.systems import RESIDUAL_TOL, SystemConstants, _orbit
 from proxiter.validators import BoundCertificate, _bound_constants, check_l2_bound
 
@@ -492,63 +481,3 @@ def test_the_generated_cases_reach_every_outcome():
     )
     assert "first_violation=(2, 5)" in outcome[1]
 
-
-# ---------------------------------------------------------------------------
-# the construction-time Lipschitz probe
-
-
-def reference_estimate_lipschitz(map_fn, space, region):
-    pts = sample_region(region, 4000, 0)
-    best = 0.0
-    for i in range(0, len(pts) - 1, 2):
-        x, y = pts[i], pts[i + 1]
-        dxy = distance(space, x, y)
-        if dxy <= 1e-12:
-            continue
-        best = max(best, distance(space, map_fn(x), map_fn(y)) / dxy)
-    return best
-
-
-def _wide_region() -> Region:
-    """Points of two coordinates, for a space of one."""
-    return Region("wide", lambda p: True, lambda rng, n: [(rng.random(), 0.0) for _ in range(n)])
-
-
-LIPSCHITZ_CASES = {
-    "half": (lambda x: (_half(x[0]),), "R", _whole_line_region),
-    "half-toward-4": (lambda x: (_half_toward_4(x[0]),), "R", _whole_line_region),
-    "nan-above-50": (lambda x: (math.nan if x[0] > 50.0 else x[0] / 3.0,), "R", _whole_line_region),
-    "all-nan": (lambda x: (math.nan,), "R", lambda: interval(-1.0, 1.0)),
-    "wide-above-90": (lambda x: (x[0],) * (1 + (x[0] > 90.0)), "R", _whole_line_region),
-    "short": (lambda x: (), "R", _whole_line_region),
-    "wide-region": (lambda x: x, "R", _wide_region),
-    "degenerate": (lambda x: (2.0 * x[0],), "R", lambda: singleton_region(3.0)),
-    "segment": (lambda p: (p[0] / 2.0, p[1] / 3.0), "R2-euclidean",
-                lambda: segment_region((0.0, 0.0), (1.0, 2.0))),
-    "sum-metric": (lambda p: (p[1], p[0]), "R2-sum", lambda: segment_region((0.0, 1.0), (3.0, 0.0))),
-}
-
-
-def test_estimate_lipschitz_matches_the_reference():
-    outcomes = {}
-    for name, (map_fn, space_key, region) in LIPSCHITZ_CASES.items():
-        got, want = [], []
-
-        def logged(calls):
-            def fn(x):
-                calls.append(x)
-                return map_fn(x)
-
-            return fn
-
-        args = (SPACES[space_key], region())
-        outcome = _outcome(estimate_lipschitz, logged(got), *args)
-        assert outcome == _outcome(reference_estimate_lipschitz, logged(want), *args), name
-        assert repr(got) == repr(want), name
-        outcomes[name] = outcome
-    # the cases reach every outcome: a ratio, NaN skipped, no ratio, and the dimension error
-    assert outcomes["half"] == outcomes["half-toward-4"] == ("ok", "0.5")
-    assert outcomes["all-nan"] == outcomes["degenerate"] == ("ok", "0.0")
-    assert math.isclose(float(outcomes["nan-above-50"][1]), 1.0 / 3.0)
-    for name in ("wide-above-90", "short", "wide-region"):
-        assert outcomes[name][:2] == ("raised", InvalidInputError), name

@@ -125,6 +125,6 @@ def test_e1_starts_sharing_the_second_side_never_split(seed):
 def test_cyclic3_affine_residuals_are_under_the_tolerance():
     triple, tol = px.affine_cyclic_example(), 1e-9
     for seed in range(20):
-        result = px.cyclic3_solve(triple, tol=tol, seed=seed)
+        result, _ = px.cyclic3_solve(triple, tol=tol, seed=seed)
         assert result is not None, seed
         assert max(result.gap_residuals + result.cycle_residuals) < tol, seed

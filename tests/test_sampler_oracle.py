@@ -27,6 +27,7 @@ from proxiter.instances import (
     example1_system,
     load_instance_json,
 )
+from proxiter.errors import InvalidInputError
 from proxiter.systems import Atom, CPair, Quadruple
 
 Random = random.Random
@@ -198,6 +199,11 @@ def test_certify_cyclic_matches_the_hand_written_body(monkeypatch, name):
     for seed in SEEDS:
         for n in SIZES:
             made.clear()
+            if n == 0:  # no sample certifies nothing: refused before any draw
+                with pytest.raises(InvalidInputError, match="samples must be >= 1"):
+                    certify_cyclic(ct, n, seed)
+                assert made == []
+                continue
             got = certify_cyclic(ct, n, seed)
             (rng,) = made
             want, ref_rng = ref_certify_cyclic(ct, n, seed)
