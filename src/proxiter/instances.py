@@ -14,6 +14,7 @@ import json
 import math
 import operator
 import random
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -132,6 +133,10 @@ def example1_fb(c: float) -> float:
     return _example1_fb_point((c,))
 
 
+#: each thread's numpy generator for _uniforms, built on the thread's first draw
+_DRAWS = threading.local()
+
+
 def _uniforms(rng: random.Random, m: int):
     """The next m ``rng.random()`` values as a float64 array; rng ends where m calls leave it.
 
@@ -140,21 +145,39 @@ def _uniforms(rng: random.Random, m: int):
     ``Generator.random`` forms each double from two 32-bit words as
     ``random()`` does, ``((a >> 5) * 67108864.0 + (b >> 6)) / 2**53``.  The
     advanced key and position are written back, keeping rng's version and
-    ``gauss_next``.  Any other rng, such as a subclass that overrides
-    ``random()``, is called once per draw.
+    ``gauss_next``.  Each thread keeps one generator, built on its first
+    draw; every call loads the whole key and position it draws from, so no
+    state carries from one call to the next and threads share nothing.  Any
+    other rng, such as a subclass that overrides ``random()``, is called
+    once per draw.
     """
     import numpy as np
 
     if type(rng) is not random.Random:
         return np.fromiter(iter(rng.random, None), np.float64, m)
     version, internal, gauss_next = rng.getstate()
-    bits = np.random.MT19937()
+    gen = getattr(_DRAWS, "generator", None)
+    if gen is None:
+        gen = _DRAWS.generator = np.random.Generator(np.random.MT19937())
+    bits = gen.bit_generator
     key, pos = internal[:-1], internal[-1]
     bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
-    out = np.random.Generator(bits).random(m)
+    out = gen.random(m)
     state = bits.state["state"]
     rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
     return out
+
+
+def _parity(exp):
+    """alpha_parity without its zero case from ``np.frexp``'s exponents: ``(exp - 1) % 2``.
+
+    Returns a float64 column of 0.0 and 1.0; exp is overwritten.  On the
+    two's-complement int exponents ``& 1`` is Python's ``% 2``, negative
+    ones included.
+    """
+    exp -= 1
+    exp &= 1
+    return exp.astype(float)
 
 
 def _example1_block(rng: random.Random, n: int) -> Block:
@@ -163,44 +186,54 @@ def _example1_block(rng: random.Random, n: int) -> Block:
     The rows are p_draw's: 2n ``rng.random()`` values in p_draw's order,
     mapped with its float operations.  Each map and penalty is its scalar
     formula elementwise in the same operation order, with ``np.frexp`` for
-    the binary exponent and ``np.ldexp`` for the band.  The penalties take
-    the branch that rows in P and in-region T outputs reach: f_A's on
-    [0, inf), f_B's on (-inf, -1].  Each formula runs in its own function,
-    so its temporaries are freed before the next one starts, and the T
-    outputs are dropped once their terms are made: the peak stays near the
-    arrays the block returns.
+    the binary exponent, ``_parity`` for its parity and ``np.ldexp`` for the
+    band.  The penalties take the branch that rows in P and in-region T
+    outputs reach: f_A's on [0, inf), f_B's on (-inf, -1].  f_A(x) shares
+    T_A(x)'s exponents and f_B(y) shares T_B(y)'s: -y - 1.0 and -(y + 1.0)
+    round alike, and frexp gives +0.0 and -0.0 the same exponent.  Each map
+    runs in its own function, so its temporaries are freed before the next
+    one starts, and the T outputs are dropped once their terms are made:
+    the peak stays near the arrays the block returns.
     """
     import numpy as np
 
-    def t_a(x):  # example1_T, with alpha_parity's and pow2_floor's 0 at x = 0
+    def t_a(x):  # example1_T, and f_a(x)
+        mantissa, exp = np.frexp(x)
+        band = np.ldexp(0.5, exp, out=mantissa)  # pow2_floor(x), 2**(exp - 1)
+        a = _parity(exp)
+        fa = 4.0 * x * a
         zero = x == 0.0
-        e = np.frexp(x)[1] - 1
-        a = np.where(zero, 0, e % 2)
-        band = np.where(zero, 0.0, np.ldexp(1.0, e))
-        return 2.0 * x * a + 0.25 * (x - band) * (1 - a)
+        if zero.any():  # alpha_parity's and pow2_floor's 0 at x = 0
+            a[zero] = 0.0
+            band[zero] = 0.0
+        return 2.0 * x * a + 0.25 * (x - band) * (1.0 - a), fa
 
-    def t_b(y):  # example1_Tb
+    def t_b(y):  # example1_Tb, and f_b(y)
         g = y + 1.0
-        parity = np.where(g == 0.0, 0, (np.frexp(-g)[1] - 1) % 2)  # alpha_parity(-g)
-        return g / 8.0 + (15.0 / 8.0) * g * parity - 1.0
+        parity = _parity(np.frexp(-g)[1])  # alpha_parity(-g) but at g = 0
+        fb = -4.0 * g * parity
+        zero = g == 0.0
+        if zero.any():
+            parity[zero] = 0.0
+        return g / 8.0 + (15.0 / 8.0) * g * parity - 1.0, fb
 
     def f_a(c):
-        return 4.0 * c * ((np.frexp(c)[1] - 1) % 2)
+        return 4.0 * c * _parity(np.frexp(c)[1])
 
     def f_b(c):
-        return -4.0 * (c + 1.0) * ((np.frexp(-c - 1.0)[1] - 1) % 2)
+        return -4.0 * (c + 1.0) * _parity(np.frexp(-c - 1.0)[1])
 
     r = _uniforms(rng, 2 * n)
     xs = 0.0 + 100.0 * r[0::2]
     ys = -100.0 + 99.0 * r[1::2]
     del r
-    ta, tb = t_a(xs), t_b(ys)
+    (ta, fa_x), (tb, fb_y) = t_a(xs), t_b(ys)
     # P is x in [0, inf) and y in (-inf, -1] (u and v mirror them by
     # construction); T_A and T_B outputs must stay in those regions
     ok = bool(((xs >= 0.0) & (ta >= 0.0) & (ys <= -1.0) & (tb <= -1.0)).all())
     after = (np.abs(ta - tb), f_a(ta), f_b(tb))
     del ta, tb
-    terms = (np.abs(xs - ys), f_a(xs), f_b(ys)) + after
+    terms = (np.abs(xs - ys), fa_x, fb_y) + after
 
     def row(i: int) -> Quadruple:
         x, y = (float(xs[i]),), (float(ys[i]),)

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,7 +48,7 @@ from proxiter import (
     verify_contraction,
 )
 from proxiter.errors import DomainViolationError, InvalidInputError
-from proxiter.instances import _uniforms
+from proxiter.instances import _parity, _uniforms
 
 np = pytest.importorskip("numpy")
 
@@ -228,6 +231,61 @@ def test_uniforms_call_an_overridden_random_once_per_draw():
         assert rng.calls == m
         assert got.tobytes() == np.array([plain.random() for _ in range(m)]).tobytes()
         assert rng.getstate() == plain.getstate()
+
+
+def test_uniforms_build_one_generator_per_thread(monkeypatch):
+    built = []
+    mt19937 = np.random.MT19937
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return mt19937(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "MT19937", counting)
+    rng, calls = random.Random(3), random.Random(3)
+
+    def draw_three():  # in a new thread, which has no generator yet
+        return [_uniforms(rng, m).tobytes() for m in (0, 5, 700)]
+
+    with ThreadPoolExecutor(max_workers=1) as thread:
+        got = thread.submit(draw_three).result(timeout=60)
+    assert len(built) == 1
+    assert got == [np.array([calls.random() for _ in range(m)]).tobytes() for m in (0, 5, 700)]
+
+
+def test_uniforms_in_two_threads_are_each_rngs_own_random_calls():
+    sizes = [DRAW_SIZES[i % len(DRAW_SIZES)] for i in range(200)]
+    start = threading.Barrier(2)
+
+    def draws(seed):
+        rng = random.Random(seed)
+        start.wait(timeout=60)
+        got = [_uniforms(rng, m).tobytes() for m in sizes]
+        return got, rng.getstate(), rng.random()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two threads' loads and draws finely
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(draws, (11, 12), timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    for seed, (got, state, after) in zip((11, 12), results):
+        calls = random.Random(seed)
+        want = [np.array([calls.random() for _ in range(m)]).tobytes() for m in sizes]
+        assert got == want, seed
+        assert state == calls.getstate() and after == calls.random(), seed
+
+
+def test_parity_is_alpha_parity_without_its_zero_case():
+    values = [0.0, -0.0, 5e-324, sys.float_info.min]
+    for k in range(-1074, 1024):
+        p = math.ldexp(1.0, k)
+        values += [math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)]
+    values += [-v for v in values]
+    want = np.array([(math.frexp(v)[1] - 1) % 2 for v in values], dtype=np.float64)
+    got = _parity(np.frexp(np.array(values))[1])
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
