@@ -33,7 +33,14 @@ from .instances import (
     pair_cd_generator,
     pair_uc_generator,
 )
-from .iteration import make_infimum_sequence, run_paired, uniqueness_scan, write_trace_csv
+from .iteration import (
+    PairedRun,
+    make_infimum_sequence,
+    run_paired,
+    trace_csv_chunks,
+    uniqueness_scan,
+    write_trace_csv,
+)
 from .spaces import format_point, parse_point
 from .systems import resolve_constants, verify_contraction
 from .validators import cd_falsify, check_l1_bound, check_l2_bound, uc_falsify
@@ -143,7 +150,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         result, first = cyclic3_solve(entry.build(), None, args.steps, args.tol, seed=args.seed)
         if args.format == "csv":
-            _write_csv(first, args.out)
+            _write_out(functools.partial(write_trace_csv, first), args.out)
             return EXIT_OK if result is not None else EXIT_UNDECIDED
         if result is None:
             _emit(_report("run", args, outcome="undecided"), args.out)
@@ -156,21 +163,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     y0 = parse_point(args.y0) if args.y0 is not None else entry.default_y0
     q0 = entry.quadruple(x0, y0)
     consts = resolve_constants(system, seed=args.seed)
-    paired, report = run_paired(system, q0, args.steps, args.tol, constants=consts)
+    run = PairedRun(system, q0, args.steps, args.tol)
     if args.format == "csv":
-        _write_csv(paired, args.out)
+        # the whole run is formatted before anything is written
+        chunks = trace_csv_chunks(run)
+        _write_out(lambda fh: fh.writelines(chunks), args.out)
     else:
-        _emit(_report("run", args, report=report.to_dict()), args.out)
-    if report.stop_reason == "tolerance-met":
+        _emit(_report("run", args, report=run.report(consts).to_dict()), args.out)
+    if run.stop_reason == "tolerance-met":
         return EXIT_OK
     return EXIT_UNDECIDED
 
 
-def _write_csv(paired, out: Optional[str]) -> None:
+def _write_out(write, out: Optional[str]) -> None:
+    """Run write(fh) on the file at out, or on stdout when there is none."""
     if out:
-        _write_file(out, lambda fh: write_trace_csv(paired, fh))
+        _write_file(out, write)
     else:
-        write_trace_csv(paired, sys.stdout)
+        write(sys.stdout)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -252,7 +262,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         grid = _parse_grid(args.grid, args.budget)
         q0 = entry.quadruple(entry.default_x0, entry.default_y0)
         consts = resolve_constants(system, seed=args.seed)
-        _, report = run_paired(system, q0, 500, args.tol, constants=consts)
+        report = PairedRun(system, q0, 500, args.tol).report(consts)
         if report.limit is None:
             _emit(_report("scan", args, outcome="undecided"), args.out)
             return EXIT_UNDECIDED

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DomainViolationError,
@@ -39,7 +41,7 @@ CONFIRM_WINDOW = 10
 #: magnitude bound beyond which a run is aborted as divergent
 DIVERGENCE_GUARD = 1e15
 
-#: trace rows formatted and written per chunk by write_trace_csv
+#: trace rows formatted per chunk by write_trace_csv and trace_csv_chunks
 CSV_CHUNK_ROWS = 512
 
 
@@ -185,6 +187,122 @@ def _beyond_guard(x: Point, y: Point, step: int) -> bool:
     return big
 
 
+class PairedRun:
+    """The rows of one paired run, in trace CSV column order, from n = 0.
+
+    Iterating advances both sides in lock step and yields (n, x_n, u_n, y_n,
+    v_n, rho(x_n, y_n), f_A(u_n), f_B(v_n)) until both sides settle or the
+    budget ends.  The stop rule requires the successive displacements of both
+    sides to stay below tol for a full confirmation window.  The arguments
+    are checked at construction; stop_reason says why the run ended once the
+    rows are exhausted.
+    """
+
+    def __init__(self, system: ExternalFactorSystem, q0: Quadruple, max_steps: int, tol: float):
+        _check_tol(tol)
+        if max_steps < 0:
+            raise InvalidInputError("max_steps must be nonnegative")
+        q0 = Quadruple(*q0)
+        if not system.in_p(q0):
+            raise InvalidInputError(f"initial quadruple not in P: {q0}")
+        self.system, self.q0, self.max_steps, self.tol = system, q0, max_steps, tol
+        self.stop_reason = "max-steps"
+
+    def __iter__(self) -> Iterator[tuple]:
+        system, q0, tol = self.system, self.q0, self.tol
+        space = system.pair.space
+        region_a, region_b = system.pair.a, system.pair.b
+        fa, fb = system.f_a.fn, system.f_b.fn
+        fa_0, fb_0 = fa(q0.u), fb(q0.v)
+        yield 0, q0.x, q0.u, q0.y, q0.v, distance(space, q0.x, q0.y), fa_0, fb_0
+
+        # the loop body checks each new point once and calls the metric directly;
+        # every earlier point already passed distance()'s dimension check
+        a_contains, b_contains = region_a.contains, region_b.contains
+        metric, dim = space.metric, space.dim
+        guard = DIVERGENCE_GUARD
+        lo = -guard
+        x_prev, y_prev = q0.x, q0.y
+        settled = 0
+        window = CONFIRM_WINDOW
+        orbit_a = _orbit(system.t_a, system.h_a, q0.x, q0.u)
+        orbit_b = _orbit(system.t_b, system.h_b, q0.y, q0.v)
+        for k, (x_next, u_next), (y_next, v_next) in zip(
+            range(1, self.max_steps + 1), orbit_a, orbit_b
+        ):
+            # a coordinate fails the chained test only when it is NaN or beyond
+            # the guard; then the exact pass raises on a non-finite one or trips it
+            big = False
+            for c in x_next:
+                if not lo <= c <= guard:
+                    big = True
+            for c in y_next:
+                if not lo <= c <= guard:
+                    big = True
+            if big:
+                big = _beyond_guard(x_next, y_next, k)
+            if not a_contains(x_next):
+                raise DomainViolationError(
+                    f"T_A output {x_next} left region {region_a.name} at step {k}", step=k
+                )
+            if not b_contains(y_next):
+                raise DomainViolationError(
+                    f"T_B output {y_next} left region {region_b.name} at step {k}", step=k
+                )
+            if len(x_next) != dim or len(y_next) != dim:
+                distance(space, x_prev, x_next)
+                distance(space, y_prev, y_next)
+            da = metric(x_prev, x_next)
+            db = metric(y_prev, y_next)
+            fa_k, fb_k = fa(u_next), fb(v_next)
+            r = metric(x_next, y_next)
+            yield k, x_next, u_next, y_next, v_next, r, fa_k, fb_k
+
+            if big or r > guard:
+                self.stop_reason = "divergence-guard"
+                return
+            # max(da, db), NaN included: da unless db is greater
+            settled = settled + 1 if (db if db > da else da) < tol else 0
+            if settled >= window:
+                self.stop_reason = "tolerance-met"
+                return
+            x_prev, y_prev = x_next, y_next
+
+    def report(self, constants: SystemConstants) -> ConvergenceReport:
+        """Run to the end holding only the last CONFIRM_WINDOW rows, and report."""
+        window = deque(self, maxlen=CONFIRM_WINDOW)
+        return _window_report(window, self.stop_reason, self.system.pair.space, constants)
+
+
+def _window_report(
+    window: Sequence[tuple], stop_reason: str, space: MetricSpace, constants: SystemConstants
+) -> ConvergenceReport:
+    """A run's report from its stop reason and its last CONFIRM_WINDOW rows.
+
+    A limit is reported only when both sides settled; the streak that ended
+    the run already holds the settle rule over the final window, and the
+    residuals are tail means over it.
+    """
+    steps = window[-1][0]
+    if stop_reason != "tolerance-met":
+        return ConvergenceReport(None, None, None, None, None, steps, stop_reason, constants.dist)
+    n = CONFIRM_WINDOW
+    limit = window[-1][1]
+    rho_tail = sum([distance(space, limit, row[3]) for row in window]) / n
+    fa_tail = sum([row[6] for row in window]) / n - constants.inf_a
+    fb_tail = sum([row[7] for row in window]) / n - constants.inf_b
+    return ConvergenceReport(
+        limit=limit,
+        proximity_residual=abs(rho_tail - constants.dist),
+        fa_residual=fa_tail,
+        fb_residual=fb_tail,
+        rho_alpha_y_tail=rho_tail,
+        steps=steps,
+        stop_reason=stop_reason,
+        dist=constants.dist,
+    )
+
+
 def run_paired(
     system: ExternalFactorSystem,
     q0: Quadruple,
@@ -193,116 +311,21 @@ def run_paired(
     *,
     constants: Optional[SystemConstants] = None,
 ) -> tuple[PairedTrace, ConvergenceReport]:
-    """Advance both sides in lock step until both settle or the budget ends.
+    """A PairedRun collected whole: its trace and its report.
 
-    The stop rule requires the successive displacements of both sides to stay
-    below tol for a full confirmation window.  Report residuals are tail
-    means over the final window.
+    Callers that need only the report, or the CSV text, stream the run
+    instead (PairedRun.report, trace_csv_chunks).
     """
-    _check_tol(tol)
-    if max_steps < 0:
-        raise InvalidInputError("max_steps must be nonnegative")
-    q0 = Quadruple(*q0)
-    if not system.in_p(q0):
-        raise InvalidInputError(f"initial quadruple not in P: {q0}")
+    run = PairedRun(system, q0, max_steps, tol)
     if constants is None:
         constants = resolve_constants(system)
+    rows = list(run)
+    _, xs, us, ys, vs, rho, fa_vals, fb_vals = zip(*rows)
     space = system.pair.space
-    region_a, region_b = system.pair.a, system.pair.b
-
-    xs, us = [q0.x], [q0.u]
-    ys, vs = [q0.y], [q0.v]
-    fa_vals = [system.f_a.fn(q0.u)]
-    fb_vals = [system.f_b.fn(q0.v)]
-    rho = [distance(space, q0.x, q0.y)]
-
-    # the loop body checks each new point once and calls the metric directly;
-    # every earlier point already passed distance()'s dimension check
-    a_contains, b_contains = region_a.contains, region_b.contains
-    fa, fb = system.f_a.fn, system.f_b.fn
-    metric, dim = space.metric, space.dim
-    guard = DIVERGENCE_GUARD
-    lo = -guard
-    append_x, append_u, append_fa = xs.append, us.append, fa_vals.append
-    append_y, append_v, append_fb = ys.append, vs.append, fb_vals.append
-    append_rho = rho.append
-    x_prev, y_prev = q0.x, q0.y
-    settled = 0
-    window = CONFIRM_WINDOW
-    stop_reason = "max-steps"
-    orbit_a = _orbit(system.t_a, system.h_a, q0.x, q0.u)
-    orbit_b = _orbit(system.t_b, system.h_b, q0.y, q0.v)
-    for k, (x_next, u_next), (y_next, v_next) in zip(range(1, max_steps + 1), orbit_a, orbit_b):
-        # a coordinate fails the chained test only when it is NaN or beyond
-        # the guard; then the exact pass raises on a non-finite one or trips it
-        big = False
-        for c in x_next:
-            if not lo <= c <= guard:
-                big = True
-        for c in y_next:
-            if not lo <= c <= guard:
-                big = True
-        if big:
-            big = _beyond_guard(x_next, y_next, k)
-        if not a_contains(x_next):
-            raise DomainViolationError(
-                f"T_A output {x_next} left region {region_a.name} at step {k}", step=k
-            )
-        if not b_contains(y_next):
-            raise DomainViolationError(
-                f"T_B output {y_next} left region {region_b.name} at step {k}", step=k
-            )
-        if len(x_next) != dim or len(y_next) != dim:
-            distance(space, x_prev, x_next)
-            distance(space, y_prev, y_next)
-        da = metric(x_prev, x_next)
-        db = metric(y_prev, y_next)
-        append_x(x_next)
-        append_u(u_next)
-        append_y(y_next)
-        append_v(v_next)
-        append_fa(fa(u_next))
-        append_fb(fb(v_next))
-        r = metric(x_next, y_next)
-        append_rho(r)
-
-        if big or r > guard:
-            stop_reason = "divergence-guard"
-            break
-        # max(da, db), NaN included: da unless db is greater
-        settled = settled + 1 if (db if db > da else da) < tol else 0
-        if settled >= window:
-            stop_reason = "tolerance-met"
-            break
-        x_prev, y_prev = x_next, y_next
-
-    trace_a = IterationTrace(space, tuple(xs), tuple(us), tuple(fa_vals))
-    trace_b = IterationTrace(space, tuple(ys), tuple(vs), tuple(fb_vals))
-    paired = PairedTrace(trace_a, trace_b, tuple(rho))
-
-    # a limit is reported only when both sides settled; the streak that ended
-    # the run already holds the settle rule over the final window
-    if stop_reason != "tolerance-met":
-        report = ConvergenceReport(
-            None, None, None, None, None, paired.steps, stop_reason, constants.dist
-        )
-        return paired, report
-
-    limit = xs[-1]
-    rho_tail = sum([distance(space, limit, y) for y in ys[-window:]]) / window
-    fa_tail = sum(fa_vals[-window:]) / window - constants.inf_a
-    fb_tail = sum(fb_vals[-window:]) / window - constants.inf_b
-    report = ConvergenceReport(
-        limit=limit,
-        proximity_residual=abs(rho_tail - constants.dist),
-        fa_residual=fa_tail,
-        fb_residual=fb_tail,
-        rho_alpha_y_tail=rho_tail,
-        steps=paired.steps,
-        stop_reason=stop_reason,
-        dist=constants.dist,
-    )
-    return paired, report
+    trace_a = IterationTrace(space, xs, us, fa_vals)
+    trace_b = IterationTrace(space, ys, vs, fb_vals)
+    report = _window_report(rows[-CONFIRM_WINDOW:], run.stop_reason, space, constants)
+    return PairedTrace(trace_a, trace_b, rho), report
 
 
 def limit_uniqueness_check(
@@ -467,6 +490,32 @@ def _celement_texts(celements: Sequence[CElement]) -> list[str]:
     return texts
 
 
+_CSV_HEADER = "n,x_n,u_n,y_n,v_n,rho_xy,f_a_u,f_b_v\n"
+
+
+def _csv_rows(ns, xs, us, ys, vs, rho, fa_vals, fb_vals) -> str:
+    """The CSV text of one chunk of rows, given column by column; one ``%`` call per row."""
+    x_slot, x_columns = _point_columns(xs)
+    y_slot, y_columns = _point_columns(ys)
+    rows = zip(
+        ns, *x_columns, _celement_texts(us), *y_columns, _celement_texts(vs), rho, fa_vals, fb_vals
+    )
+    return "".join(map(_row_template(x_slot, y_slot).__mod__, rows))
+
+
+def trace_csv_chunks(run: PairedRun) -> list[str]:
+    """write_trace_csv's text for a run: the header, then one string per chunk.
+
+    Each CSV_CHUNK_ROWS rows are formatted as the run yields them, so the
+    run is held only as text; a run that raises returns nothing to write.
+    """
+    texts = [_CSV_HEADER]
+    rows = iter(run)
+    while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+        texts.append(_csv_rows(*zip(*chunk)))
+    return texts
+
+
 def write_trace_csv(paired: PairedTrace, fh) -> None:
     """Trace table: n, x_n, u_n, y_n, v_n, rho_xy, f_a_u, f_b_v.
 
@@ -484,19 +533,7 @@ def write_trace_csv(paired: PairedTrace, fh) -> None:
     if len({len(column) for column in columns.values()}) > 1:
         lengths = ", ".join(f"{name} {len(column)}" for name, column in columns.items())
         raise InvalidInputError(f"trace columns differ in length: {lengths}")
-    fh.write("n,x_n,u_n,y_n,v_n,rho_xy,f_a_u,f_b_v\n")
+    fh.write(_CSV_HEADER)
     for lo in range(0, len(a.points), CSV_CHUNK_ROWS):
         hi = lo + CSV_CHUNK_ROWS
-        x_slot, x_columns = _point_columns(a.points[lo:hi])
-        y_slot, y_columns = _point_columns(b.points[lo:hi])
-        rows = zip(
-            range(lo, hi),
-            *x_columns,
-            _celement_texts(a.celements[lo:hi]),
-            *y_columns,
-            _celement_texts(b.celements[lo:hi]),
-            paired.rho_xy[lo:hi],
-            a.f_values[lo:hi],
-            b.f_values[lo:hi],
-        )
-        fh.write("".join(map(_row_template(x_slot, y_slot).__mod__, rows)))
+        fh.write(_csv_rows(range(lo, hi), *(column[lo:hi] for column in columns.values())))

@@ -93,6 +93,24 @@ def _abs_metric(x: Point, y: Point) -> float:
     return abs(x[0] - y[0])
 
 
+def _line_cross_sup(
+    space: MetricSpace, xs: Sequence[Point], ys: Sequence[Point]
+) -> Optional[float]:
+    """max over x in xs, y in ys of the metric, in one pass, on the real line.
+
+    Rounded subtraction is monotone in each argument, so the largest
+    |x - y| is max x - min y or max y - min x: the pairwise maximum, up to
+    the sign of a zero.  None on any other space, or when a coordinate is
+    not finite, where only the pairwise sweep says which value failed.
+    """
+    if space.metric is not _abs_metric or space.dim != 1:
+        return None
+    a, b = [p[0] for p in xs], [p[0] for p in ys]
+    if not all(map(math.isfinite, a + b)):
+        return None
+    return max(max(a) - min(b), max(b) - min(a))
+
+
 def real_line() -> MetricSpace:
     return MetricSpace("R", 1, _abs_metric)
 

@@ -13,7 +13,15 @@ from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError, NumericFailureError
 from .iteration import CONFIRM_WINDOW, PairedTrace, _check_tol, _settled
-from .spaces import Point, Region, SetPair, distance, format_point, set_distance
+from .spaces import (
+    Point,
+    Region,
+    SetPair,
+    _line_cross_sup,
+    distance,
+    format_point,
+    set_distance,
+)
 from .systems import RESIDUAL_TOL, ExternalFactorSystem, resolve_constants
 
 
@@ -298,9 +306,11 @@ def cd_falsify(
         k_tail = max(0, horizon - window)
         # the metric is called directly once every window point has the
         # space's dimension; otherwise distance() raises its usual error
-        window_points = (*xs[k_tail : horizon + 1], *ys[k_tail : horizon + 1])
-        if all(len(p) == dim for p in window_points):
-            sup = tail_sup(lambda n, m: metric(xs[n], ys[m]), k_tail, horizon)
+        window_x, window_y = xs[k_tail : horizon + 1], ys[k_tail : horizon + 1]
+        if all(len(p) == dim for p in (*window_x, *window_y)):
+            sup = _line_cross_sup(space, window_x, window_y)
+            if sup is None:
+                sup = tail_sup(lambda n, m: metric(xs[n], ys[m]), k_tail, horizon)
         else:
             sup = tail_sup(lambda n, m: distance(space, xs[n], ys[m]), k_tail, horizon)
         if abs(sup - dist) > tol:
@@ -350,9 +360,12 @@ def uc_falsify(
         raise InvalidInputError("budget must be >= 1")
     _check_tol(tol)
     dist, _ = set_distance(pair)
+    space = pair.space
+    metric, dim = space.metric, space.dim
 
     def rho(i: int, p: Point, q: Point) -> float:
-        value = distance(pair.space, p, q)
+        # distance() only to raise its dimension error
+        value = metric(p, q) if len(p) == dim == len(q) else distance(space, p, q)
         if math.isnan(value):
             raise NumericFailureError(f"candidate {i}: distance from {p} to {q} is NaN")
         return value
