@@ -507,7 +507,7 @@ def trace_csv_chunks(run: PairedRun) -> list[str]:
     """write_trace_csv's text for a run: the header, then one string per chunk.
 
     Each CSV_CHUNK_ROWS rows are formatted as the run yields them, so the
-    run is held only as text; a run that raises returns nothing to write.
+    run is held only as text; a run that raises leaves nothing to write.
     """
     texts = [_CSV_HEADER]
     rows = iter(run)
