@@ -150,7 +150,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         result, first = cyclic3_solve(entry.build(), None, args.steps, args.tol, seed=args.seed)
         if args.format == "csv":
-            _write_out(functools.partial(write_trace_csv, first), args.out)
+            _write_out(lambda fh: write_trace_csv(first, fh), args.out)
             return EXIT_OK if result is not None else EXIT_UNDECIDED
         if result is None:
             _emit(_report("run", args, outcome="undecided"), args.out)

@@ -194,8 +194,9 @@ class PairedRun:
     v_n, rho(x_n, y_n), f_A(u_n), f_B(v_n)) until both sides settle or the
     budget ends.  The stop rule requires the successive displacements of both
     sides to stay below tol for a full confirmation window.  The arguments
-    are checked at construction; stop_reason says why the run ended once the
-    rows are exhausted.
+    are checked at construction.  stop_reason says why the run ended; it is
+    None until the rows are exhausted, and stays None after a run that raised
+    or was left part way.
     """
 
     def __init__(self, system: ExternalFactorSystem, q0: Quadruple, max_steps: int, tol: float):
@@ -206,9 +207,10 @@ class PairedRun:
         if not system.in_p(q0):
             raise InvalidInputError(f"initial quadruple not in P: {q0}")
         self.system, self.q0, self.max_steps, self.tol = system, q0, max_steps, tol
-        self.stop_reason = "max-steps"
+        self.stop_reason: Optional[str] = None
 
     def __iter__(self) -> Iterator[tuple]:
+        self.stop_reason = None
         system, q0, tol = self.system, self.q0, self.tol
         space = system.pair.space
         region_a, region_b = system.pair.a, system.pair.b
@@ -267,6 +269,7 @@ class PairedRun:
                 self.stop_reason = "tolerance-met"
                 return
             x_prev, y_prev = x_next, y_next
+        self.stop_reason = "max-steps"
 
     def report(self, constants: SystemConstants) -> ConvergenceReport:
         """Run to the end holding only the last CONFIRM_WINDOW rows, and report."""

@@ -235,11 +235,12 @@ def test_grid_over_the_budget_is_an_error(capsys, monkeypatch, grid, budget):
 @pytest.mark.parametrize("grid", ["abc", "0:1:nan", "0:2000:1"])
 def test_bad_grid_is_refused_before_the_run(capsys, monkeypatch, grid):
     runs = _count_calls(monkeypatch, "run_paired", [cli])
+    streamed = _count_calls(monkeypatch, "PairedRun", [cli])
     code, out, err = run_cli(
         capsys, "scan", "--kind", "uniqueness", "--instance", "e1", f"--grid={grid}"
     )
     assert (code, out) == (1, "") and err.startswith("error: ")
-    assert runs == []
+    assert runs == streamed == []
 
 
 def test_huge_grid_stops_at_the_budget():
@@ -637,7 +638,7 @@ def test_unwritable_out_fails_before_any_work(capsys, monkeypatch, tmp_path, arg
     def never(*args, **kwargs):
         raise AssertionError("the command worked before checking --out")
 
-    for name in ("verify_contraction", "run_paired", "certify_cyclic", "cyclic3_solve"):
+    for name in ("verify_contraction", "run_paired", "PairedRun", "certify_cyclic", "cyclic3_solve"):
         monkeypatch.setattr(cli, name, never)
     path = tmp_path / "missing-dir" / "report"
     code, out, err = run_cli(capsys, *argv, "--out", str(path))

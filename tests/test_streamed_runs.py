@@ -14,14 +14,16 @@ import io
 import json
 import os
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import proxiter as px
 from proxiter import cli
 from proxiter.instances import load_instance_json
-from proxiter.iteration import CSV_CHUNK_ROWS, run_paired, write_trace_csv
+from proxiter.iteration import CSV_CHUNK_ROWS, PairedRun, run_paired, write_trace_csv
 from proxiter.systems import resolve_constants
 
 #: step budgets on both sides of the first CSV chunk edge and past the second
@@ -134,6 +136,16 @@ def test_run_streams_what_run_paired_collects(tmp_path_factory, drawn):
     assert_streamed_as_collected(path, budget, tol)
 
 
+def test_stop_reason_is_known_only_once_the_rows_run_out(tmp_path):
+    entry = load_instance_json(_write_spec(tmp_path, _spec(-1.0, 1.0, 3.0, -2.0, {})))
+    run = PairedRun(entry.build(), entry.quadruple(entry.default_x0, entry.default_y0), 8, 1e-9)
+    assert run.stop_reason is None
+    assert len(list(islice(run, 4))) == 4 and run.stop_reason is None
+    assert len(list(run)) == 9 and run.stop_reason == "max-steps"
+    # a second pass starts unknown again
+    assert len(list(islice(run, 4))) == 4 and run.stop_reason is None
+
+
 #: x -> 1.005x on [-10, 10] from +-0.75 leaves the region at step 520, in the second CSV chunk
 LEAVES = _spec(1.005, 0.0, 0.75, -0.75, {"lo": -10.0, "hi": 10.0})
 
@@ -145,6 +157,11 @@ def test_a_run_that_leaves_its_region_writes_nothing(tmp_path, fmt):
     code, out, err = _main(argv)
     assert (code, out) == (cli.EXIT_ERROR, "")
     assert "left region [-10.0;10.0] at step 520" in err
+    entry = load_instance_json(path)
+    run = PairedRun(entry.build(), entry.quadruple(entry.default_x0, entry.default_y0), 2000, 1e-9)
+    with pytest.raises(px.DomainViolationError):
+        list(run)
+    assert run.stop_reason is None
 
     new = os.path.join(tmp_path, "new.out")
     assert _main(argv + ["--out", new])[0] == cli.EXIT_ERROR
