@@ -21,9 +21,7 @@ from . import __version__
 from .errors import ProxiterError
 from .instances import (
     ALIASES,
-    CYCLIC,
-    PAIRS,
-    SYSTEMS,
+    REGISTRIES,
     certify_cyclic,
     cyclic3_reduce,
     cyclic3_solve,
@@ -65,14 +63,17 @@ def _json_safe(value):
 def _emit(payload: dict, out: Optional[str]) -> None:
     """Write the report as strict JSON; non-finite floats become strings."""
     text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
-    if out:
-        _write_file(out, lambda fh: fh.write(text + "\n"))
-    else:
-        print(text)
+    _write_out(lambda fh: fh.write(text + "\n"), out)
 
 
-def _write_file(out: str, write) -> None:
-    """Run write(fh) on the file at out; an OS failure is an error, not a traceback."""
+def _write_out(write, out: Optional[str]) -> None:
+    """Run write(fh) on the file at out, or on stdout when there is none.
+
+    An OS failure on the file is an error, not a traceback.
+    """
+    if not out:
+        write(sys.stdout)
+        return
     try:
         with open(out, "w") as fh:
             write(fh)
@@ -114,12 +115,9 @@ def _report(command: str, args: argparse.Namespace, **payload) -> dict:
 def _resolve(name: str):
     """Return (kind, entry) for a registry name or a JSON instance path."""
     name = ALIASES.get(name, name)
-    if name in SYSTEMS:
-        return "system", SYSTEMS[name]
-    if name in CYCLIC:
-        return "cyclic", CYCLIC[name]
-    if name in PAIRS:
-        return "pair", PAIRS[name]
+    for kind, registry in REGISTRIES:
+        if name in registry:
+            return kind, registry[name]
     if name.endswith(".json"):
         return "system", load_instance_json(name)
     raise ProxiterError(f"unknown instance {name!r}; try the list command")
@@ -175,20 +173,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_UNDECIDED
 
 
-def _write_out(write, out: Optional[str]) -> None:
-    """Run write(fh) on the file at out, or on stdout when there is none."""
-    if out:
-        _write_file(out, write)
-    else:
-        write(sys.stdout)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     kind, entry = _resolve(args.instance)
     if kind == "pair":
         raise ProxiterError("pair instances support the scan command only")
 
     if kind == "cyclic":
+        if args.lam is not None:
+            raise ProxiterError(
+                "--lambda applies to system instances; a cyclic verify certifies "
+                "its reduction's own constant"
+            )
         ct = entry.build()
         worst, arg = certify_cyclic(ct, samples=args.samples, seed=args.seed)
         payload = {"summed_residual_min": worst}
@@ -296,6 +291,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         _emit(_report("scan", args, outcome="done", **payload), args.out)
         return EXIT_REFUTED if violations else EXIT_OK
 
+    if args.grid is not None:
+        raise ProxiterError(f"--grid applies to uniqueness scans, not {args.kind} scans")
     if kind != "pair":
         raise ProxiterError(f"{args.kind} scans need a pair instance")
     pair = entry.build()
@@ -380,9 +377,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.out:
             _check_writable(args.out)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except ProxiterError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the
+        # interpreter's final flush stays quiet (Python's signal docs,
+        # "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
 
 

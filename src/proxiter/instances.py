@@ -87,11 +87,10 @@ def example1_T(x: float) -> float:
     """First-side point map: doubles on odd bands, quarters the remainder on even."""
     if x < 0:
         raise InvalidInputError("example1_T needs a nonnegative argument")
-    if x == 0:
-        a, band = 0, 0.0
-    else:
-        e = math.frexp(x)[1] - 1  # floor_log2(x)
-        a, band = e % 2, math.ldexp(1.0, e)  # alpha_parity(x), pow2_floor(x)
+    # alpha_parity(x) and pow2_floor(x) without their zero case: at x = +-0
+    # the parity 1 and band 0.5 that frexp's exponent gives return x's zero
+    e = math.frexp(x)[1] - 1  # floor_log2(x)
+    a, band = e % 2, math.ldexp(1.0, e)
     return 2.0 * x * a + 0.25 * (x - band) * (1 - a)
 
 
@@ -201,21 +200,12 @@ def _example1_block(rng: random.Random, n: int) -> Block:
         mantissa, exp = np.frexp(x)
         band = np.ldexp(0.5, exp, out=mantissa)  # pow2_floor(x), 2**(exp - 1)
         a = _parity(exp)
-        fa = 4.0 * x * a
-        zero = x == 0.0
-        if zero.any():  # alpha_parity's and pow2_floor's 0 at x = 0
-            a[zero] = 0.0
-            band[zero] = 0.0
-        return 2.0 * x * a + 0.25 * (x - band) * (1.0 - a), fa
+        return 2.0 * x * a + 0.25 * (x - band) * (1.0 - a), 4.0 * x * a
 
     def t_b(y):  # example1_Tb, and f_b(y)
         g = y + 1.0
-        parity = _parity(np.frexp(-g)[1])  # alpha_parity(-g) but at g = 0
-        fb = -4.0 * g * parity
-        zero = g == 0.0
-        if zero.any():
-            parity[zero] = 0.0
-        return g / 8.0 + (15.0 / 8.0) * g * parity - 1.0, fb
+        parity = _parity(np.frexp(-g)[1])
+        return g / 8.0 + (15.0 / 8.0) * g * parity - 1.0, -4.0 * g * parity
 
     def f_a(c):
         return 4.0 * c * _parity(np.frexp(c)[1])
@@ -869,27 +859,19 @@ def pair_uc_generator(
 
 
 @dataclass(frozen=True)
-class SystemInstance:
+class Instance:
+    """A named built-in; build() makes its system, cyclic triple or set pair."""
+
     name: str
     description: str
-    build: Callable[[], ExternalFactorSystem]
+    build: Callable[[], object]
+
+
+@dataclass(frozen=True)
+class SystemInstance(Instance):
     default_x0: Point
     default_y0: Point
     quadruple: Callable[[Point, Point], Quadruple]
-
-
-@dataclass(frozen=True)
-class CyclicInstance:
-    name: str
-    description: str
-    build: Callable[[], CyclicTriple]
-
-
-@dataclass(frozen=True)
-class PairInstance:
-    name: str
-    description: str
-    build: Callable[[], SetPair]
 
 
 def _mirror_quadruple(x: Point, y: Point) -> Quadruple:
@@ -936,29 +918,29 @@ SYSTEMS: dict[str, SystemInstance] = {
     ),
 }
 
-CYCLIC: dict[str, CyclicInstance] = {
-    "cyclic3-singleton": CyclicInstance(
+CYCLIC: dict[str, Instance] = {
+    "cyclic3-singleton": Instance(
         "cyclic3-singleton",
         "three collinear singletons, equality case of the summed contraction",
         singleton_cyclic_example,
     ),
-    "cyclic3-affine": CyclicInstance(
+    "cyclic3-affine": Instance(
         "cyclic3-affine",
         "three radial unit segments at an equilateral triangle, k = 1/2",
         affine_cyclic_example,
     ),
 }
 
-PAIRS: dict[str, PairInstance] = {
-    "e1-pair": PairInstance(
+PAIRS: dict[str, Instance] = {
+    "e1-pair": Instance(
         "e1-pair", "half-line pair of e1, distance 1", example1_pair
     ),
-    "open-interval-pair": PairInstance(
+    "open-interval-pair": Instance(
         "open-interval-pair",
         "open intervals (0,1) and (2,3); first region incomplete",
         open_interval_pair,
     ),
-    "circle-origin-pair": PairInstance(
+    "circle-origin-pair": Instance(
         "circle-origin-pair",
         "unit circle against the origin; non-convex first region",
         circle_origin_pair,
@@ -968,12 +950,14 @@ PAIRS: dict[str, PairInstance] = {
 #: convenience alias used by the command line
 ALIASES = {"banach": "banach-half"}
 
+#: each registry with its kind name, in listing and name-lookup order
+REGISTRIES = (("system", SYSTEMS), ("cyclic", CYCLIC), ("pair", PAIRS))
+
 
 def list_instances() -> list[tuple[str, str, str]]:
-    rows = [(e.name, "system", e.description) for e in SYSTEMS.values()]
-    rows += [(e.name, "cyclic", e.description) for e in CYCLIC.values()]
-    rows += [(e.name, "pair", e.description) for e in PAIRS.values()]
-    return rows
+    return [
+        (e.name, kind, e.description) for kind, registry in REGISTRIES for e in registry.values()
+    ]
 
 
 # ---------------------------------------------------------------------------

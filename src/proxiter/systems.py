@@ -220,11 +220,6 @@ def resolve_constants(system: ExternalFactorSystem, seed: int = 0) -> SystemCons
     return SystemConstants(dist, dist_flag, inf_a, fa_flag, inf_b, fb_flag)
 
 
-def s_value(system: ExternalFactorSystem) -> float:
-    """dist(A,B) + inf f_A + inf f_B, the contraction inequality's affine floor."""
-    return resolve_constants(system).s
-
-
 def _orbit(t: Callable, h: Callable, x: Point, u: CElement) -> Iterator[tuple]:
     """Yield (x_1, u_1), (x_2, u_2), ... of x_{n+1} = t(x_n, u_n), u_{n+1} = h(x_n, u_n).
 

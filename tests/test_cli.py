@@ -1,5 +1,6 @@
 """Command line contract: exit codes, report shapes, CSV output."""
 
+import dataclasses
 import io
 import json
 import math
@@ -695,3 +696,105 @@ def test_one_parser_serves_every_command_in_a_process(capsys, tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_verify_cyclic_refuses_lambda_before_any_sampling(capsys, monkeypatch):
+    # a cyclic verify certifies its reduction's own constant (k**3), so an
+    # override would be echoed in the config and never used
+    def never(*args, **kwargs):
+        raise AssertionError("the command sampled before refusing --lambda")
+
+    for name in ("certify_cyclic", "verify_contraction"):
+        monkeypatch.setattr(cli, name, never)
+    code, out, err = run_cli(
+        capsys, "verify", "--instance", "cyclic3-affine", "--lambda", "0.01", "--samples", "200"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: --lambda applies to system instances")
+
+
+@pytest.mark.parametrize("kind", ["cd", "uc"])
+def test_falsifier_scans_refuse_a_grid_before_any_work(capsys, monkeypatch, kind):
+    def never(*args, **kwargs):
+        raise AssertionError("the command scanned before refusing --grid")
+
+    for name in ("pair_cd_generator", "pair_uc_generator", "cd_falsify", "uc_falsify"):
+        monkeypatch.setattr(cli, name, never)
+    code, out, err = run_cli(
+        capsys, "scan", "--kind", kind, "--instance", "e1-pair", "--grid", "0:1:0.5"
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: --grid applies to uniqueness scans, not {kind} scans\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path, unbuffered):
+    # the reader is gone before the child writes: block-buffered, the write
+    # fails at the flush; unbuffered, inside the command
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "proxiter.cli", "list", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_verify_cyclic_refuted_reports_its_witness_triple(capsys, monkeypatch):
+    entry = instances.CYCLIC["cyclic3-affine"]
+    ct = entry.build()
+    broken = px.CyclicTriple(ct.space, ct.regions, ct.t, 0.05, ct.dists)
+    monkeypatch.setitem(
+        instances.CYCLIC, "cyclic3-broken",
+        dataclasses.replace(entry, name="cyclic3-broken", build=lambda: broken),
+    )
+    code, out, _ = run_cli(capsys, "verify", "--instance", "cyclic3-broken", "--samples", "200")
+    payload = json.loads(out)
+    assert code == 3 and payload["verdict"] == "refuted"
+    assert payload["summed_residual_min"] < -1e-10 and "reduction" not in payload
+    assert len(payload["witness"]) == 3
+    assert all(len(p.split(";")) == 2 for p in payload["witness"])
+
+
+def test_run_cyclic_undecided(capsys):
+    code, out, _ = run_cli(capsys, "run", "--instance", "cyclic3-affine", "--steps", "3")
+    assert code == 2
+    assert json.loads(out)["outcome"] == "undecided"
+
+
+def test_scan_uniqueness_undecided_when_the_run_does_not_settle(capsys, tmp_path):
+    path = tmp_path / "slow.json"
+    spec = _good_spec_with(maps__t_a__slope=0.99, maps__t_b__slope=0.99, **{"lambda": 0.99})
+    path.write_text(json.dumps(spec))
+    code, out, _ = run_cli(
+        capsys, "scan", "--kind", "uniqueness", "--instance", str(path),
+        "--grid", "0:1:0.5", "--tol", "1e-12",
+    )
+    assert code == 2
+    assert json.loads(out)["outcome"] == "undecided"
+
+
+def test_scan_uniqueness_counts_skipped_candidates(capsys):
+    # -2 and -1 lie outside [0, inf); one grid point in it has no infimum sequence
+    code, out, _ = run_cli(capsys, "scan", "--kind", "uniqueness", "--instance", "e1", "--grid=-2:2:1")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["candidates"], payload["skipped"]) == (2, 3)
+
+
+def test_run_csv_out_holds_the_bytes_stdout_gets(capsys, tmp_path):
+    argv = ("run", "--instance", "e1", "--format", "csv")
+    code, out, _ = run_cli(capsys, *argv)
+    path = tmp_path / "trace.csv"
+    code_out, printed, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, code_out, printed) == (0, 0, "")
+    assert path.read_text() == out and out.startswith("n,x_n,")

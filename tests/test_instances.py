@@ -137,7 +137,7 @@ def test_product_system_constants():
     prod = px.example1_product_system()
     assert prod.lam == 5.0 / 8.0
     assert prod.pair.dist_ab == 2.0
-    assert px.s_value(prod) == 2.0
+    assert px.resolve_constants(prod).s == 2.0
 
 
 def test_product_system_certifies():

@@ -18,11 +18,11 @@ def banach(map_fn, lipschitz, name="b"):
 
 
 def test_s_value_example1():
-    assert px.s_value(px.example1_system()) == 1.0
+    assert px.resolve_constants(px.example1_system()).s == 1.0
 
 
 def test_s_value_banach_degenerate():
-    assert px.s_value(banach(lambda x: (x[0] / 2.0,), 0.5)) == 0.0
+    assert px.resolve_constants(banach(lambda x: (x[0] / 2.0,), 0.5)).s == 0.0
 
 
 def test_s_value_cyclic_reduction_matches_grid_oracle():
@@ -37,7 +37,7 @@ def test_s_value_cyclic_reduction_matches_grid_oracle():
         assert oracle <= ct.dists[i] + 0.05  # dense enough to approach the gap
 
     reduction = px.cyclic3_reduce(ct)
-    assert px.s_value(reduction) == pytest.approx(sum(ct.dists), abs=1e-12)
+    assert px.resolve_constants(reduction).s == pytest.approx(sum(ct.dists), abs=1e-12)
 
 
 def test_contraction_residual_equality_point():
@@ -171,6 +171,25 @@ def test_verify_contraction_reason_order():
     )
     report = px.verify_contraction(broken, 50, seed=4)
     assert report.reason == "infimum-not-finite"
+
+
+def test_verify_contraction_refutes_a_probe_that_leaves_p():
+    # h_a = x + 1 puts u_1 off the point x_1, so the first probe leaves P at
+    # its first step; at lambda 1/2 it outranks the negative residual that
+    # e1 alone refutes with
+    e1 = px.example1_system()
+    broken = dataclasses.replace(e1, h_a=lambda x, c: (x[0] + 1.0,))
+    first = px.Quadruple(*e1.p.draw(random.Random(1), 1)[0])
+    assert first.x[0] == pytest.approx(13.436, abs=1e-3)
+    assert first.y[0] == pytest.approx(-16.104, abs=1e-3)
+    for system in (broken, dataclasses.replace(broken, lam=0.5)):
+        report = px.verify_contraction(system, 200, seed=1)
+        assert report.verdict == "refuted"
+        assert report.reason == "p-invariance-failed"
+        assert report.p_invariant is False
+        assert report.witness == first
+    plain = px.verify_contraction(dataclasses.replace(e1, lam=0.5), 200, seed=1)
+    assert plain.reason == "negative-residual" and plain.p_invariant
 
 
 def test_estimate_min_lambda_e1_matches_tightness_oracle():

@@ -360,6 +360,16 @@ def _uc_gen_of(xs, zs, ys):
     return lambda i: (xs, zs, ys)
 
 
+def test_uc_falsify_needs_both_first_set_sequences_to_reach_the_gap():
+    # x_n = 0 sits at dist(A, B) = 1 from y_n = -1 while z_n = 5 does not, so
+    # the candidate is not admissible though x and z stay 5 apart; likewise
+    # with x and z swapped
+    pair = px.example1_pair()
+    near, far, ys = [(0.0,)] * 5, [(5.0,)] * 5, [(-1.0,)] * 5
+    assert px.uc_falsify(pair, _uc_gen_of(near, far, ys), 1, 1e-6) is None
+    assert px.uc_falsify(pair, _uc_gen_of(far, near, ys), 1, 1e-6) is None
+
+
 def test_uc_falsify_rejects_short_candidates_and_empty_budget():
     pair = px.example1_pair()
     ok = [(1.0,)] * 5
