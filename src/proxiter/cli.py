@@ -323,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *formats):
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--format", choices=(*formats, "json"), default="json")
 
@@ -358,6 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 
+    # list draws nothing, so only these commands take a seed
+    for p in (p_run, p_verify, p_scan):
+        p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+
     return parser
 
 
@@ -368,13 +371,14 @@ _parser = functools.cache(build_parser)
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 after printing a usage error; 2 means undecided here
-        if exc.code == 2:
-            return EXIT_ERROR
-        raise
-    try:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 after printing a usage error; 2 means undecided here
+            if exc.code == 2:
+                return EXIT_ERROR
+            sys.stdout.flush()  # --help and --version: a closed stdout fails here
+            raise
         if args.out:
             _check_writable(args.out)
         code = args.func(args)

@@ -18,12 +18,9 @@ from .errors import (
 from .spaces import (
     MetricSpace,
     Point,
-    Region,
-    SetPair,
     _point_template,
     distance,
     format_point,
-    set_distance,
 )
 from .systems import (
     CElement,
@@ -105,46 +102,6 @@ class InfimumSequence:
     witness_v: CElement
     elements: tuple[CElement, ...]
     f_values: tuple[float, ...]
-
-
-def _check_finite(p: Point, step: int) -> None:
-    for c in p:
-        if not math.isfinite(c):
-            raise NumericFailureError(f"non-finite coordinate at step {step}: {p}")
-
-
-def iterate(
-    t: Callable[[Point, CElement], Point],
-    h: Callable[[Point, CElement], CElement],
-    initial: tuple[Point, CElement],
-    steps: int,
-    *,
-    space: MetricSpace,
-    region: Optional[Region] = None,
-    f: Optional[Callable[[CElement], float]] = None,
-) -> IterationTrace:
-    """Drive x_{n+1} = t(x_n, u_n), u_{n+1} = h(x_n, u_n) for the given steps.
-
-    When a region is supplied every produced point must stay a member;
-    violations name the offending step.
-    """
-    if steps < 0:
-        raise InvalidInputError("steps must be nonnegative")
-    x, u = initial
-    if region is not None and not region.contains(x):
-        raise DomainViolationError(f"initial point {x} outside region {region.name}", step=0)
-    points, celements = [x], [u]
-    f_values = [f(u)] if f is not None else [0.0]
-    for k, (x_next, u_next) in zip(range(1, steps + 1), _orbit(t, h, x, u)):
-        _check_finite(x_next, k)
-        if region is not None and not region.contains(x_next):
-            raise DomainViolationError(
-                f"map output {x_next} left region {region.name} at step {k}", step=k
-            )
-        points.append(x_next)
-        celements.append(u_next)
-        f_values.append(f(u_next) if f is not None else 0.0)
-    return IterationTrace(space, tuple(points), tuple(celements), tuple(f_values))
 
 
 def _check_tol(tol: float) -> None:
@@ -331,42 +288,6 @@ def run_paired(
     return PairedTrace(trace_a, trace_b, rho), report
 
 
-def limit_uniqueness_check(
-    system: ExternalFactorSystem,
-    q1: Quadruple,
-    q2: Quadruple,
-    max_steps: int,
-    tol: float,
-) -> Optional[bool]:
-    """Whether two first-side starts sharing (y0, v0) reach the same limit.
-
-    Returns True/False when both traces settle, None (undecided) when either
-    fails to meet the confirmation window within max_steps.
-    """
-    _check_tol(tol)
-    q1, q2 = Quadruple(*q1), Quadruple(*q2)
-    for q in (q1, q2):
-        if not system.in_p(q):
-            raise InvalidInputError(f"quadruple not in P: {q}")
-    if q1.y != q2.y or q1.v != q2.v:
-        raise InvalidInputError("the two starts must share (y0, v0)")
-    limits = []
-    for q in (q1, q2):
-        trace = iterate(
-            system.t_a,
-            system.h_a,
-            (q.x, q.u),
-            max_steps,
-            space=system.pair.space,
-            region=system.pair.a,
-            f=system.f_a.fn,
-        )
-        limits.append(detect_limit(trace, tol))
-    if limits[0] is None or limits[1] is None:
-        return None
-    return distance(system.pair.space, limits[0], limits[1]) <= 10.0 * tol
-
-
 def make_infimum_sequence(
     system: ExternalFactorSystem,
     anchor: Point,
@@ -449,17 +370,6 @@ def uniqueness_scan(
         if tail < tol:
             violations.append(Violation(beta, tail, sep))
     return violations
-
-
-def proximity_residual(report: ConvergenceReport, pair: SetPair) -> Optional[float]:
-    """Gap between the report's tail estimate of rho(alpha, y_n) and dist(A,B).
-
-    None (undecided) when the report carries no limit.
-    """
-    if report.limit is None or report.rho_alpha_y_tail is None:
-        return None
-    dist, _ = set_distance(pair)
-    return abs(report.rho_alpha_y_tail - dist)
 
 
 @functools.lru_cache(maxsize=64)

@@ -370,30 +370,3 @@ def product_space(p1: SetPair, p2: SetPair) -> SetPair:
     if p1.dist_ab is not None and p2.dist_ab is not None:
         dist = p1.dist_ab + p2.dist_ab
     return SetPair(space, a, b, dist)
-
-
-def metric_axiom_violations(
-    space: MetricSpace, points: Sequence[Point], slack: float = 1e-12
-) -> list[str]:
-    """Check identity, symmetry and the triangle inequality on point windows.
-
-    Consecutive windows (p[i], p[i+1], p[i+2]) of the supplied list are used
-    as test triples, so n points yield n-2 triples.
-    """
-    bad: list[str] = []
-    for i in range(len(points) - 2):
-        x, y, z = points[i], points[i + 1], points[i + 2]
-        dxx = distance(space, x, x)
-        dxy = distance(space, x, y)
-        dyx = distance(space, y, x)
-        dxz = distance(space, x, z)
-        dyz = distance(space, y, z)
-        if abs(dxx) > slack:
-            bad.append(f"identity failed at {x}: rho(x,x)={dxx}")
-        if abs(dxy - dyx) > slack:
-            bad.append(f"symmetry failed at ({x},{y}): {dxy} vs {dyx}")
-        if dxz > dxy + dyz + slack:
-            bad.append(f"triangle failed at ({x},{y},{z}): {dxz} > {dxy}+{dyz}")
-        if dxy < -slack:
-            bad.append(f"negativity at ({x},{y}): {dxy}")
-    return bad

@@ -26,10 +26,6 @@ from .spaces import Point, SetPair, distance, format_point, set_distance
 #: absolute slack when judging the contraction inequality on samples
 RESIDUAL_TOL = 1e-10
 
-#: denominators at or below this are treated as degenerate in ratio estimates
-DEGENERATE_DENOM = 1e-12
-
-
 @dataclass(frozen=True)
 class Atom:
     """A tagged non-vector member of the external set."""
@@ -502,30 +498,3 @@ def _block_campaign(system, samples, seed, lam, floor, probes) -> Optional[tuple
     min_res = float(masked[i])
     arg_min = block.row(i) if min_res < math.inf else None
     return min_res, arg_min, non_finite, [block.row(k) for k in range(min(samples, probes))]
-
-
-def estimate_min_lambda(system: ExternalFactorSystem, samples: int, seed: int) -> float:
-    """Lower estimate of the least admissible contraction constant.
-
-    For each sampled quadruple the one-step left side is compared with the
-    affine floor S; the supremum of (lhs - S) / (rho + f_A + f_B - S) over
-    non-degenerate samples is a tightness probe for the declared constant.
-    The samples are checked as in a certification campaign.
-    """
-    if samples < 1:
-        raise InvalidInputError("samples must be >= 1")
-    constants = resolve_constants(system, seed=seed)
-    quads = system.p.draw(random.Random(seed), samples)
-    best: Optional[float] = None
-    for _, before, after in _one_step(
-        system, quads, "relation sampler produced a non-member quadruple"
-    ):
-        denom = before - constants.s
-        if denom <= DEGENERATE_DENOM:
-            continue
-        ratio = (after - constants.s) / denom
-        if best is None or ratio > best:
-            best = ratio
-    if best is None:
-        raise EstimationFailureError("all sampled quadruples were degenerate")
-    return min(1.0, max(0.0, best))

@@ -1,4 +1,4 @@
-"""Trace-level bound checks, tail-sup tables, and budgeted property falsifiers.
+"""Trace-level bound checks, tail sups, and budgeted property falsifiers.
 
 All falsifiers are budgeted searches.  Absence of a counterexample is
 evidence, never proof: the checked properties quantify over all sequences
@@ -25,27 +25,6 @@ from .spaces import (
 from .systems import RESIDUAL_TOL, ExternalFactorSystem, resolve_constants
 
 
-@dataclass(frozen=True)
-class TailSupTable:
-    """sup over n,m in [k, horizon] of a pairwise value, for each k."""
-
-    k_min: int
-    horizon: int
-    values: tuple[float, ...]
-
-    def at(self, k: int) -> float:
-        if not (self.k_min <= k <= self.horizon):
-            raise InvalidInputError(f"k={k} outside [{self.k_min}, {self.horizon}]")
-        return self.values[k - self.k_min]
-
-
-def _not_nan(fn: Callable[[int, int], float], n: int, m: int) -> float:
-    value = fn(n, m)
-    if math.isnan(value):
-        raise NumericFailureError(f"tail value at (n, m) = ({n}, {m}) is NaN")
-    return value
-
-
 def tail_sup(fn: Callable[[int, int], float], k: int, horizon: int) -> float:
     """Finite-horizon stand-in for the limsup-style tail quantity; NaN raises.
 
@@ -64,22 +43,6 @@ def tail_sup(fn: Callable[[int, int], float], k: int, horizon: int) -> float:
             if value > best:
                 best = value
     return best
-
-
-def tail_sup_table(fn: Callable[[int, int], float], horizon: int) -> TailSupTable:
-    """All tail sups from k = 0 in one backward sweep; nonincreasing in k; NaN raises."""
-    if horizon < 0:
-        raise InvalidInputError("empty index window: the horizon is negative")
-    values = [0.0] * (horizon + 1)
-    running = -math.inf
-    for k in range(horizon, -1, -1):
-        edge = max(
-            max(_not_nan(fn, k, m) for m in range(k, horizon + 1)),
-            max(_not_nan(fn, n, k) for n in range(k, horizon + 1)),
-        )
-        running = max(running, edge)
-        values[k] = running
-    return TailSupTable(0, horizon, tuple(values))
 
 
 def split_limit_validate(

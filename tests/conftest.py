@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import settings
@@ -17,8 +18,10 @@ from proxiter import (
     Quadruple,
     RelationP,
     SetPair,
+    distance,
     interval,
     real_line,
+    run_paired,
 )
 
 # CI selects this profile (--hypothesis-profile=ci): every run draws the same
@@ -112,6 +115,20 @@ def logged_maps(system: ExternalFactorSystem, log: list) -> ExternalFactorSystem
     return dataclasses.replace(
         system, **{name: logged(name, getattr(system, name)) for name in names}
     )
+
+
+def shared_start_limits_agree(
+    system: ExternalFactorSystem, q1: Quadruple, q2: Quadruple, max_steps: int, tol: float
+) -> Optional[bool]:
+    """Whether two starts sharing (y0, v0) reach limits within 10*tol of each other.
+
+    None (undecided) when either paired run stops without a limit.
+    """
+    assert (q1.y, q1.v) == (q2.y, q2.v), "the two starts must share (y0, v0)"
+    limits = [run_paired(system, q, max_steps, tol)[1].limit for q in (q1, q2)]
+    if None in limits:
+        return None
+    return distance(system.pair.space, *limits) <= 10.0 * tol
 
 
 @pytest.fixture

@@ -361,8 +361,11 @@ def test_list_table_and_json(capsys):
     code, out, _ = run_cli(capsys, "list")
     assert code == 0 and "cyclic3-affine" in out
     code, out, _ = run_cli(capsys, "list", "--format", "json")
-    names = {row["name"] for row in json.loads(out)["instances"]}
+    payload = json.loads(out)
+    names = {row["name"] for row in payload["instances"]}
     assert "e1" in names and "circle-origin-pair" in names
+    # list draws nothing, so it takes and reports no seed
+    assert payload["seed"] is None and "seed" not in payload["config"]
 
 
 def test_json_instance_file_via_cli(capsys, tmp_path):
@@ -567,6 +570,7 @@ def test_verify_e1_calls_the_point_map_once_per_sample(capsys, monkeypatch):
         (["verify", "--instance", "e1", "--format", "csv"], "invalid choice: 'csv'"),
         (["scan", "--kind", "uc", "--instance", "e1-pair", "--format", "csv"], "invalid choice: 'csv'"),
         (["list", "--format", "csv"], "invalid choice: 'csv'"),
+        (["list", "--seed", "7"], "unrecognized arguments: --seed 7"),
     ],
 )
 def test_usage_error_exits_one(capsys, argv, needle):
@@ -727,10 +731,8 @@ def test_falsifier_scans_refuse_a_grid_before_any_work(capsys, monkeypatch, kind
     assert err == f"error: --grid applies to uniqueness scans, not {kind} scans\n"
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path, unbuffered):
-    # the reader is gone before the child writes: block-buffered, the write
-    # fails at the flush; unbuffered, inside the command
+def _run_into_a_closed_stdout(tmp_path, argv, unbuffered):
+    """A child running the CLI whose stdout pipe has no reader left."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
@@ -739,13 +741,28 @@ def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "proxiter.cli", "list", "--format", "json"],
+        return subprocess.run(
+            [sys.executable, "-m", "proxiter.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path,
             timeout=60,
         )
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path, unbuffered):
+    # the reader is gone before the child writes: block-buffered, the write
+    # fails at the flush; unbuffered, inside the command
+    proc = _run_into_a_closed_stdout(tmp_path, ["list", "--format", "json"], unbuffered)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"]])
+def test_help_and_version_into_a_closed_stdout_exit_one(tmp_path, argv):
+    # block-buffered, as a pipe is by default: argparse's SystemExit(0) must
+    # not skip the flush; unbuffered, argparse drops the failed write itself
+    proc = _run_into_a_closed_stdout(tmp_path, argv, False)
     assert (proc.returncode, proc.stderr) == (1, "")
 
 

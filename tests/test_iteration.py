@@ -7,65 +7,31 @@ import random
 import pytest
 
 import proxiter as px
-from conftest import logged_maps
+from conftest import logged_maps, shared_start_limits_agree
 
 E1_Q0 = px.Quadruple((3.0,), (-2.0,), (3.0,), (-2.0,))
 
 
 def e1_trace(x0: float, steps: int) -> px.IterationTrace:
-    system = px.example1_system()
-    return px.iterate(
-        system.t_a,
-        system.h_a,
-        ((x0,), (x0,)),
-        steps,
-        space=system.pair.space,
-        region=system.pair.a,
-        f=system.f_a.fn,
-    )
+    """The first side of an e1 paired run from x0, at most steps long."""
+    q0 = px.Quadruple((x0,), (-2.0,), (x0,), (-2.0,))
+    return px.run_paired(px.example1_system(), q0, steps, 1e-9)[0].a
 
 
-def test_iterate_e1_absorption_chain():
+def test_e1_orbit_absorption_chain():
     trace = e1_trace(3.0, 4)
     assert trace.points == ((3.0,), (6.0,), (0.5,), (1.0,), (0.0,))
     assert trace.celements == trace.points  # the external sequence mirrors the points
 
 
-def test_iterate_fixed_start_stays_constant():
+def test_e1_orbit_fixed_start_stays_constant():
     trace = e1_trace(0.0, 25)
     assert set(trace.points) == {(0.0,)}
 
 
-def test_iterate_zero_steps():
+def test_e1_orbit_zero_steps():
     trace = e1_trace(7.0, 0)
     assert trace.points == ((7.0,),) and trace.steps == 0
-
-
-def test_iterate_domain_violation_names_step():
-    region = px.interval(0.0, 10.0, name="[0,10]")
-    space = px.real_line()
-    with pytest.raises(px.DomainViolationError) as err:
-        px.iterate(
-            lambda x, c: (x[0] + 4.0,),
-            lambda x, c: c,
-            ((5.0,), (0.0,)),
-            5,
-            space=space,
-            region=region,
-        )
-    assert err.value.step == 2  # 5 -> 9 -> 13 leaves at the second step
-
-
-def test_iterate_numeric_failure():
-    space = px.real_line()
-    with pytest.raises(px.NumericFailureError):
-        px.iterate(
-            lambda x, c: (x[0] * 1e200,),
-            lambda x, c: c,
-            ((1.0,), (0.0,)),
-            5,
-            space=space,
-        )
 
 
 def test_run_paired_e1_reaches_floor():
@@ -152,37 +118,30 @@ def test_detect_limit_two_cycle_returns_nothing():
     assert px.detect_limit(trace, 1e-9) is None
 
 
-def test_limit_uniqueness_check_shared_tail():
+def test_shared_start_limits_agree_shared_tail():
     system = px.example1_system()
     q1 = px.Quadruple((3.0,), (-2.0,), (3.0,), (-2.0,))
     q2 = px.Quadruple((97.3,), (-2.0,), (97.3,), (-2.0,))
-    assert px.limit_uniqueness_check(system, q1, q2, 500, 1e-9) is True
+    assert shared_start_limits_agree(system, q1, q2, 500, 1e-9) is True
 
 
-def test_limit_uniqueness_check_identical_starts():
+def test_shared_start_limits_agree_identical_starts():
     system = px.example1_system()
-    assert px.limit_uniqueness_check(system, E1_Q0, E1_Q0, 200, 1e-9) is True
+    assert shared_start_limits_agree(system, E1_Q0, E1_Q0, 200, 1e-9) is True
 
 
-def test_limit_uniqueness_check_cyclic_reduction_diagonal_starts():
+def test_shared_start_limits_agree_cyclic_reduction_diagonal_starts():
     system = px.cyclic3_reduce(px.affine_cyclic_example())
     quads = system.p.draw(random.Random(4), 2)
     q1 = quads[0]
     q2 = px.Quadruple(quads[1].x, q1.y, quads[1].u, q1.v)
-    assert px.limit_uniqueness_check(system, q1, q2, 400, 1e-9) is True
+    assert shared_start_limits_agree(system, q1, q2, 400, 1e-9) is True
 
 
-def test_limit_uniqueness_check_undecided_when_budget_too_small():
+def test_shared_start_limits_agree_undecided_when_budget_too_small():
     system = px.example1_system()
     q2 = px.Quadruple((97.3,), (-2.0,), (97.3,), (-2.0,))
-    assert px.limit_uniqueness_check(system, E1_Q0, q2, 3, 1e-12) is None
-
-
-def test_limit_uniqueness_check_requires_shared_witness():
-    system = px.example1_system()
-    q2 = px.Quadruple((5.0,), (-3.0,), (5.0,), (-3.0,))
-    with pytest.raises(px.InvalidInputError):
-        px.limit_uniqueness_check(system, E1_Q0, q2, 100, 1e-9)
+    assert shared_start_limits_agree(system, E1_Q0, q2, 3, 1e-12) is None
 
 
 def test_make_infimum_sequence_constant_zero_valid():
@@ -309,8 +268,7 @@ def test_uniqueness_scan_flags_second_fixed_point(two_fixed_point_system):
 def test_proximity_residual_converged_run():
     system = px.example1_system()
     _, report = px.run_paired(system, E1_Q0, 300, 1e-9)
-    value = px.proximity_residual(report, system.pair)
-    assert value is not None and value <= 1e-6
+    assert report.proximity_residual is not None and report.proximity_residual <= 1e-6
 
 
 def test_proximity_residual_degenerate_distance():
@@ -320,8 +278,7 @@ def test_proximity_residual_degenerate_distance():
     )
     q0 = px.Quadruple((64.0,), (32.0,), px.Atom("unit"), px.Atom("unit"))
     _, report = px.run_paired(system, q0, 400, 1e-9)
-    value = px.proximity_residual(report, system.pair)
-    assert value == pytest.approx(report.rho_alpha_y_tail, abs=1e-15)
+    assert report.proximity_residual == pytest.approx(report.rho_alpha_y_tail, abs=1e-15)
 
 
 def test_proximity_residual_cyclic_reduction():
@@ -329,13 +286,12 @@ def test_proximity_residual_cyclic_reduction():
     system = px.cyclic3_reduce(ct)
     q0 = system.p.draw(random.Random(2), 1)[0]
     _, report = px.run_paired(system, q0, 400, 1e-9)
-    value = px.proximity_residual(report, system.pair)
-    assert value is not None and value <= 1e-6
+    assert report.proximity_residual is not None and report.proximity_residual <= 1e-6
 
 
 def test_proximity_residual_undecided_without_limit():
-    report = px.ConvergenceReport(None, None, None, None, None, 5, "max-steps", 1.0)
-    assert px.proximity_residual(report, px.example1_pair()) is None
+    _, report = px.run_paired(px.example1_system(), E1_Q0, 3, 1e-9)
+    assert report.limit is None and report.proximity_residual is None
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -356,24 +312,6 @@ def test_trace_csv_round_trip(tmp_path):
 
 # ---------------------------------------------------------------------------
 # one orbit per side: map calls, check order and the settle rule
-
-
-def test_iterate_calls_each_map_once_per_step():
-    log = []
-
-    def t(x, c):
-        log.append("t")
-        return (x[0] / 2.0,)
-
-    def h(x, c):
-        log.append("h")
-        return c
-
-    for steps in (0, 1, 7):
-        log.clear()
-        trace = px.iterate(t, h, ((8.0,), (0.0,)), steps, space=px.real_line())
-        assert trace.steps == steps
-        assert log == ["t", "h"] * steps
 
 
 @pytest.mark.parametrize("max_steps", [0, 5, 500])
@@ -420,10 +358,6 @@ def test_run_paired_non_finite_side_b_outranks_side_a_leaving():
     q0 = px.Quadruple((5.0,), (1.0,), atom, atom)
     with pytest.raises(px.NumericFailureError, match="step 2"):
         px.run_paired(system, q0, 10, 1e-9)
-    with pytest.raises(px.NumericFailureError, match="step 2"):
-        px.iterate(
-            system.t_b, system.h_b, ((1.0,), atom), 10, space=px.real_line(), region=region_a
-        )
 
 
 def _trace(*xs):

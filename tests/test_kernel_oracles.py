@@ -38,13 +38,18 @@ from proxiter.iteration import (
     ConvergenceReport,
     IterationTrace,
     PairedTrace,
-    _check_finite,
     _check_tol,
     run_paired,
 )
-from proxiter.spaces import MetricSpace, Region, distance
+from proxiter.spaces import MetricSpace, Point, Region, distance
 from proxiter.systems import RESIDUAL_TOL, SystemConstants, _orbit
 from proxiter.validators import BoundCertificate, _bound_constants, check_l2_bound
+
+
+def _check_finite(p: Point, step: int) -> None:
+    for c in p:
+        if not math.isfinite(c):
+            raise NumericFailureError(f"non-finite coordinate at step {step}: {p}")
 
 
 def reference_run_paired(system, q0, max_steps, tol, *, constants):

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxiter as px
+from conftest import shared_start_limits_agree
 from proxiter.cli import main
 
 #: commands cheap enough to repeat per example; each reads --seed
@@ -119,7 +120,7 @@ def test_e1_starts_sharing_the_second_side_never_split(seed):
     system = BOUND_SYSTEMS["e1"]
     q1, q2 = system.p.draw(random.Random(seed), 2)
     q2 = px.Quadruple(q2.x, q1.y, q2.u, q1.v)
-    assert px.limit_uniqueness_check(system, q1, q2, 400, 1e-9) in (True, None)
+    assert shared_start_limits_agree(system, q1, q2, 400, 1e-9) in (True, None)
 
 
 def test_cyclic3_affine_residuals_are_under_the_tolerance():

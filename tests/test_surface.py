@@ -1,10 +1,15 @@
-"""Surface guard: every defaulted parameter of the package is set by some call.
+"""Surface guards: every defaulted parameter is set by some call, and every
+exported function is reached by the package or named as library-only.
 
 A default that no call in src/, tests/ or perfbench/ ever overrides is a
 setting nobody runs or tests; the value belongs in the function body.
 Calls are matched by the called name (``f(...)`` or ``obj.f(...)``), so a
 parameter counts as set when any same-named call passes it by keyword or
 by position, or passes ``*args`` or ``**kwargs``.  Dunder methods are exempt.
+
+An exported function that no other code of the package loads is reached by
+no command; it must state a checked property of its own (``LIBRARY_ONLY``)
+or go.
 """
 
 from __future__ import annotations
@@ -74,3 +79,59 @@ def test_every_defaulted_parameter_is_set_by_some_call():
             ):
                 unset.append(f"{label}({param})")
     assert not unset, "defaulted parameters no call sets: " + ", ".join(unset)
+
+
+#: exported functions no package code calls, and the statement each checks
+LIBRARY_ONLY = {
+    "contraction_residual": "the contraction inequality at one quadruple "
+    "(perfbench/tracing.py spans it by name)",
+    "detect_limit": "the confirmation-window limit rule on a finished trace "
+    "(perfbench/tracing.py spans it by name)",
+    "split_limit_validate": "the split-limit step: a summed tail near the summed "
+    "floor puts each tail near its own floor (acceptance criterion 8)",
+    "example1_fa": "Example 1's penalty f_A, the reference for the e1 kernels",
+    "example1_fb": "Example 1's penalty f_B, the reference for the e1 kernels",
+    "pow2_floor": "Example 1's dyadic band 2^floor(log2 x), the reference for "
+    "the e1 point map",
+}
+
+
+def _exported_functions() -> dict[str, str]:
+    """Name -> defining module for each module-level function __init__.py re-exports."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    out = {}
+    for node in init.body:
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        module = ast.parse((PACKAGE / f"{node.module}.py").read_text())
+        defs = {d.name for d in module.body if isinstance(d, ast.FunctionDef)}
+        out.update({a.name: node.module for a in node.names if a.name in defs})
+    return out
+
+
+def _loaders() -> dict[str, set]:
+    """Name -> the (module, top-level def or None) places that load it, outside __init__.py."""
+    out: dict[str, set] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            owner = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    out.setdefault(node.id, set()).add((path.stem, owner))
+    return out
+
+
+def test_every_exported_function_is_called_or_library_only():
+    loaders = _loaders()
+    # a load inside the function's own body is recursion, which reaches nothing
+    uncalled = {
+        name
+        for name, module in _exported_functions().items()
+        if not loaders.get(name, set()) - {(module, name)}
+    }
+    unlisted = sorted(uncalled - LIBRARY_ONLY.keys())
+    stale = sorted(LIBRARY_ONLY.keys() - uncalled)
+    assert not unlisted, "exported functions no package code calls: " + ", ".join(unlisted)
+    assert not stale, "LIBRARY_ONLY entries that are called or not exported: " + ", ".join(stale)

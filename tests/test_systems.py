@@ -192,8 +192,7 @@ def test_verify_contraction_refutes_a_probe_that_leaves_p():
     assert plain.reason == "negative-residual" and plain.p_invariant
 
 
-def test_estimate_min_lambda_e1_matches_tightness_oracle():
-    system = px.example1_system()
+def test_e1_tightness_grid_oracle_peaks_at_five_eighths():
     # grid oracle: ratio (lhs - s) / (rho + f_a + f_b - s) peaks at 5/8;
     # equality is attained at (0, -2) and approached below dyadic boundaries
     s = 1.0
@@ -212,35 +211,6 @@ def test_estimate_min_lambda_e1_matches_tightness_oracle():
     ys = [-1.0 - i * 0.61 for i in range(163)] + [-2.0]
     grid_sup = max(ratio(x, y) for x in xs for y in ys)
     assert 0.6 < grid_sup <= 5.0 / 8.0 + 1e-12
-
-    estimate = px.estimate_min_lambda(system, 10000, seed=2)
-    assert 0.5 < estimate <= 5.0 / 8.0 + 1e-6
-
-
-def test_estimate_min_lambda_banach_slope():
-    estimate = px.estimate_min_lambda(banach(lambda x: (0.3 * x[0],), 0.3), 10000, seed=4)
-    assert estimate == pytest.approx(0.3, abs=1e-9)
-
-
-def test_estimate_min_lambda_below_declared_on_certified_systems():
-    # tightness probe never exceeds the declared constant on certified systems
-    reduction = px.cyclic3_reduce(px.affine_cyclic_example())
-    assert px.estimate_min_lambda(reduction, 4000, seed=6) <= reduction.lam + 1e-6
-    prod = px.example1_product_system()
-    assert px.estimate_min_lambda(prod, 4000, seed=6) <= prod.lam + 1e-6
-
-
-def test_estimate_min_lambda_constant_maps():
-    system = banach(lambda x: (5.0,), 0.0)
-    assert px.estimate_min_lambda(system, 1000, seed=3) == 0.0
-
-
-def test_estimate_min_lambda_all_degenerate():
-    # singleton regions: every sampled quadruple sits exactly on the floor
-    region = px.singleton_region(2.0)
-    system = px.banach_system(lambda x: x, px.real_line(), region, 0.0, name="point")
-    with pytest.raises(px.EstimationFailureError):
-        px.estimate_min_lambda(system, 100, seed=0)
 
 
 def test_check_p_invariance_e1_depth_20():

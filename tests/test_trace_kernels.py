@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import math
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -36,10 +37,16 @@ from proxiter.validators import (
     CDCounterexample,
     _aitken_limit,
     _intake,
-    _not_nan,
     cd_falsify,
     tail_sup,
 )
+
+
+def _not_nan(fn: Callable[[int, int], float], n: int, m: int) -> float:
+    value = fn(n, m)
+    if math.isnan(value):
+        raise NumericFailureError(f"tail value at (n, m) = ({n}, {m}) is NaN")
+    return value
 
 
 def reference_format_point(p, digits=17):

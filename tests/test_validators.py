@@ -1,4 +1,4 @@
-"""Bound checks, tail-sup tables, and the property falsifiers."""
+"""Bound checks, tail sups, and the property falsifiers."""
 
 import math
 import random
@@ -44,24 +44,6 @@ def test_tail_sup_e1_trace_tail_reaches_floor():
     assert abs(tail - 1.0) <= 1e-6
 
 
-def test_tail_sup_table_matches_direct_and_monotone():
-    rng = random.Random(5)
-    values = [[rng.uniform(0, 10) for _ in range(31)] for _ in range(31)]
-    fn = lambda n, m: values[n][m]
-    table = px.tail_sup_table(fn, 30)
-    for k in (0, 7, 20, 30):
-        assert table.at(k) == px.tail_sup(fn, k, 30)
-    assert all(a >= b for a, b in zip(table.values, table.values[1:]))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(-50, 50), min_size=4, max_size=25))
-def test_tail_sup_table_nonincreasing_property(xs):
-    fn = lambda n, m: xs[n] + xs[m]
-    table = px.tail_sup_table(fn, len(xs) - 1)
-    assert all(a >= b - 1e-12 for a, b in zip(table.values, table.values[1:]))
-
-
 def test_tail_sup_raises_on_nan_naming_the_index_pair():
     def fn(n, m):
         return math.nan if (n, m) == (4, 2) else 1.0 / (1 + n + m)
@@ -69,8 +51,6 @@ def test_tail_sup_raises_on_nan_naming_the_index_pair():
     for k in (0, 2):
         with pytest.raises(px.NumericFailureError, match=r"\(4, 2\)"):
             px.tail_sup(fn, k, 6)
-    with pytest.raises(px.NumericFailureError, match=r"\(4, 2\)"):
-        px.tail_sup_table(fn, 6)
     assert px.tail_sup(fn, 5, 6) == 1.0 / 11
 
 
@@ -341,8 +321,8 @@ def test_uc_falsify_none_on_overlapping_sets():
 
 
 def test_randomized_convergent_fixtures():
-    # randomized fixtures: split-limit conclusion plus tail-sup monotonicity
-    # and convergence of the tail sup onto the summed floor
+    # randomized fixtures: split-limit conclusion plus convergence of the
+    # tail sup onto the summed floor
     rng = random.Random(2024)
     for _ in range(200):
         fx, fy = rng.uniform(-5, 5), rng.uniform(-5, 5)
@@ -351,9 +331,7 @@ def test_randomized_convergent_fixtures():
         xs = [fx + cx * rx ** n for n in range(40)]
         ys = [fy + cy * ry ** n for n in range(40)]
         assert px.split_limit_validate(xs, ys, fx, fy, [1.0, 0.1, 0.01])
-        table = px.tail_sup_table(lambda n, m: xs[n] + ys[m], 39)
-        assert all(a >= b - 1e-12 for a, b in zip(table.values, table.values[1:]))
-        assert abs(table.at(35) - (fx + fy)) <= 1e-3
+        assert abs(px.tail_sup(lambda n, m: xs[n] + ys[m], 35, 39) - (fx + fy)) <= 1e-3
 
 
 def _uc_gen_of(xs, zs, ys):

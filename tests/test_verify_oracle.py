@@ -38,13 +38,11 @@ from proxiter.errors import (
 )
 from proxiter.spaces import MetricSpace, Region, distance
 from proxiter.systems import (
-    DEGENERATE_DENOM,
     RESIDUAL_TOL,
     CertificationReport,
     SystemConstants,
     check_p_invariance,
     contraction_residual,
-    estimate_min_lambda,
     resolve_constants,
     verify_contraction,
 )
@@ -140,25 +138,6 @@ def reference_contraction_residual(system, q, constants):
         system, q, system.t_a(q.x, q.u), system.t_b(q.y, q.v)
     )
     return system.lam * before + (1.0 - system.lam) * constants.s - after
-
-
-def reference_min_lambda(system, quads, s):
-    """estimate_min_lambda's ratio sweep over the given quadruples."""
-    best = None
-    for raw in quads:
-        q = Quadruple(*raw)
-        before, after = reference_one_step_sides(
-            system, q, system.t_a(q.x, q.u), system.t_b(q.y, q.v)
-        )
-        denom = before - s
-        if denom <= DEGENERATE_DENOM:
-            continue
-        ratio = (after - s) / denom
-        if best is None or ratio > best:
-            best = ratio
-    if best is None:
-        raise EstimationFailureError("all sampled quadruples were degenerate")
-    return min(1.0, max(0.0, best))
 
 
 def _outcome(fn, *args, **kwargs):
@@ -399,7 +378,7 @@ def test_verify_contraction_matches_the_reference(
 
 
 #: the calls both residual paths make: the package also tests the T outputs' regions,
-#: which the reference residual and ratio sweep never did
+#: which the reference residual never did
 CORE_CALLS = {"t_a", "h_a", "t_b", "h_b", "f_a", "f_b", "metric", "p"}
 
 
@@ -425,25 +404,6 @@ def test_contraction_residual_matches_the_reference(case, maps, shared, pens, la
 
 
 EXACT_ZERO = SystemConstants(0.0, "exact", 0.0, "exact", 0.0, "exact")
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    case=campaigns(("neg-zero-a", "nan-u", "inf-after-b")),
-    maps=st.tuples(affine, affine),
-    shared=st.tuples(st.booleans(), st.booleans()),
-    pens=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
-)
-def test_estimate_min_lambda_matches_the_reference(case, maps, shared, pens):
-    # the generated systems have exact zero constants, so S = 0
-    space_key, quads = case
-    _both(
-        lambda system: reference_min_lambda(system, quads, 0.0),
-        lambda system: estimate_min_lambda(system, 5, 0),
-        lambda log: _system(space_key, maps, shared, pens, 0.5, quads, False, log),
-        lambda fn, system: fn(system),
-        keep=CORE_CALLS - {"p"},
-    )
 
 
 def _run(fault_quads, space_key="R", shared=(True, False), plain=False, consts=EXACT_ZERO):
