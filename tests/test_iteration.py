@@ -337,27 +337,61 @@ def test_run_paired_calls_stop_at_the_divergence_guard():
     assert log == ["t_a", "h_a", "t_b", "h_b"] * 4
 
 
-def test_run_paired_non_finite_side_b_outranks_side_a_leaving():
-    # at step 2, x = 13 leaves [0, 10] while y turns NaN
-    region_a = px.interval(0.0, 10.0, name="[0,10]")
-    region_b = px.interval(-math.inf, math.inf, name="R")
-    atom = px.Atom("unit")
-    system = px.ExternalFactorSystem(
-        name="leave-and-overflow",
+ATOM = px.Atom("unit")
+
+
+def one_atom_system(region_a, region_b, t_a, t_b):
+    """A system on the line with a single external atom and a relation that admits all."""
+    return px.ExternalFactorSystem(
+        name="one-atom",
         pair=px.SetPair(px.real_line(), region_a, region_b, dist_ab=0.0),
-        c_universe=px.CUniverse("single atom", lambda rng, n: [atom] * n),
-        t_a=lambda x, c: (x[0] + 4.0,),
-        h_a=lambda x, c: atom,
-        t_b=lambda y, c: (math.nan,) if y[0] == 2.0 else (y[0] + 1.0,),
-        h_b=lambda y, c: atom,
+        c_universe=px.CUniverse("single atom", lambda rng, n: [ATOM] * n),
+        t_a=t_a,
+        h_a=lambda x, c: ATOM,
+        t_b=t_b,
+        h_b=lambda y, c: ATOM,
         f_a=px.ExternalFactor(lambda c: 0.0, 0.0),
         f_b=px.ExternalFactor(lambda c: 0.0, 0.0),
         p=px.RelationP(lambda x, y, u, v: True, lambda rng, n: []),
         lam=0.5,
     )
-    q0 = px.Quadruple((5.0,), (1.0,), atom, atom)
+
+
+def test_run_paired_non_finite_side_b_outranks_side_a_leaving():
+    # at step 2, x = 13 leaves [0, 10] while y turns NaN
+    system = one_atom_system(
+        px.interval(0.0, 10.0, name="[0,10]"),
+        px.interval(-math.inf, math.inf, name="R"),
+        lambda x, c: (x[0] + 4.0,),
+        lambda y, c: (math.nan,) if y[0] == 2.0 else (y[0] + 1.0,),
+    )
+    q0 = px.Quadruple((5.0,), (1.0,), ATOM, ATOM)
     with pytest.raises(px.NumericFailureError, match="step 2"):
         px.run_paired(system, q0, 10, 1e-9)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_run_paired_domain_violation_names_step(side):
+    # the leaving side walks 5 -> 9 -> 13 and leaves [0, 10] at the second step;
+    # the other side stays at its fixed point 5
+    box = px.interval(0.0, 10.0, name="[0,10]")
+    walk, stay = (lambda p, c: (p[0] + 4.0,)), (lambda p, c: p)
+    maps = (walk, stay) if side == "a" else (stay, walk)
+    system = one_atom_system(box, box, *maps)
+    q0 = px.Quadruple((5.0,), (5.0,), ATOM, ATOM)
+    with pytest.raises(px.DomainViolationError) as err:
+        px.run_paired(system, q0, 5, 1e-9)
+    assert err.value.step == 2
+    assert str(err.value) == f"T_{side.upper()} output (13.0,) left region [0,10] at step 2"
+
+
+def test_run_paired_overflow_to_infinity_names_step():
+    # 10 * 1e308 overflows at the first step, before the divergence guard can stop the run
+    line = px.interval(-math.inf, math.inf, name="R")
+    system = one_atom_system(line, line, lambda x, c: (x[0] * 1e308,), lambda y, c: y)
+    q0 = px.Quadruple((10.0,), (0.0,), ATOM, ATOM)
+    with pytest.raises(px.NumericFailureError, match="non-finite coordinate at step 1"):
+        px.run_paired(system, q0, 5, 1e-9)
 
 
 def _trace(*xs):

@@ -93,6 +93,28 @@ def test_verify_contraction_banach_at_lipschitz():
     assert report.certified
 
 
+def test_verify_contraction_refutes_a_lambda_below_the_banach_slope():
+    # the residual is (lambda - 0.3) |x - y|: zero at the slope, negative below it
+    at_slope = px.verify_contraction(banach(lambda x: (0.3 * x[0],), 0.3), 2000, seed=4)
+    assert at_slope.certified and at_slope.min_residual >= -1e-10
+    below = px.verify_contraction(banach(lambda x: (0.3 * x[0],), 0.25), 2000, seed=4)
+    assert below.verdict == "refuted" and below.reason == "negative-residual"
+    assert below.min_residual < -1e-10
+
+
+def test_verify_contraction_certifies_constant_maps_at_lambda_zero():
+    report = px.verify_contraction(banach(lambda x: (5.0,), 0.0), 1000, seed=3)
+    assert report.certified and report.min_residual == 0.0
+
+
+def test_verify_contraction_certifies_a_singleton_region_on_the_floor():
+    # every sampled quadruple sits exactly on the floor: each residual is zero
+    region = px.singleton_region(2.0)
+    system = px.banach_system(lambda x: x, px.real_line(), region, 0.0, name="point")
+    report = px.verify_contraction(system, 100, seed=0)
+    assert report.certified and report.min_residual == 0.0
+
+
 KERNEL_SYSTEMS = {
     "e1": px.example1_system,
     "e1-lam-0.5": lambda: dataclasses.replace(px.example1_system(), lam=0.5),

@@ -44,6 +44,26 @@ def test_tail_sup_e1_trace_tail_reaches_floor():
     assert abs(tail - 1.0) <= 1e-6
 
 
+def test_tail_sup_matches_direct_and_nonincreasing_in_k():
+    rng = random.Random(5)
+    values = [[rng.uniform(0, 10) for _ in range(31)] for _ in range(31)]
+    fn = lambda n, m: values[n][m]
+    sups = [px.tail_sup(fn, k, 30) for k in range(31)]
+    for k in (0, 7, 20, 30):
+        assert sups[k] == max(values[n][m] for n in range(k, 31) for m in range(k, 31))
+    assert all(a >= b for a, b in zip(sups, sups[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-50, 50), min_size=4, max_size=25))
+def test_tail_sup_nonincreasing_property(xs):
+    # a later window is a sub-window of an earlier one, so its sup is no larger
+    fn = lambda n, m: xs[n] + xs[m]
+    horizon = len(xs) - 1
+    sups = [px.tail_sup(fn, k, horizon) for k in range(horizon + 1)]
+    assert all(a >= b for a, b in zip(sups, sups[1:]))
+
+
 def test_tail_sup_raises_on_nan_naming_the_index_pair():
     def fn(n, m):
         return math.nan if (n, m) == (4, 2) else 1.0 / (1 + n + m)
