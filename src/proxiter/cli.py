@@ -22,14 +22,12 @@ from .errors import ProxiterError
 from .instances import (
     ALIASES,
     REGISTRIES,
-    certify_cyclic,
-    cyclic3_reduce,
     cyclic3_solve,
-    cyclic_refuted,
     list_instances,
     load_instance_json,
     pair_cd_generator,
     pair_uc_generator,
+    verify_cyclic,
 )
 from .iteration import (
     PairedRun,
@@ -184,15 +182,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "--lambda applies to system instances; a cyclic verify certifies "
                 "its reduction's own constant"
             )
-        ct = entry.build()
-        worst, arg = certify_cyclic(ct, samples=args.samples, seed=args.seed)
+        worst, arg, cert = verify_cyclic(entry.build(), args.samples, args.seed, args.depth)
         payload = {"summed_residual_min": worst}
-        if cyclic_refuted(worst):
+        if cert is None:
             payload["witness"] = [format_point(p) for p in arg]
             _emit(_report("verify", args, verdict="refuted", **payload), args.out)
             return EXIT_REFUTED
-        system = cyclic3_reduce(ct)
-        cert = verify_contraction(system, args.samples, args.seed, depth=args.depth)
         payload["reduction"] = cert.to_dict()
         verdict = "certified-on-samples" if cert.certified else "refuted"
         _emit(_report("verify", args, verdict=verdict, **payload), args.out)
@@ -314,8 +309,20 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_REFUTED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose own output fails as every command's does.
+
+    argparse drops an OSError from writing its help, version or usage text,
+    so with an unbuffered stdout a closed pipe would lose --help silently.
+    """
+
+    def _print_message(self, message, file):
+        if message:
+            file.write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="proxiter",
         description="Run, certify and falsify externally-driven contraction systems.",
     )
@@ -327,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=(*formats, "json"), default="json")
 
     p_list = sub.add_parser("list", help="list built-in instances")
-    common(p_list)
+    common(p_list, "table")
     p_list.set_defaults(func=cmd_list, format="table")
 
     p_run = sub.add_parser("run", help="run the paired iteration")

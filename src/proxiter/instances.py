@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import InvalidInputError, RefutedError
+from .errors import InvalidInputError, ProxiterError, RefutedError
 from .iteration import PairedTrace, run_paired
 from .spaces import (
     MetricSpace,
@@ -40,18 +40,23 @@ from .spaces import (
     vector_space,
 )
 from .systems import (
+    INVARIANCE_PROBES,
     RESIDUAL_TOL,
     Atom,
     Block,
     CElement,
+    CertificationReport,
     CPair,
     CUniverse,
     ExternalFactor,
     ExternalFactorSystem,
     Quadruple,
     RelationP,
+    campaign_report,
     declare_block,
     live_block,
+    resolve_constants,
+    verify_contraction,
 )
 
 
@@ -513,13 +518,18 @@ class CyclicTriple:
         return sum(self.dists)
 
 
+def _summed_residual(d, k, floor, x1, x2, x3, tx1, tx2, tx3) -> float:
+    """k times the perimeter of x1, x2, x3, plus floor, minus the perimeter of their images."""
+    perim = d(x1, x2) + d(x2, x3) + d(x3, x1)
+    image = d(tx1, tx2) + d(tx2, tx3) + d(tx3, tx1)
+    return k * perim + floor - image
+
+
 def cyclic_residual(ct: CyclicTriple, x1: Point, x2: Point, x3: Point) -> float:
     """Slack of the summed contraction inequality at one triple (>= 0 iff it holds)."""
-    d = ct.space.metric
-    perim = d(x1, x2) + d(x2, x3) + d(x3, x1)
-    tx1, tx2, tx3 = ct.t(x1), ct.t(x2), ct.t(x3)
-    image = d(tx1, tx2) + d(tx2, tx3) + d(tx3, tx1)
-    return ct.k * perim + (1.0 - ct.k) * ct.d_total - image
+    floor = (1.0 - ct.k) * ct.d_total
+    t = ct.t
+    return _summed_residual(ct.space.metric, ct.k, floor, x1, x2, x3, t(x1), t(x2), t(x3))
 
 
 def certify_cyclic(
@@ -530,18 +540,114 @@ def certify_cyclic(
     The first NaN or infinite residual is returned at once with its triple,
     so that ``cyclic_refuted`` refuses it.
     """
+    worst, arg, _ = _cyclic_campaign(ct, samples, seed, None)
+    return worst, arg
+
+
+def _cyclic_campaign(ct: CyclicTriple, samples: int, seed: int, reduction) -> tuple:
+    """(worst, arg, campaign) from one draw of triples.
+
+    worst and arg are ``certify_cyclic``'s minimum and triple.  reduction is
+    None, or (system, constants) for system ``cyclic3_reduce(ct)``.  With a
+    reduction, each triple (g, b, c) is also the sample
+    ``_reduction_quadruple(g, b, c)``: its T^3 outputs continue the images
+    T(g), T(b), T(c) that the triple's residual took, so a sample makes 9 map
+    calls, and its sums repeat ``_one_step``'s order.  campaign is then
+    ``_scalar_campaign``'s tuple for ``verify_contraction(system, samples,
+    seed)``, bit for bit.  It is None without a reduction, or once a
+    reduction sample fails a check or raises; the triple's own errors raise.
+    """
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
-    draw = draw_columns([region.draw for region in ct.regions], lambda *xs: xs)
+    t, d, k = ct.t, ct.space.metric, ct.k
+    floor = (1.0 - k) * ct.d_total
+    isfinite = math.isfinite
     worst = math.inf
     arg = None
-    for x1, x2, x3 in draw(random.Random(seed), samples):
-        r = cyclic_residual(ct, x1, x2, x3)
-        if not math.isfinite(r):
-            return r, (x1, x2, x3)
+    live = reduction is not None
+    if live:
+        system, constants = reduction
+        p_contains = system.p.contains
+        a_contains, b_contains = system.pair.a.contains, system.pair.b.contains
+        metric, dim = system.pair.space.metric, system.pair.space.dim
+        f_b = system.f_b.fn
+        # u and H_A(x, u) are ONE_ATOM in every sample, so both f_A terms are this
+        f_a_one = system.f_a.fn(ONE_ATOM)
+        lam = system.lam
+        r_floor = (1.0 - lam) * constants.s
+        min_res = math.inf
+        arg_min = non_finite = None
+        probed = []
+    draw = draw_columns([region.draw for region in ct.regions], lambda *xs: xs)
+    for g, b, c in draw(random.Random(seed), samples):
+        tg, tb, tc = t(g), t(b), t(c)
+        r = _summed_residual(d, k, floor, g, b, c, tg, tb, tc)
+        if not isfinite(r):
+            return r, (g, b, c), None
         if r < worst:
-            worst, arg = r, (x1, x2, x3)
-    return worst, arg
+            worst, arg = r, (g, b, c)
+        if not live:
+            continue
+        # _reduction_quadruple's points; the quadruple itself is built only
+        # for a witness or a probe
+        x, y = g + g, b + c
+        try:
+            # the reduction's T at a diagonal point maps its one half
+            ga = t(t(tg))
+            ta_out, tb_out = ga + ga, t(t(tb)) + t(t(tc))
+            live = (
+                p_contains(x, y, ONE_ATOM, y)
+                and a_contains(ta_out)
+                and b_contains(tb_out)
+                and len(x) == len(y) == len(ta_out) == len(tb_out) == dim
+            )
+            if not live:
+                continue
+            before = metric(x, y) + f_a_one + f_b(y)
+            after = metric(ta_out, tb_out)
+            after += f_a_one
+            after += f_b(tb_out)
+        except ProxiterError:
+            # verify_cyclic's generic campaign raises it, after the triple's verdict
+            live = False
+            continue
+        res = lam * before + r_floor - after
+        if res < min_res:
+            min_res, arg_min = res, _reduction_quadruple(g, b, c)
+        if non_finite is None and not isfinite(res):
+            non_finite = _reduction_quadruple(g, b, c)
+        if len(probed) < INVARIANCE_PROBES:
+            probed.append(_reduction_quadruple(g, b, c))
+    if not live:
+        return worst, arg, None
+    return worst, arg, (min_res, arg_min, non_finite, probed)
+
+
+def verify_cyclic(
+    ct: CyclicTriple, samples: int, seed: int, depth: int
+) -> tuple[float, Optional[tuple[Point, Point, Point]], Optional[CertificationReport]]:
+    """The summed inequality, then the product-space reduction, from one campaign.
+
+    Returns ``certify_cyclic(ct, samples, seed)``'s minimum and triple, and
+    ``verify_contraction(cyclic3_reduce(ct), samples, seed, depth=depth)``'s
+    report with the same bits, or None in its place when the triple refutes
+    (``cyclic_refuted``).  The triple's verdict comes first: a reduction that
+    cannot be built, takes a negative depth, or fails a check or raises on a
+    sample is certified after it by ``verify_contraction``, which raises its
+    first error.
+    """
+    try:
+        system = cyclic3_reduce(ct)
+        constants = resolve_constants(system, seed=seed)
+    except ProxiterError:
+        system = None
+    reduction = (system, constants) if system is not None and depth >= 0 else None
+    worst, arg, campaign = _cyclic_campaign(ct, samples, seed, reduction)
+    if cyclic_refuted(worst):
+        return worst, arg, None
+    if campaign is None:
+        return worst, arg, verify_contraction(cyclic3_reduce(ct), samples, seed, depth=depth)
+    return worst, arg, campaign_report(system, samples, seed, depth, constants, campaign)
 
 
 def cyclic_refuted(worst: float) -> bool:
@@ -763,11 +869,13 @@ def singleton_cyclic_example() -> CyclicTriple:
     pts = [(10.0,), (20.0,), (30.0,)]
     regions = tuple(singleton_region(p, name=f"pt-{int(p[0])}") for p in pts)
 
+    successor = {pts[j]: pts[(j + 1) % 3] for j in range(3)}
+
     def t(p: Point) -> Point:
-        for j in range(3):
-            if p == pts[j]:
-                return pts[(j + 1) % 3]
-        raise InvalidInputError(f"point {p} is not one of the three singletons")
+        image = successor.get(p)
+        if image is None:
+            raise InvalidInputError(f"point {p} is not one of the three singletons")
+        return image
 
     return CyclicTriple(real_line(), regions, t, 0.5, (10.0, 10.0, 20.0))
 

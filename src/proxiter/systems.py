@@ -26,6 +26,9 @@ from .spaces import Point, SetPair, distance, format_point, set_distance
 #: absolute slack when judging the contraction inequality on samples
 RESIDUAL_TOL = 1e-10
 
+#: sampled quadruples whose orbits a campaign probes for P-invariance
+INVARIANCE_PROBES = 4
+
 @dataclass(frozen=True)
 class Atom:
     """A tagged non-vector member of the external set."""
@@ -375,7 +378,7 @@ def verify_contraction(
     seed: int,
     *,
     depth: int = 8,
-    invariance_probes: int = 4,
+    invariance_probes: int = INVARIANCE_PROBES,
     constants: Optional[SystemConstants] = None,
 ) -> CertificationReport:
     """Sample quadruples from P and certify the three contraction conditions.
@@ -409,6 +412,23 @@ def verify_contraction(
     campaign = _block_campaign(system, samples, seed, lam, floor, probes)
     if campaign is None:
         campaign = _scalar_campaign(system, samples, seed, lam, floor, probes)
+    return campaign_report(system, samples, seed, depth, constants, campaign)
+
+
+def campaign_report(
+    system: ExternalFactorSystem,
+    samples: int,
+    seed: int,
+    depth: int,
+    constants: SystemConstants,
+    campaign: tuple,
+) -> CertificationReport:
+    """``verify_contraction``'s report from a finished campaign.
+
+    campaign is (min residual, its first quadruple, the first non-finite
+    one, the probe quadruples), as ``_scalar_campaign`` returns it; the
+    infima, the P-invariance probes and the reason order are judged here.
+    """
     min_res, arg_min, non_finite, probed = campaign
 
     infima_finite = math.isfinite(constants.inf_a) and math.isfinite(constants.inf_b)

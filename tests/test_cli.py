@@ -270,25 +270,51 @@ def test_verify_cyclic_affine(capsys):
     assert payload["reduction"]["verdict"] == "certified-on-samples"
 
 
-def test_verify_cyclic_certifies_once(capsys, monkeypatch):
-    import proxiter.cli as cli
-    import proxiter.instances as instances
+def test_verify_cyclic_draws_once_and_maps_nine_times_per_sample(capsys, monkeypatch):
+    # one campaign: each region's column is drawn once, and each sample maps
+    # g, b and c once for the summed residual and twice more for the
+    # reduction's T^3 (the two-campaign verify drew twice and made 12 calls)
+    entry = instances.CYCLIC["cyclic3-affine"]
+    ct = entry.build()
+    draws, loop_calls = [], []
+    in_probe = []
 
-    calls = []
-    original = instances.certify_cyclic
+    def counted_draw(region):
+        def draw(rng, n):
+            draws.append((region.name, n))
+            return region.draw(rng, n)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        return dataclasses.replace(region, draw=draw)
 
-    monkeypatch.setattr(cli, "certify_cyclic", counted)
-    monkeypatch.setattr(instances, "certify_cyclic", counted)
+    def counted_t(p):
+        if not in_probe:
+            loop_calls.append(p)
+        return ct.t(p)
+
+    probe = systems.check_p_invariance
+
+    def flagged_probe(*args, **kwargs):
+        in_probe.append(True)
+        try:
+            return probe(*args, **kwargs)
+        finally:
+            in_probe.pop()
+
+    counted = dataclasses.replace(
+        ct, regions=tuple(counted_draw(r) for r in ct.regions), t=counted_t
+    )
+    monkeypatch.setitem(
+        instances.CYCLIC, "cyclic3-affine", dataclasses.replace(entry, build=lambda: counted)
+    )
+    monkeypatch.setattr(systems, "check_p_invariance", flagged_probe)
+    samples = 500
     code, out, _ = run_cli(
-        capsys, "verify", "--instance", "cyclic3-affine", "--samples", "500"
+        capsys, "verify", "--instance", "cyclic3-affine", "--samples", str(samples)
     )
     assert code == 0
     assert json.loads(out)["verdict"] == "certified-on-samples"
-    assert len(calls) == 1
+    assert sorted(draws) == [(r.name, samples) for r in ct.regions]
+    assert len(loop_calls) == 9 * samples
 
 
 def test_run_cyclic_certifies_once(capsys, monkeypatch):
@@ -366,6 +392,13 @@ def test_list_table_and_json(capsys):
     assert "e1" in names and "circle-origin-pair" in names
     # list draws nothing, so it takes and reports no seed
     assert payload["seed"] is None and "seed" not in payload["config"]
+
+
+def test_list_table_by_name_is_the_default(capsys):
+    # the table is list's default output, so it can also be asked for by name
+    code, out, err = run_cli(capsys, "list", "--format", "table")
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "list") == (0, out, "")
 
 
 def test_json_instance_file_via_cli(capsys, tmp_path):
@@ -643,7 +676,7 @@ def test_unwritable_out_fails_before_any_work(capsys, monkeypatch, tmp_path, arg
     def never(*args, **kwargs):
         raise AssertionError("the command worked before checking --out")
 
-    for name in ("verify_contraction", "run_paired", "PairedRun", "certify_cyclic", "cyclic3_solve"):
+    for name in ("verify_contraction", "run_paired", "PairedRun", "verify_cyclic", "cyclic3_solve"):
         monkeypatch.setattr(cli, name, never)
     path = tmp_path / "missing-dir" / "report"
     code, out, err = run_cli(capsys, *argv, "--out", str(path))
@@ -708,7 +741,7 @@ def test_verify_cyclic_refuses_lambda_before_any_sampling(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the command sampled before refusing --lambda")
 
-    for name in ("certify_cyclic", "verify_contraction"):
+    for name in ("verify_cyclic", "verify_contraction"):
         monkeypatch.setattr(cli, name, never)
     code, out, err = run_cli(
         capsys, "verify", "--instance", "cyclic3-affine", "--lambda", "0.01", "--samples", "200"
@@ -758,11 +791,13 @@ def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path, unbuffered):
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("argv", [["--help"], ["--version"]])
-def test_help_and_version_into_a_closed_stdout_exit_one(tmp_path, argv):
+def test_help_and_version_into_a_closed_stdout_exit_one(tmp_path, argv, unbuffered):
     # block-buffered, as a pipe is by default: argparse's SystemExit(0) must
-    # not skip the flush; unbuffered, argparse drops the failed write itself
-    proc = _run_into_a_closed_stdout(tmp_path, argv, False)
+    # not skip the flush; unbuffered, argparse's own write must not drop the
+    # error it raises
+    proc = _run_into_a_closed_stdout(tmp_path, argv, unbuffered)
     assert (proc.returncode, proc.stderr) == (1, "")
 
 

@@ -93,6 +93,8 @@ LIBRARY_ONLY = {
     "example1_fb": "Example 1's penalty f_B, the reference for the e1 kernels",
     "pow2_floor": "Example 1's dyadic band 2^floor(log2 x), the reference for "
     "the e1 point map",
+    "cyclic_residual": "the summed contraction inequality at one triple, the "
+    "reference for the cyclic campaign (tests/test_sampler_oracle.py)",
 }
 
 
