@@ -123,13 +123,12 @@ def _resolve(name: str):
 
 def cmd_list(args: argparse.Namespace) -> int:
     rows = list_instances()
-    if args.format == "json" or args.out:
+    if args.format == "json":
         _emit(_report("list", args, instances=[
             {"name": n, "kind": k, "description": d} for n, k, d in rows
         ]), args.out)
     else:
-        for n, k, d in rows:
-            print(f"{n:22s} {k:8s} {d}")
+        _write_out(lambda fh: fh.writelines(f"{n:22s} {k:8s} {d}\n" for n, k, d in rows), args.out)
     return EXIT_OK
 
 
@@ -144,7 +143,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "--x0 and --y0 apply to system instances; a cyclic run starts "
                 "from its instance's own points"
             )
-        result, first = cyclic3_solve(entry.build(), None, args.steps, args.tol, seed=args.seed)
+        result, first = cyclic3_solve(entry.build(), args.steps, args.tol, seed=args.seed)
         if args.format == "csv":
             _write_out(lambda fh: write_trace_csv(first, fh), args.out)
             return EXIT_OK if result is not None else EXIT_UNDECIDED

@@ -13,10 +13,6 @@ class EstimationFailureError(ProxiterError, RuntimeError):
     """A sampler or sampled estimate could not produce a usable value."""
 
 
-class NotCertifiedError(ProxiterError, RuntimeError):
-    """A required constant (distance, infimum) is unavailable."""
-
-
 class DomainViolationError(ProxiterError, RuntimeError):
     """A map produced a point outside its declared region."""
 

@@ -16,7 +16,7 @@ import operator
 import random
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import InvalidInputError, ProxiterError, RefutedError
 from .iteration import PairedTrace, run_paired
@@ -760,7 +760,6 @@ class BestProximityResult:
 
 def cyclic3_solve(
     ct: CyclicTriple,
-    starts: Optional[Sequence[Point]] = None,
     max_steps: int = 400,
     tol: float = 1e-9,
     *,
@@ -770,11 +769,12 @@ def cyclic3_solve(
 
     The triple is certified once, on 1000 triples drawn at ``seed``; the
     summed inequality is the same under rotation, so no rotation certifies
-    again, and a refutation raises ``RefutedError``.  Each rotation
-    contributes the diagonal limit over its first region; the second-side
-    limits converge in distance only, so they are not read off.  Returns the
-    result, or None (undecided) when any rotation misses the confirmation
-    window within max_steps, and the PairedTrace of the first rotation.
+    again, and a refutation raises ``RefutedError``.  Rotation i starts from
+    points drawn at ``seed + 17 * i`` and contributes the diagonal limit over
+    its first region; the second-side limits converge in distance only, so
+    they are not read off.  Returns the result, or None (undecided) when any
+    rotation misses the confirmation window within max_steps, and the
+    PairedTrace of the first rotation.
     """
     worst, arg = certify_cyclic(ct, 1000, seed)
     if cyclic_refuted(worst):
@@ -787,10 +787,7 @@ def cyclic3_solve(
         rotated = rotate_cyclic(ct, i)
         system = cyclic3_reduce(rotated)
         rng = random.Random(seed + 17 * i)
-        if starts is not None and i < len(starts) and starts[i] is not None:
-            g = as_point(starts[i])
-        else:
-            g = rotated.regions[0].draw(rng, 1)[0]
+        g = rotated.regions[0].draw(rng, 1)[0]
         b = rotated.regions[1].draw(rng, 1)[0]
         c = rotated.regions[2].draw(rng, 1)[0]
         q0 = _reduction_quadruple(g, b, c)
@@ -834,7 +831,7 @@ def affine_cyclic_example() -> CyclicTriple:
     outer = [
         (e[0] + u[0], e[1] + u[1]) for e, u in zip(inner, unit)
     ]
-    space = vector_space(2, "euclidean")
+    space = vector_space(2)
     regions = tuple(
         segment_region(inner[j], outer[j], name=f"spoke-{j + 1}") for j in range(3)
     )
@@ -891,7 +888,7 @@ def open_interval_pair() -> SetPair:
 
 
 def circle_origin_pair() -> SetPair:
-    space = vector_space(2, "euclidean")
+    space = vector_space(2)
     a = circle_region((0.0, 0.0), 1.0, name="unit-circle")
     b = singleton_region((0.0, 0.0), name="origin")
     return SetPair(space, a, b, dist_ab=1.0)

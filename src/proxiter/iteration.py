@@ -110,23 +110,21 @@ def _check_tol(tol: float) -> None:
         raise InvalidInputError(f"tol must be positive and finite, got {tol}")
 
 
-def _settled(space: MetricSpace, points: Sequence[Point], tol: float, window: int) -> bool:
-    """Whether the last min(window, n) of the n successive distances are all < tol."""
+def _settled(space: MetricSpace, points: Sequence[Point], tol: float) -> bool:
+    """Whether the last min(CONFIRM_WINDOW, n) of the n successive distances are all < tol."""
     n = len(points) - 1
-    tail = range(n - min(window, n), n)
+    tail = range(n - min(CONFIRM_WINDOW, n), n)
     return all(distance(space, points[i], points[i + 1]) < tol for i in tail)
 
 
-def detect_limit(
-    trace: IterationTrace, tol: float, *, window: int = CONFIRM_WINDOW
-) -> Optional[Point]:
-    """The final point when the trailing successive distances are all < tol.
+def detect_limit(trace: IterationTrace, tol: float) -> Optional[Point]:
+    """The final point when the last CONFIRM_WINDOW successive distances are all < tol.
 
     A trace shorter than the window is judged on all its transitions; a
     single-state trace is vacuously settled.
     """
     _check_tol(tol)
-    return trace.points[-1] if _settled(trace.space, trace.points, tol, window) else None
+    return trace.points[-1] if _settled(trace.space, trace.points, tol) else None
 
 
 def _beyond_guard(x: Point, y: Point, step: int) -> bool:

@@ -115,24 +115,19 @@ def real_line() -> MetricSpace:
     return MetricSpace("R", 1, _abs_metric)
 
 
-def vector_space(dim: int, metric: str = "sum") -> MetricSpace:
-    """R^dim under the coordinate-sum metric or the Euclidean one."""
-    if metric == "sum":
-        def d(x: Point, y: Point) -> float:
-            return sum(abs(a - b) for a, b in zip(x, y))
-    elif metric == "euclidean" and dim == 2:
+def vector_space(dim: int) -> MetricSpace:
+    """R^dim under the Euclidean metric; sum-metric products are ``compose_spaces``."""
+    if dim == 2:
         sqrt = math.sqrt
 
         def d(x: Point, y: Point) -> float:
             x0, x1 = x
             y0, y1 = y
             return sqrt((x0 - y0) ** 2 + (x1 - y1) ** 2)
-    elif metric == "euclidean":
+    else:
         def d(x: Point, y: Point) -> float:
             return math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
-    else:
-        raise InvalidInputError(f"unknown metric kind {metric!r}")
-    return MetricSpace(f"R^{dim}[{metric}]", dim, d)
+    return MetricSpace(f"R^{dim}[euclidean]", dim, d)
 
 
 def compose_spaces(s1: MetricSpace, s2: MetricSpace) -> MetricSpace:

@@ -15,12 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
-from .errors import (
-    DomainViolationError,
-    EstimationFailureError,
-    InvalidInputError,
-    NotCertifiedError,
-)
+from .errors import DomainViolationError, EstimationFailureError, InvalidInputError
 from .spaces import Point, SetPair, distance, format_point, set_distance
 
 #: absolute slack when judging the contraction inequality on samples
@@ -197,15 +192,11 @@ class SystemConstants:
         return self.dist + self.inf_a + self.inf_b
 
 
-def factor_infimum(
-    factor: ExternalFactor, universe: CUniverse, samples: int = 0, seed: int = 0
-) -> tuple[float, str]:
-    """Author-supplied infimum, or a sampled upper estimate over C."""
+def factor_infimum(factor: ExternalFactor, universe: CUniverse, seed: int) -> tuple[float, str]:
+    """Author-supplied infimum, or the minimum over 2048 elements of C drawn at seed."""
     if factor.inf_value is not None:
         return factor.inf_value, "exact"
-    if samples < 1:
-        raise NotCertifiedError("infimum not supplied and estimation disabled")
-    cs = universe.draw(random.Random(seed), samples)
+    cs = universe.draw(random.Random(seed), 2048)
     if not cs:
         raise EstimationFailureError("empty C sample while estimating an infimum")
     return min(factor.fn(c) for c in cs), "estimated"
@@ -214,8 +205,8 @@ def factor_infimum(
 def resolve_constants(system: ExternalFactorSystem, seed: int = 0) -> SystemConstants:
     """The distance and both infima; an estimated one takes 2048 seeded samples."""
     dist, dist_flag = set_distance(system.pair, 2048, seed)
-    inf_a, fa_flag = factor_infimum(system.f_a, system.c_universe, 2048, seed + 101)
-    inf_b, fb_flag = factor_infimum(system.f_b, system.c_universe, 2048, seed + 202)
+    inf_a, fa_flag = factor_infimum(system.f_a, system.c_universe, seed + 101)
+    inf_b, fb_flag = factor_infimum(system.f_b, system.c_universe, seed + 202)
     return SystemConstants(dist, dist_flag, inf_a, fa_flag, inf_b, fb_flag)
 
 
@@ -285,9 +276,7 @@ def _one_step(
 
 
 def contraction_residual(
-    system: ExternalFactorSystem,
-    q: Quadruple,
-    constants: Optional[SystemConstants] = None,
+    system: ExternalFactorSystem, q: Quadruple, constants: SystemConstants
 ) -> float:
     """Right side minus left side of the contraction inequality at q.
 
@@ -296,8 +285,6 @@ def contraction_residual(
     in P and each T output in its region, as in a certification campaign.
     """
     ((_, before, after),) = _one_step(system, (q,), "quadruple not in P")
-    if constants is None:
-        constants = resolve_constants(system)
     return system.lam * before + (1.0 - system.lam) * constants.s - after
 
 
@@ -378,14 +365,14 @@ def verify_contraction(
     seed: int,
     *,
     depth: int = 8,
-    invariance_probes: int = INVARIANCE_PROBES,
     constants: Optional[SystemConstants] = None,
 ) -> CertificationReport:
     """Sample quadruples from P and certify the three contraction conditions.
 
     The inequality is checked on every sampled quadruple, the infima are
-    checked finite, and P-invariance is probed on a few quadruples to the
-    given depth.  Each sample tests P once and evaluates each map once.
+    checked finite, and P-invariance is probed on the first INVARIANCE_PROBES
+    quadruples to the given depth.  Each sample tests P once and evaluates
+    each map once.
     The first failing condition, in this order, gives the refutation reason:
 
     - ``infimum-not-finite``: an infimum of f_A or f_B is not finite;
@@ -408,10 +395,9 @@ def verify_contraction(
         constants = resolve_constants(system, seed=seed)
     lam = system.lam
     floor = (1.0 - lam) * constants.s
-    probes = max(0, invariance_probes)
-    campaign = _block_campaign(system, samples, seed, lam, floor, probes)
+    campaign = _block_campaign(system, samples, seed, lam, floor)
     if campaign is None:
-        campaign = _scalar_campaign(system, samples, seed, lam, floor, probes)
+        campaign = _scalar_campaign(system, samples, seed, lam, floor)
     return campaign_report(system, samples, seed, depth, constants, campaign)
 
 
@@ -467,7 +453,7 @@ def campaign_report(
     )
 
 
-def _scalar_campaign(system, samples, seed, lam, floor, probes) -> tuple:
+def _scalar_campaign(system, samples, seed, lam, floor) -> tuple:
     """(min residual, its first quadruple, first non-finite one, probe quadruples)."""
     quads = system.p.draw(random.Random(seed), samples)
     if not quads:
@@ -484,10 +470,10 @@ def _scalar_campaign(system, samples, seed, lam, floor, probes) -> tuple:
             min_res, arg_min = res, q
         if non_finite is None and not isfinite(res):
             non_finite = q
-    return min_res, arg_min, non_finite, quads[:probes]
+    return min_res, arg_min, non_finite, quads[:INVARIANCE_PROBES]
 
 
-def _block_campaign(system, samples, seed, lam, floor, probes) -> Optional[tuple]:
+def _block_campaign(system, samples, seed, lam, floor) -> Optional[tuple]:
     """``_scalar_campaign``'s result from the system's block kernel, bit for bit.
 
     None, with no error raised, when the system has no live kernel, numpy
@@ -517,4 +503,5 @@ def _block_campaign(system, samples, seed, lam, floor, probes) -> Optional[tuple
     i = int(masked.argmin())
     min_res = float(masked[i])
     arg_min = block.row(i) if min_res < math.inf else None
-    return min_res, arg_min, non_finite, [block.row(k) for k in range(min(samples, probes))]
+    probed = [block.row(k) for k in range(min(samples, INVARIANCE_PROBES))]
+    return min_res, arg_min, non_finite, probed

@@ -92,13 +92,6 @@ def split_limit_validate(
     return True
 
 
-def _bound_constants(system: ExternalFactorSystem, lam, s) -> tuple[float, float]:
-    lam = system.lam if lam is None else lam
-    if not (0.0 <= lam < 1.0):
-        raise InvalidInputError("the constant must lie in [0,1)")
-    return lam, resolve_constants(system).s if s is None else s
-
-
 def _u_value(paired: PairedTrace, system: ExternalFactorSystem, m: int, n: int) -> float:
     rho = distance(system.pair.space, paired.a.points[m], paired.b.points[n])
     return rho + paired.a.f_values[m] + paired.b.f_values[n]
@@ -108,18 +101,19 @@ def check_l1_bound(
     paired: PairedTrace,
     system: ExternalFactorSystem,
     *,
-    lam: Optional[float] = None,
     s: Optional[float] = None,
 ) -> bool:
     """One-sided boundedness check along a paired trace.
 
     Validates rho(x_n, y_1) + f_A(u_n) <= rho(x_1, y_1) + f_A(u_1)
     + Q/(1-lam) + S at every n >= 1, with Q = rho(y_1, y_2)
-    + lam*f_B(v_1) - f_B(v_2).
+    + lam*f_B(v_1) - f_B(v_2), lam the system's constant and S resolved at
+    seed 0 unless given.
     """
     if paired.steps < 2:
         raise InvalidInputError("need at least two steps for the boundedness check")
-    lam, s = _bound_constants(system, lam, s)
+    lam = system.lam
+    s = resolve_constants(system).s if s is None else s
     space = system.pair.space
     y1, y2 = paired.b.points[1], paired.b.points[2]
     q = distance(space, y1, y2) + lam * paired.b.f_values[1] - paired.b.f_values[2]
@@ -155,17 +149,18 @@ def check_l2_bound(
     paired: PairedTrace,
     system: ExternalFactorSystem,
     *,
-    lam: Optional[float] = None,
     s: Optional[float] = None,
 ) -> BoundCertificate:
     """Check U(m,n) <= lam^(min(m,n)-1) * M + (1 - lam^(min(m,n)-1)) * S.
 
     U(m,n) = rho(x_m, y_n) + f_A(u_m) + f_B(v_n); M is the maximum of U over
     the first row and column of the finite trace, indices starting at 1.
+    lam is the system's constant, and S is resolved at seed 0 unless given.
     """
     if paired.steps < 1:
         raise InvalidInputError("need at least one step")
-    lam, s = _bound_constants(system, lam, s)
+    lam = system.lam
+    s = resolve_constants(system).s if s is None else s
     horizon = paired.steps
     m_const = max(
         max(_u_value(paired, system, k, 1) for k in range(1, horizon + 1)),
@@ -247,8 +242,6 @@ def cd_falsify(
     gen: Callable[[int], tuple[Sequence[Point], Sequence[Point]]],
     budget: int,
     tol: float,
-    *,
-    window: int = CONFIRM_WINDOW,
 ) -> Optional[CDCounterexample]:
     """Search for an admissible pair of sequences refuting convergence in A.
 
@@ -266,7 +259,7 @@ def cd_falsify(
     for i in range(budget):
         xs, ys = _intake(gen(i), (pair.a, pair.b))
         horizon = min(len(xs), len(ys)) - 1
-        k_tail = max(0, horizon - window)
+        k_tail = max(0, horizon - CONFIRM_WINDOW)
         # the metric is called directly once every window point has the
         # space's dimension; otherwise distance() raises its usual error
         window_x, window_y = xs[k_tail : horizon + 1], ys[k_tail : horizon + 1]
@@ -278,7 +271,7 @@ def cd_falsify(
             sup = tail_sup(lambda n, m: distance(space, xs[n], ys[m]), k_tail, horizon)
         if abs(sup - dist) > tol:
             continue  # cross distances never reach the pair gap: not admissible
-        if not _settled(pair.space, xs, tol, window):
+        if not _settled(pair.space, xs, tol):
             return CDCounterexample(i, xs, ys, "no-cauchy-window", None)
         limit = _aitken_limit(xs) if len(xs) >= 3 else xs[-1]
         if not pair.a.contains(limit):

@@ -339,9 +339,9 @@ def test_a_replaced_map_runs_the_scalar_campaign():
         return e1.t_a(x, c)
 
     system = dataclasses.replace(e1, t_a=t_a, h_a=t_a)
-    report = verify_contraction(system, 300, 5, invariance_probes=0)
+    report = verify_contraction(system, 300, 5, depth=0)
     assert len(calls) == 300
-    assert repr(report) == repr(verify_contraction(e1, 300, 5, invariance_probes=0))
+    assert repr(report) == repr(verify_contraction(e1, 300, 5, depth=0))
 
 
 def _flagging(run):
@@ -533,7 +533,7 @@ print(json.dumps({"numpy_after_build": built, "outs": outs}))
 
 def _probe(mode, commands):
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", PROBE, SRC, mode, json.dumps(commands)],
+        [sys.executable, "-I", "-B", "-c", PROBE, SRC, mode, json.dumps(commands)],
         capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout)

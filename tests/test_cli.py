@@ -401,6 +401,23 @@ def test_list_table_by_name_is_the_default(capsys):
     assert run_cli(capsys, "list") == (0, out, "")
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_list_out_writes_what_list_prints(capsys, tmp_path, fmt):
+    # --format alone chooses the shape; --out only where it goes
+    path = tmp_path / f"instances.{fmt}"
+    code, printed, _ = run_cli(capsys, "list", "--format", fmt)
+    assert run_cli(capsys, "list", "--format", fmt, "--out", str(path)) == (0, "", "")
+    written = path.read_text()
+    if fmt == "json":
+        # the config echoes --out, and nothing else differs
+        written, printed = json.loads(written), json.loads(printed)
+        assert (written["config"].pop("out"), printed["config"].pop("out")) == (str(path), None)
+    assert code == 0 and written == printed
+    if fmt == "table":
+        assert run_cli(capsys, "list", "--out", str(path)) == (0, "", "")
+        assert path.read_text() == printed
+
+
 def test_json_instance_file_via_cli(capsys, tmp_path):
     spec = {
         "name": "half-move",

@@ -26,7 +26,7 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 
 def test_the_cli_imports_only_the_standard_library_and_proxiter():
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", PROBE, SRC],
+        [sys.executable, "-I", "-B", "-c", PROBE, SRC],
         capture_output=True, text=True, timeout=60, check=True,
     )
     loaded = json.loads(proc.stdout)

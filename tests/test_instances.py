@@ -368,10 +368,11 @@ def test_cyclic3_solve_affine_matches_closed_form():
 
 
 def test_cyclic3_solve_start_independent():
+    # each rotation's start is drawn at the seed, so two seeds start apart
     ct = px.affine_cyclic_example()
-    r1, _ = px.cyclic3_solve(ct, max_steps=400, tol=1e-9, seed=0)
-    starts = [px.sample_region(reg, 1, seed=77)[0] for reg in ct.regions]
-    r2, _ = px.cyclic3_solve(ct, starts=starts, max_steps=400, tol=1e-9, seed=1)
+    r1, first1 = px.cyclic3_solve(ct, max_steps=400, tol=1e-9, seed=0)
+    r2, first2 = px.cyclic3_solve(ct, max_steps=400, tol=1e-9, seed=1)
+    assert first1.a.points[0] != first2.a.points[0]
     for a, b in zip(r1.z, r2.z):
         assert ct.space.metric(a, b) <= 1e-8
 
@@ -679,5 +680,6 @@ def test_reduction_sample_makes_nine_cyclic_map_calls():
 
     system = px.cyclic3_reduce(dataclasses.replace(ct, t=counted))
     samples = 200
-    px.verify_contraction(system, samples, seed=1, invariance_probes=0)
+    # at depth 0 the P-invariance probes call no map
+    px.verify_contraction(system, samples, seed=1, depth=0)
     assert len(calls) == 9 * samples

@@ -399,17 +399,16 @@ def _trace(*xs):
     return px.IterationTrace(px.real_line(), points, points, (0.0,) * len(points))
 
 
-def test_detect_limit_short_traces_and_empty_window():
-    # one state is vacuously settled, whatever the window
-    for window in (0, 1, 10):
-        assert px.detect_limit(_trace(3.0), 1e-6, window=window) == (3.0,)
+def test_detect_limit_short_traces_and_the_window_edge():
+    # one state is vacuously settled
+    assert px.detect_limit(_trace(3.0), 1e-6) == (3.0,)
     # shorter than the window: every transition is judged
     assert px.detect_limit(_trace(0.0, 5.0, 5.0), 1e-6) is None
     assert px.detect_limit(_trace(5.0, 5.0, 5.0), 1e-6) == (5.0,)
-    # a window of one judges the last transition only
-    assert px.detect_limit(_trace(0.0, 5.0, 5.0), 1e-6, window=1) == (5.0,)
-    # an empty window is vacuously settled
-    assert px.detect_limit(_trace(0.0, 5.0, 9.0), 1e-6, window=0) == (9.0,)
+    # the window judges the last CONFIRM_WINDOW transitions only
+    w = px.CONFIRM_WINDOW
+    assert px.detect_limit(_trace(0.0, *[5.0] * (w + 1)), 1e-6) == (5.0,)
+    assert px.detect_limit(_trace(0.0, *[5.0] * w), 1e-6) is None
     # a displacement equal to tol is not settled
     assert px.detect_limit(_trace(0.0, 1.0), 1.0) is None
     assert px.detect_limit(_trace(0.0, 1.0), 1.0 + 2**-52) == (1.0,)

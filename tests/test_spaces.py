@@ -18,21 +18,22 @@ def test_distance_real_line():
 
 
 def test_distance_sum_metric_plane():
-    space = px.vector_space(2, "sum")
+    space = px.compose_spaces(px.real_line(), px.real_line())
     assert px.distance(space, (0.0, 0.0), (1.0, 2.0)) == 3.0
 
 
 def test_distance_self_is_zero():
     for space, p in [
         (px.real_line(), (7.25,)),
-        (px.vector_space(3, "sum"), (1.0, -2.0, 0.5)),
-        (px.vector_space(2, "euclidean"), (0.3, 0.4)),
+        (px.compose_spaces(px.real_line(), px.real_line()), (1.0, -2.0)),
+        (px.vector_space(3), (1.0, -2.0, 0.5)),
+        (px.vector_space(2), (0.3, 0.4)),
     ]:
         assert px.distance(space, p, p) == 0.0
 
 
 def test_distance_dimension_mismatch():
-    space = px.vector_space(2, "sum")
+    space = px.compose_spaces(px.real_line(), px.real_line())
     with pytest.raises(px.InvalidInputError):
         px.distance(space, (1.0,), (0.0, 0.0))
 
@@ -205,8 +206,12 @@ def test_metric_axioms_on_builtin_spaces():
     rng = random.Random(123)
     spaces = {
         px.real_line(): lambda: (rng.uniform(-50, 50),),
-        px.vector_space(2, "sum"): lambda: (rng.uniform(-50, 50), rng.uniform(-50, 50)),
-        px.vector_space(2, "euclidean"): lambda: (rng.uniform(-50, 50), rng.uniform(-50, 50)),
+        px.vector_space(2): lambda: (rng.uniform(-50, 50), rng.uniform(-50, 50)),
+        px.vector_space(3): lambda: (
+            rng.uniform(-50, 50),
+            rng.uniform(-50, 50),
+            rng.uniform(-50, 50),
+        ),
         px.compose_spaces(px.real_line(), px.real_line()): lambda: (
             rng.uniform(-50, 50),
             rng.uniform(-50, 50),
@@ -325,7 +330,7 @@ def test_plane_segment_matches_generic_formula(a, b, t, off, seed):
     st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
 )
 def test_plane_euclidean_metric_matches_generic_formula(x, y):
-    metric = px.vector_space(2, "euclidean").metric
+    metric = px.vector_space(2).metric
     assert _outcome(metric, x, y) == _outcome(_generic_euclidean, x, y)
 
 
@@ -349,5 +354,5 @@ def test_space_segment_keeps_generic_formula(a, b, t, off, seed):
     rng = random.Random(seed)
     expected = [at(rng.random()) for _ in range(20)]
     assert [_bits(p) for p in seg.draw(random.Random(seed), 20)] == [_bits(p) for p in expected]
-    metric = px.vector_space(3, "euclidean").metric
+    metric = px.vector_space(3).metric
     assert _outcome(metric, a, p) == _outcome(_generic_euclidean, a, p)

@@ -1,11 +1,12 @@
 """Surface guards: every defaulted parameter is set by some call, and every
 exported function is reached by the package or named as library-only.
 
-A default that no call in src/, tests/ or perfbench/ ever overrides is a
-setting nobody runs or tests; the value belongs in the function body.
-Calls are matched by the called name (``f(...)`` or ``obj.f(...)``), so a
-parameter counts as set when any same-named call passes it by keyword or
-by position, or passes ``*args`` or ``**kwargs``.  Dunder methods are exempt.
+A default that no call in src/ or perfbench/ ever overrides is a setting
+no command or benchmark runs; the value belongs in the function body, and a
+test that turns it tests a setting the package never takes.  Calls are
+matched by the called name (``f(...)`` or ``obj.f(...)``), so a parameter
+counts as set when any same-named call passes it by keyword or by
+position, or passes ``*args`` or ``**kwargs``.  Dunder methods are exempt.
 
 An exported function that no other code of the package loads is reached by
 no command; it must state a checked property of its own (``LIBRARY_ONLY``)
@@ -15,11 +16,12 @@ or go.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "proxiter"
-CALLERS = ("src", "tests", "perfbench")
+CALLERS = ("src", "perfbench")
 
 
 def _functions(tree: ast.AST):
@@ -137,3 +139,12 @@ def test_every_exported_function_is_called_or_library_only():
     stale = sorted(LIBRARY_ONLY.keys() - uncalled)
     assert not unlisted, "exported functions no package code calls: " + ", ".join(unlisted)
     assert not stale, "LIBRARY_ONLY entries that are called or not exported: " + ", ".join(stale)
+
+
+def test_readme_library_only_list_names_exactly_the_table():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library-only entry points\n", 1)[1].split("\n## ", 1)[0]
+    # a bullet opens with its names, each in backticks, up to the first "`:"
+    heads = re.findall(r"^- (.*?`):", section, flags=re.MULTILINE)
+    named = [name for head in heads for name in re.findall(r"`(\w+)", head)]
+    assert sorted(named) == sorted(LIBRARY_ONLY)

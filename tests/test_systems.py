@@ -8,6 +8,7 @@ import pytest
 
 import proxiter as px
 from conftest import logged_maps, make_permissive_system
+from proxiter.systems import INVARIANCE_PROBES
 
 E1_Q0 = px.Quadruple((3.0,), (-2.0,), (3.0,), (-2.0,))
 
@@ -46,27 +47,30 @@ def test_contraction_residual_equality_point():
     # direct evaluation: left side is 1, right side is 5/8 * 1 + 3/8 * 1
     lhs = abs(px.example1_T(0.0) - px.example1_Tb(-1.0))
     assert lhs == 1.0
-    assert px.contraction_residual(system, q) == 0.0
+    assert px.contraction_residual(system, q, px.resolve_constants(system)) == 0.0
 
 
 def test_contraction_residual_nonnegative_on_e1():
     system = px.example1_system()
-    assert px.contraction_residual(system, E1_Q0) >= 0.0
+    assert px.contraction_residual(system, E1_Q0, px.resolve_constants(system)) >= 0.0
 
 
 def test_contraction_residual_banach_is_displacement_slack():
     system = banach(lambda x: (0.9 * x[0],), 0.9)
+    constants = px.resolve_constants(system)
     rng = random.Random(1)
     for _ in range(100):
         x, y = (rng.uniform(-50, 50),), (rng.uniform(-50, 50),)
         q = px.Quadruple(x, y, px.Atom("unit"), px.Atom("unit"))
-        assert px.contraction_residual(system, q) >= -1e-12
+        assert px.contraction_residual(system, q, constants) >= -1e-12
 
 
 def test_contraction_residual_rejects_off_relation():
     system = px.example1_system()
     with pytest.raises(px.InvalidInputError):
-        px.contraction_residual(system, px.Quadruple((3.0,), (-2.0,), (4.0,), (-2.0,)))
+        px.contraction_residual(
+            system, px.Quadruple((3.0,), (-2.0,), (4.0,), (-2.0,)), px.resolve_constants(system)
+        )
 
 
 def test_verify_contraction_certifies_e1():
@@ -132,9 +136,8 @@ def test_verify_contraction_matches_reference_residuals(name):
     # reference residual over the same sampled quadruples
     samples, seed = 1500, 7
     constants = px.resolve_constants(system, seed=seed)
-    report = px.verify_contraction(
-        system, samples, seed, constants=constants, invariance_probes=0
-    )
+    # at depth 0 a P-invariance probe tests its own quadruple only, which is in P
+    report = px.verify_contraction(system, samples, seed, depth=0, constants=constants)
     quads = system.p.draw(random.Random(seed), samples)
     residuals = [px.contraction_residual(system, q, constants) for q in quads]
     lowest = min(residuals)
@@ -168,8 +171,11 @@ def test_verify_contraction_evaluates_each_map_once_per_sample(name):
         p=dataclasses.replace(system.p, contains=counted("p", system.p.contains)),
     )
     samples = 300
-    px.verify_contraction(counted_system, samples, seed=2, invariance_probes=0)
-    assert counts == {key: samples for key in counts}
+    px.verify_contraction(counted_system, samples, seed=2, depth=0)
+    # at depth 0 each probe calls no map and tests P twice: its quadruple, then
+    # the one pairing (x_0, y_0, u_0, v_0)
+    probe_p = 2 * INVARIANCE_PROBES
+    assert counts == {key: samples + (probe_p if key == "p" else 0) for key in counts}
 
 
 def test_verify_contraction_non_finite_residual_refutes():
@@ -297,11 +303,11 @@ def test_factor_infimum_estimation_flagged():
     stripped = dataclasses.replace(
         system, f_a=px.ExternalFactor(system.f_a.fn, None)
     )
-    value, flag = px.factor_infimum(stripped.f_a, stripped.c_universe, 2000, seed=5)
+    value, flag = px.factor_infimum(stripped.f_a, stripped.c_universe, seed=5)
     assert flag == "estimated"
     assert value >= 0.0  # upper estimate of the true infimum 0
-    with pytest.raises(px.NotCertifiedError):
-        px.factor_infimum(stripped.f_a, stripped.c_universe, 0, seed=5)
+    drawn = stripped.c_universe.draw(random.Random(5), 2048)
+    assert value == min(map(stripped.f_a.fn, drawn))
 
 
 def test_penalties_respect_exact_infima():
@@ -313,8 +319,9 @@ def test_penalties_respect_exact_infima():
 
 
 def test_lambda_outside_unit_interval_rejected():
+    # the bound checks read system.lam, so this is where they refuse a constant of 1
     system = px.example1_system()
-    with pytest.raises(px.InvalidInputError):
+    with pytest.raises(px.InvalidInputError, match=r"^contraction constant must be in \[0,1\)"):
         dataclasses.replace(system, lam=1.0)
 
 

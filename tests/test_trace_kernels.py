@@ -95,7 +95,7 @@ def reference_intake(candidate, regions):
     return seqs
 
 
-def reference_cd_falsify(pair, gen, budget, tol, *, window=CONFIRM_WINDOW):
+def reference_cd_falsify(pair, gen, budget, tol):
     if budget < 1:
         raise InvalidInputError("budget must be >= 1")
     _check_tol(tol)
@@ -103,13 +103,13 @@ def reference_cd_falsify(pair, gen, budget, tol, *, window=CONFIRM_WINDOW):
     for i in range(budget):
         xs, ys = reference_intake(gen(i), (pair.a, pair.b))
         horizon = min(len(xs), len(ys)) - 1
-        k_tail = max(0, horizon - window)
+        k_tail = max(0, horizon - CONFIRM_WINDOW)
         sup = reference_tail_sup(
             lambda n, m: distance(pair.space, xs[n], ys[m]), k_tail, horizon
         )
         if abs(sup - dist) > tol:
             continue
-        if not _settled(pair.space, xs, tol, window):
+        if not _settled(pair.space, xs, tol):
             return CDCounterexample(i, xs, ys, "no-cauchy-window", None)
         limit = _aitken_limit(xs) if len(xs) >= 3 else xs[-1]
         if not pair.a.contains(limit):
@@ -333,11 +333,11 @@ def cd_candidates(draw):
 @given(drawn=cd_candidates(), dist=st.sampled_from([0.0, 0.5]), tol=st.sampled_from([1e-6, 0.5]))
 def test_cd_falsify_matches_distance_everywhere(drawn, dist, tol):
     dim, pool = drawn
-    space = real_line() if dim == 1 else vector_space(2, "euclidean")
+    space = real_line() if dim == 1 else vector_space(2)
     pair = SetPair(space, EVERYWHERE, EVERYWHERE, dist_ab=dist)
     gen = lambda i: pool[i]  # noqa: E731
-    got = outcome(cd_falsify, pair, gen, len(pool), tol, window=4)
-    assert got == outcome(reference_cd_falsify, pair, gen, len(pool), tol, window=4)
+    got = outcome(cd_falsify, pair, gen, len(pool), tol)
+    assert got == outcome(reference_cd_falsify, pair, gen, len(pool), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Bound checks, tail sups, and the property falsifiers."""
 
+import dataclasses
 import math
 import random
 import re
@@ -139,7 +140,7 @@ def test_check_l1_bound_negative_control():
     q0 = px.Quadruple((50.0,), (111.11,), px.Atom("unit"), px.Atom("unit"))
     paired, _ = px.run_paired(system, q0, 400, 1e-9)
     assert px.check_l1_bound(paired, system)
-    assert not px.check_l1_bound(paired, system, lam=0.4)
+    assert not px.check_l1_bound(paired, dataclasses.replace(system, lam=0.4))
 
 
 def _nan_trace(system, at):
@@ -158,7 +159,8 @@ def test_check_l1_bound_fails_on_nan_values():
     system = px.banach_half_system()
     assert px.check_l1_bound(_nan_trace(system, None), system)
     assert not px.check_l1_bound(_nan_trace(system, 3), system)
-    assert not px.check_l1_bound(_nan_trace(system, 3), system, lam=0.25, s=0.0)
+    quarter = dataclasses.replace(system, lam=0.25)
+    assert not px.check_l1_bound(_nan_trace(system, 3), quarter, s=0.0)
 
 
 def test_check_l2_bound_fails_on_nan_values():
@@ -220,7 +222,7 @@ def test_check_l2_bound_on_every_builtin_certified_system():
 def test_check_l2_bound_detects_planted_violation():
     system = px.example1_system()
     paired, _ = px.run_paired(system, E1_Q0, 50, 1e-9)
-    cert = px.check_l2_bound(paired, system, lam=1e-6)
+    cert = px.check_l2_bound(paired, dataclasses.replace(system, lam=1e-6))
     assert not cert.ok and cert.first_violation is not None
 
 
@@ -289,7 +291,7 @@ def test_cd_falsify_flags_no_cauchy_window():
     assert found is not None and found.reason == "no-cauchy-window"
 
 
-def test_cd_falsify_short_candidates_and_empty_window():
+def test_cd_falsify_short_candidates_and_the_window_edge():
     pair = px.circle_origin_pair()
     hop = [(1.0, 0.0), (-1.0, 0.0)]
     origin = [(0.0, 0.0)] * 50
@@ -302,10 +304,12 @@ def test_cd_falsify_short_candidates_and_empty_window():
     assert found.reason == "no-cauchy-window" and found.limit_estimate is None
     # two settled terms: the last term is the limit, and it is on the circle
     assert px.cd_falsify(pair, gen_of([(1.0, 0.0)] * 2), 1, 1e-6) is None
-    # an empty window is vacuously settled; the extrapolated limit escapes
-    found = px.cd_falsify(pair, gen_of(hop * 25), 1, 1e-6, window=0)
-    assert found.reason == "limit-escapes-region"
-    assert found.limit_estimate == (0.0, 0.0)
+    # the window judges the last CONFIRM_WINDOW transitions only: w + 1
+    # settled terms after the hops are a limit on the circle, w are not
+    w = px.CONFIRM_WINDOW
+    assert px.cd_falsify(pair, gen_of(hop * 25 + [(1.0, 0.0)] * (w + 1)), 1, 1e-6) is None
+    found = px.cd_falsify(pair, gen_of(hop * 25 + [(1.0, 0.0)] * w), 1, 1e-6)
+    assert found.reason == "no-cauchy-window"
 
 
 def test_uc_falsify_none_on_interval_pair():

@@ -28,6 +28,7 @@ from proxiter import (
     Quadruple,
     RelationP,
     SetPair,
+    compose_spaces,
     real_line,
     vector_space,
 )
@@ -38,6 +39,7 @@ from proxiter.errors import (
 )
 from proxiter.spaces import MetricSpace, Region, distance
 from proxiter.systems import (
+    INVARIANCE_PROBES,
     RESIDUAL_TOL,
     CertificationReport,
     SystemConstants,
@@ -59,9 +61,7 @@ def reference_one_step_sides(system, q, ta_out, tb_out):
     return before, after
 
 
-def reference_verify_contraction(
-    system, samples, seed, *, depth, invariance_probes, constants
-):
+def reference_verify_contraction(system, samples, seed, *, depth, constants):
     """verify_contraction as a plain transcription: one sides call per sample."""
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
@@ -98,7 +98,7 @@ def reference_verify_contraction(
 
     p_ok = True
     p_witness: Optional[Quadruple] = None
-    for q in quads[: max(0, invariance_probes)]:
+    for q in quads[:INVARIANCE_PROBES]:
         ok, _ = check_p_invariance(system, Quadruple(*q), depth)
         if not ok:
             p_ok, p_witness = False, Quadruple(*q)
@@ -153,8 +153,8 @@ def _outcome(fn, *args, **kwargs):
 
 SPACES = {
     "R": real_line(),
-    "R2-sum": vector_space(2, "sum"),
-    "R2-euclidean": vector_space(2, "euclidean"),
+    "R2-sum": compose_spaces(real_line(), real_line()),
+    "R2-euclidean": vector_space(2),
 }
 
 #: half-width of the box both regions are
@@ -361,19 +361,14 @@ def _both(reference, new, make_system, call, keep=None):
     lam=lams,
     plain=st.booleans(),
     consts=constants(),
-    probes=st.integers(0, 2),
 )
-def test_verify_contraction_matches_the_reference(
-    case, maps, shared, pens, lam, plain, consts, probes
-):
+def test_verify_contraction_matches_the_reference(case, maps, shared, pens, lam, plain, consts):
     space_key, quads = case
     _both(
         reference_verify_contraction,
         verify_contraction,
         lambda log: _system(space_key, maps, shared, pens, lam, quads, plain, log),
-        lambda fn, system: fn(
-            system, 7, 3, depth=2, invariance_probes=probes, constants=consts
-        ),
+        lambda fn, system: fn(system, 7, 3, depth=2, constants=consts),
     )
 
 
@@ -414,7 +409,7 @@ def _run(fault_quads, space_key="R", shared=(True, False), plain=False, consts=E
             space_key, ((0.5, 1.0), (0.5, -1.0)), shared, (1.0, 1.0), 0.5,
             fault_quads, plain, log,
         ),
-        lambda fn, system: fn(system, 7, 3, depth=2, invariance_probes=1, constants=consts),
+        lambda fn, system: fn(system, 7, 3, depth=2, constants=consts),
     )
 
 
