@@ -518,18 +518,22 @@ class CyclicTriple:
         return sum(self.dists)
 
 
-def _summed_residual(d, k, floor, x1, x2, x3, tx1, tx2, tx3) -> float:
-    """k times the perimeter of x1, x2, x3, plus floor, minus the perimeter of their images."""
-    perim = d(x1, x2) + d(x2, x3) + d(x3, x1)
+def _summed_residual(d, k, floor, x1, x2, x3, tx1, tx2, tx3) -> tuple:
+    """(residual, sides) at one triple.
+
+    residual is k times the perimeter of x1, x2, x3, plus floor, minus the
+    perimeter of their images; sides are d(x1, x2), d(x2, x3), d(x3, x1).
+    """
+    sides = d12, d23, d31 = d(x1, x2), d(x2, x3), d(x3, x1)
     image = d(tx1, tx2) + d(tx2, tx3) + d(tx3, tx1)
-    return k * perim + floor - image
+    return k * (d12 + d23 + d31) + floor - image, sides
 
 
 def cyclic_residual(ct: CyclicTriple, x1: Point, x2: Point, x3: Point) -> float:
     """Slack of the summed contraction inequality at one triple (>= 0 iff it holds)."""
     floor = (1.0 - ct.k) * ct.d_total
     t = ct.t
-    return _summed_residual(ct.space.metric, ct.k, floor, x1, x2, x3, t(x1), t(x2), t(x3))
+    return _summed_residual(ct.space.metric, ct.k, floor, x1, x2, x3, t(x1), t(x2), t(x3))[0]
 
 
 def certify_cyclic(
@@ -552,7 +556,11 @@ def _cyclic_campaign(ct: CyclicTriple, samples: int, seed: int, reduction) -> tu
     reduction, each triple (g, b, c) is also the sample
     ``_reduction_quadruple(g, b, c)``: its T^3 outputs continue the images
     T(g), T(b), T(c) that the triple's residual took, so a sample makes 9 map
-    calls, and its sums repeat ``_one_step``'s order.  campaign is then
+    calls.  The sample's distances are those of the halves: before is
+    d(g, b) + d(g, c) + f_A + d(b, c), over the triple's own sides (a metric
+    is symmetric, and each built-in one gives d(c, g) the bits of d(g, c)),
+    and after is d(ga, gb) + d(ga, gc) + f_A + d(gb, gc) over the T^3
+    outputs, in ``_one_step``'s order.  campaign is then
     ``_scalar_campaign``'s tuple for ``verify_contraction(system, samples,
     seed)``, bit for bit.  It is None without a reduction, or once a
     reduction sample fails a check or raises; the triple's own errors raise.
@@ -569,8 +577,10 @@ def _cyclic_campaign(ct: CyclicTriple, samples: int, seed: int, reduction) -> tu
         system, constants = reduction
         p_contains = system.p.contains
         a_contains, b_contains = system.pair.a.contains, system.pair.b.contains
-        metric, dim = system.pair.space.metric, system.pair.space.dim
-        f_b = system.f_b.fn
+        # each half of a sample has the triple's dimension, so the product
+        # metric's terms are the halves' distances; a sample whose halves
+        # split otherwise goes to the generic campaign
+        dim = ct.space.dim
         # u and H_A(x, u) are ONE_ATOM in every sample, so both f_A terms are this
         f_a_one = system.f_a.fn(ONE_ATOM)
         lam = system.lam
@@ -581,7 +591,7 @@ def _cyclic_campaign(ct: CyclicTriple, samples: int, seed: int, reduction) -> tu
     draw = draw_columns([region.draw for region in ct.regions], lambda *xs: xs)
     for g, b, c in draw(random.Random(seed), samples):
         tg, tb, tc = t(g), t(b), t(c)
-        r = _summed_residual(d, k, floor, g, b, c, tg, tb, tc)
+        r, sides = _summed_residual(d, k, floor, g, b, c, tg, tb, tc)
         if not isfinite(r):
             return r, (g, b, c), None
         if r < worst:
@@ -593,20 +603,19 @@ def _cyclic_campaign(ct: CyclicTriple, samples: int, seed: int, reduction) -> tu
         x, y = g + g, b + c
         try:
             # the reduction's T at a diagonal point maps its one half
-            ga = t(t(tg))
-            ta_out, tb_out = ga + ga, t(t(tb)) + t(t(tc))
+            ga, gb, gc = t(t(tg)), t(t(tb)), t(t(tc))
+            ta_out, tb_out = ga + ga, gb + gc
             live = (
                 p_contains(x, y, ONE_ATOM, y)
                 and a_contains(ta_out)
                 and b_contains(tb_out)
-                and len(x) == len(y) == len(ta_out) == len(tb_out) == dim
+                and len(g) == len(b) == len(c) == len(ga) == len(gb) == len(gc) == dim
             )
             if not live:
                 continue
-            before = metric(x, y) + f_a_one + f_b(y)
-            after = metric(ta_out, tb_out)
-            after += f_a_one
-            after += f_b(tb_out)
+            d_g_b, d_b_c, d_c_g = sides
+            before = d_g_b + d_c_g + f_a_one + d_b_c
+            after = d(ga, gb) + d(ga, gc) + f_a_one + d(gb, gc)
         except ProxiterError:
             # verify_cyclic's generic campaign raises it, after the triple's verdict
             live = False

@@ -298,10 +298,23 @@ def circle_region(center: Sequence[float], radius: float, name: Optional[str] = 
 
 
 def product_region(r1: Region, r2: Region, d1: int) -> Region:
-    """Cartesian product of two regions, coordinates concatenated."""
+    """Cartesian product of two regions, coordinates concatenated.
 
-    def contains(p: Point) -> bool:
-        return r1.contains(p[:d1]) and r2.contains(p[d1:])
+    When both factors are one region, a point whose halves are equal tests
+    one half once; +0.0 and -0.0 compare equal yet a predicate may tell them
+    apart, so halves holding a zero test both.
+    """
+    if r1 is r2:
+        inside = r1.contains
+
+        def contains(p: Point) -> bool:
+            left, right = p[:d1], p[d1:]
+            if left == right and 0.0 not in left:
+                return inside(left)
+            return inside(left) and inside(right)
+    else:
+        def contains(p: Point) -> bool:
+            return r1.contains(p[:d1]) and r2.contains(p[d1:])
 
     return Region(
         f"{r1.name}x{r2.name}",

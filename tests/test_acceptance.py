@@ -132,7 +132,7 @@ def test_criterion_5_cyclic_reduction():
 
     # grid oracle over 1e6 parameter triples certifies the shipped constant;
     # numpy is a test dependency only, so without it this criterion skips here
-    np = pytest.importorskip("numpy")
+    np = pytest.importorskip("numpy", exc_type=ImportError)
     inner = np.array(AFFINE_Z)
     unit = inner / np.linalg.norm(inner, axis=1, keepdims=True)
     t = np.linspace(0.0, 1.0, 100)

@@ -50,7 +50,7 @@ from proxiter import (
 from proxiter.errors import DomainViolationError, InvalidInputError
 from proxiter.instances import _parity, _uniforms
 
-np = pytest.importorskip("numpy")
+np = pytest.importorskip("numpy", exc_type=ImportError)
 
 SIZES = (1, 2, 7, 4099)
 #: each system with a block kernel, and rng.random() draws per sample

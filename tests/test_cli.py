@@ -273,11 +273,49 @@ def test_verify_cyclic_affine(capsys):
 def test_verify_cyclic_draws_once_and_maps_nine_times_per_sample(capsys, monkeypatch):
     # one campaign: each region's column is drawn once, and each sample maps
     # g, b and c once for the summed residual and twice more for the
-    # reduction's T^3 (the two-campaign verify drew twice and made 12 calls)
-    entry = instances.CYCLIC["cyclic3-affine"]
-    ct = entry.build()
+    # reduction's T^3 (the two-campaign verify drew twice and made 12 calls).
+    # A sample tests a segment 15 times: once in each of its 9 map calls,
+    # once for the diagonal g||g and once for its output ga||ga, whose halves
+    # share one region, and twice each for b||c and its output.  It makes 9
+    # 2-D metric calls: the triple's 3 sides and its images' 3, which the
+    # reduction's before reuses, and the 3 sides of the T^3 outputs; the
+    # composed product metric and the second penalty are not called.
     draws, loop_calls = [], []
     in_probe = []
+    segment_tests, metric_calls, composed_calls = [], [], []
+
+    def counted_region(region, calls):
+        def contains(p):
+            if not in_probe:
+                calls.append(p)
+            return region.contains(p)
+
+        return dataclasses.replace(region, contains=contains)
+
+    def counted_space(space, calls):
+        def metric(x, y):
+            if not in_probe:
+                calls.append((x, y))
+            return space.metric(x, y)
+
+        return dataclasses.replace(space, metric=metric)
+
+    segment_region, vector_space, compose_spaces = (
+        instances.segment_region, instances.vector_space, instances.compose_spaces
+    )
+    monkeypatch.setattr(
+        instances, "segment_region",
+        lambda *args, **kwargs: counted_region(segment_region(*args, **kwargs), segment_tests),
+    )
+    monkeypatch.setattr(
+        instances, "vector_space", lambda dim: counted_space(vector_space(dim), metric_calls)
+    )
+    monkeypatch.setattr(
+        instances, "compose_spaces",
+        lambda s1, s2: counted_space(compose_spaces(s1, s2), composed_calls),
+    )
+    entry = instances.CYCLIC["cyclic3-affine"]
+    ct = entry.build()
 
     def counted_draw(region):
         def draw(rng, n):
@@ -315,6 +353,9 @@ def test_verify_cyclic_draws_once_and_maps_nine_times_per_sample(capsys, monkeyp
     assert json.loads(out)["verdict"] == "certified-on-samples"
     assert sorted(draws) == [(r.name, samples) for r in ct.regions]
     assert len(loop_calls) == 9 * samples
+    assert len(segment_tests) == 15 * samples
+    assert len(metric_calls) == 9 * samples
+    assert composed_calls == []
 
 
 def test_run_cyclic_certifies_once(capsys, monkeypatch):

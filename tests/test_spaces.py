@@ -356,3 +356,108 @@ def test_space_segment_keeps_generic_formula(a, b, t, off, seed):
     assert [_bits(p) for p in seg.draw(random.Random(seed), 20)] == [_bits(p) for p in expected]
     metric = px.vector_space(3).metric
     assert _outcome(metric, a, p) == _outcome(_generic_euclidean, a, p)
+
+
+# symmetry, which lets the cyclic campaign take d(c, g) for d(g, c): swapping
+# the points negates each difference exactly, so the bits agree
+special = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -1.5e-310, 2.2250738585072014e-308,
+     1e300, -1e300, math.inf, -math.inf, math.nan]
+)
+any_coord = st.one_of(special, st.floats())
+SYMMETRY_SPACES = {
+    "R": px.real_line(),
+    "R^2": px.vector_space(2),
+    "R^3": px.vector_space(3),
+    "R^2 x R": px.compose_spaces(px.vector_space(2), px.real_line()),
+}
+
+
+def _symmetry_outcome(metric, x, y):
+    """NaN, the result's bits, or the exception type (x ** 2 overflow raises)."""
+    try:
+        value = metric(x, y)
+    except OverflowError as exc:
+        return type(exc)
+    return "nan" if math.isnan(value) else _bits([value])
+
+
+@pytest.mark.parametrize("name", list(SYMMETRY_SPACES))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_builtin_metrics_are_symmetric_bit_for_bit(name, data):
+    space = SYMMETRY_SPACES[name]
+    point = st.tuples(*[any_coord] * space.dim)
+    x, y = data.draw(point), data.draw(point)
+    assert _symmetry_outcome(space.metric, x, y) == _symmetry_outcome(space.metric, y, x)
+
+
+def _below_five(p):
+    return all(c < 5.0 for c in p)
+
+
+def _positive_below_five(p):
+    # tells -0.0 from 0.0, as a predicate may
+    return all(math.copysign(1.0, c) > 0.0 and c < 5.0 for c in p)
+
+
+def _counted_region(name, calls, predicate):
+    def contains(p):
+        calls.append(name)
+        return predicate(p)
+
+    return px.Region(name, contains, lambda rng, n: [])
+
+
+@pytest.mark.parametrize(
+    "half, calls",
+    [((1.0, 2.0), 1), ((math.inf, -3.0), 1), ((0.0, 2.0), 2), ((1.0, -0.0), 2)],
+)
+def test_a_diagonal_of_one_region_tests_one_half_unless_it_holds_a_zero(half, calls):
+    seen = []
+    region = _counted_region("r", seen, _below_five)
+    product = px.product_region(region, region, 2)
+    assert product.contains(half + half) == _below_five(half)
+    assert len(seen) == calls
+
+
+def test_a_diagonal_of_two_regions_tests_both_halves():
+    seen = []
+    product = px.product_region(
+        _counted_region("r1", seen, _below_five), _counted_region("r2", seen, _below_five), 2
+    )
+    assert product.contains((1.0, 2.0, 1.0, 2.0))
+    assert seen == ["r1", "r2"]
+
+
+def test_a_zero_that_changes_sign_across_the_halves_is_tested_on_both():
+    seen = []
+    region = _counted_region("r", seen, _positive_below_five)
+    product = px.product_region(region, region, 1)
+    # the halves compare equal, and the second is not a member
+    assert not product.contains((0.0, -0.0))
+    assert len(seen) == 2
+
+
+small_coord = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 4.0, 6.0, math.nan]), st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    left=st.tuples(small_coord, small_coord),
+    how=st.sampled_from(["same", "copy", "negated", "other"]),
+    other=st.tuples(small_coord, small_coord),
+    shared=st.booleans(),
+)
+def test_a_product_region_agrees_with_testing_both_halves(left, how, other, shared):
+    seen = []
+    r1 = _counted_region("r1", seen, _positive_below_five)
+    r2 = r1 if shared else _counted_region("r2", seen, _below_five)
+    right = {
+        "same": left,
+        "copy": tuple(float(repr(c)) for c in left),
+        "negated": tuple(-c for c in left),
+        "other": other,
+    }[how]
+    want = r1.contains(left) and r2.contains(right)
+    assert px.product_region(r1, r2, 2).contains(left + right) == want
