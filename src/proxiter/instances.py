@@ -822,6 +822,23 @@ def cyclic3_solve(
     return BestProximityResult((z1, z2, z3), gaps, cycles), first
 
 
+# The spokes of affine_cyclic_example at a_j = pi/2 + j*2*pi/3, j = 0, 1, 2:
+# inner endpoint (r*cos(a_j), r*sin(a_j)) with r = 1.0/math.sqrt(3.0), and unit
+# vector (cos(a_j), sin(a_j)), each the double that math.cos and math.sin gave
+# when the report digests were recorded.  Literals keep the geometry, and so
+# every cyclic report, off the host's libm; cos(pi/2) is 6.1e-17, not 0.
+_SPOKE_INNER = (
+    (float.fromhex("0x1.4611bfd437b1ap-55"), float.fromhex("0x1.279a74590331dp-1")),
+    (float.fromhex("-0x1.0000000000001p-1"), float.fromhex("-0x1.279a74590331ap-2")),
+    (float.fromhex("0x1.ffffffffffffep-2"), float.fromhex("-0x1.279a745903322p-2")),
+)
+_SPOKE_UNIT = (
+    (float.fromhex("0x1.1a62633145c07p-54"), float.fromhex("0x1.0000000000000p+0")),
+    (float.fromhex("-0x1.bb67ae8584cacp-1"), float.fromhex("-0x1.ffffffffffffbp-2")),
+    (float.fromhex("0x1.bb67ae8584ca8p-1"), float.fromhex("-0x1.0000000000004p-1")),
+)
+
+
 def affine_cyclic_example() -> CyclicTriple:
     """Three unit segments pointing outward from an equilateral unit triangle.
 
@@ -833,10 +850,7 @@ def affine_cyclic_example() -> CyclicTriple:
     at 30, 150 and 270 degrees lie 60 degrees from every spoke, so a point
     near spoke j is in sector j; the map tests that one spoke only.
     """
-    r = 1.0 / math.sqrt(3.0)
-    angles = [math.pi / 2.0 + j * 2.0 * math.pi / 3.0 for j in range(3)]
-    inner = [(r * math.cos(a), r * math.sin(a)) for a in angles]
-    unit = [(math.cos(a), math.sin(a)) for a in angles]
+    inner, unit = _SPOKE_INNER, _SPOKE_UNIT
     outer = [
         (e[0] + u[0], e[1] + u[1]) for e, u in zip(inner, unit)
     ]

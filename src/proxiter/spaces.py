@@ -21,6 +21,25 @@ Point = tuple[float, ...]
 GEOMETRY_TOL = 1e-9
 
 
+def _largest_square_within(tol: float) -> float:
+    """The largest double s with ``math.sqrt(s) <= tol``.
+
+    ``math.sqrt`` is correctly rounded and monotone, so ``s <= S`` for this S
+    gives the verdict of ``math.sqrt(s) <= tol`` on every s, NaN and inf
+    included; tol * tol is within a few ulps of S, so the search is short.
+    """
+    s = tol * tol
+    while math.sqrt(s) > tol:
+        s = math.nextafter(s, 0.0)
+    while math.sqrt(math.nextafter(s, math.inf)) <= tol:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
+#: the segment test compares a squared distance with this, not its root
+GEOMETRY_TOL_SQUARED = _largest_square_within(GEOMETRY_TOL)
+
+
 def as_point(value: Union[float, int, Sequence[float]]) -> Point:
     """Coerce a scalar or a coordinate sequence to a Point tuple."""
     if isinstance(value, (int, float)):
@@ -123,10 +142,11 @@ def vector_space(dim: int) -> MetricSpace:
         def d(x: Point, y: Point) -> float:
             x0, x1 = x
             y0, y1 = y
-            return sqrt((x0 - y0) ** 2 + (x1 - y1) ** 2)
+            e0, e1 = x0 - y0, x1 - y1
+            return sqrt(e0 * e0 + e1 * e1)
     else:
         def d(x: Point, y: Point) -> float:
-            return math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
+            return math.sqrt(sum(e * e for e in map(operator.sub, x, y)))
     return MetricSpace(f"R^{dim}[euclidean]", dim, d)
 
 
@@ -235,7 +255,9 @@ def segment_region(a: Sequence[float], b: Sequence[float], name: Optional[str] =
 
     In the plane the projection, the clamp and the distance are unrolled into
     scalar arithmetic in the generic formula's operation order, so both give
-    the same bits; other dimensions use the generic formula.
+    the same bits; other dimensions use the generic formula.  Both compare
+    the squared distance with ``GEOMETRY_TOL_SQUARED``, which is the same
+    verdict as comparing its root with ``GEOMETRY_TOL``.
     """
     pa, pb = as_point(a), as_point(b)
     direction = tuple(q - p for p, q in zip(pa, pb))
@@ -246,7 +268,6 @@ def segment_region(a: Sequence[float], b: Sequence[float], name: Optional[str] =
     if len(pa) == len(pb) == 2:
         o0, o1 = pa
         d0, d1 = direction
-        sqrt = math.sqrt
 
         def contains(p: Point) -> bool:
             c0, c1 = p
@@ -254,7 +275,8 @@ def segment_region(a: Sequence[float], b: Sequence[float], name: Optional[str] =
             # max(0.0, t) then min(1.0, t), NaN and -0.0 included
             t = t if t > 0.0 else 0.0
             t = t if t < 1.0 else 1.0
-            return sqrt((c0 - (o0 + t * d0)) ** 2 + (c1 - (o1 + t * d1)) ** 2) <= GEOMETRY_TOL
+            e0, e1 = c0 - (o0 + t * d0), c1 - (o1 + t * d1)
+            return e0 * e0 + e1 * e1 <= GEOMETRY_TOL_SQUARED
 
         def draw(rng: random.Random, n: int) -> list[Point]:
             rand = rng.random
@@ -271,7 +293,7 @@ def segment_region(a: Sequence[float], b: Sequence[float], name: Optional[str] =
     def contains(p: Point) -> bool:
         t = min(1.0, max(0.0, project(p)))
         q = at(t)
-        return math.sqrt(sum((c - d) ** 2 for c, d in zip(p, q))) <= GEOMETRY_TOL
+        return sum(e * e for e in map(operator.sub, p, q)) <= GEOMETRY_TOL_SQUARED
 
     def draw(rng: random.Random, n: int) -> list[Point]:
         return [at(rng.random()) for _ in range(n)]
@@ -280,11 +302,14 @@ def segment_region(a: Sequence[float], b: Sequence[float], name: Optional[str] =
 
 
 def circle_region(center: Sequence[float], radius: float, name: Optional[str] = None) -> Region:
-    """The circle itself (not the disk); a deliberately non-convex region."""
+    """The circle itself (not the disk); a deliberately non-convex region.
+
+    The test is two-sided, so it keeps the root: |r - radius| <= GEOMETRY_TOL.
+    """
     c = as_point(center)
 
     def contains(p: Point) -> bool:
-        r = math.sqrt(sum((a - b) ** 2 for a, b in zip(p, c)))
+        r = math.sqrt(sum(e * e for e in map(operator.sub, p, c)))
         return abs(r - radius) <= GEOMETRY_TOL
 
     def draw(rng: random.Random, n: int) -> list[Point]:

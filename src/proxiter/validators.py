@@ -198,7 +198,8 @@ def _aitken_limit(points: Sequence[Point]) -> Point:
         if denom == 0.0 or not math.isfinite(denom):
             out.append(c)
             continue
-        val = c - (c - b) ** 2 / denom
+        step = c - b
+        val = c - step * step / denom
         out.append(val if math.isfinite(val) else c)
     return tuple(round(v, 12) for v in out)
 

@@ -255,25 +255,17 @@ def _generic_segment(a, b):
     def contains(p):
         t = min(1.0, max(0.0, sum((c - o) * d for c, o, d in zip(p, a, direction)) / length2))
         q = at(t)
-        return math.sqrt(sum((c - d) ** 2 for c, d in zip(p, q))) <= px.GEOMETRY_TOL
+        return math.sqrt(sum((c - d) * (c - d) for c, d in zip(p, q))) <= px.GEOMETRY_TOL
 
     return at, contains
 
 
 def _generic_euclidean(x, y):
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
+    return math.sqrt(sum((a - b) * (a - b) for a, b in zip(x, y)))
 
 
 def _bits(values):
     return [struct.pack("<d", v) for v in values]
-
-
-def _outcome(fn, *args):
-    """The result's bits, or the exception type (x ** 2 overflow raises)."""
-    try:
-        return _bits([fn(*args)])
-    except OverflowError as exc:
-        return type(exc)
 
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -331,7 +323,7 @@ def test_plane_segment_matches_generic_formula(a, b, t, off, seed):
 )
 def test_plane_euclidean_metric_matches_generic_formula(x, y):
     metric = px.vector_space(2).metric
-    assert _outcome(metric, x, y) == _outcome(_generic_euclidean, x, y)
+    assert _bits([metric(x, y)]) == _bits([_generic_euclidean(x, y)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -355,7 +347,44 @@ def test_space_segment_keeps_generic_formula(a, b, t, off, seed):
     expected = [at(rng.random()) for _ in range(20)]
     assert [_bits(p) for p in seg.draw(random.Random(seed), 20)] == [_bits(p) for p in expected]
     metric = px.vector_space(3).metric
-    assert _outcome(metric, a, p) == _outcome(_generic_euclidean, a, p)
+    assert _bits([metric(a, p)]) == _bits([_generic_euclidean(a, p)])
+
+
+def test_a_square_beyond_the_largest_double_is_inf_not_an_error():
+    # x * x rounds to inf above about 1.34e154, where x ** 2 raised OverflowError
+    far = (1e200, 0.0)
+    assert px.vector_space(2).metric(far, (0.0, 0.0)) == math.inf
+    assert px.vector_space(3).metric(far + (0.0,), (0.0, 0.0, 0.0)) == math.inf
+    assert px.segment_region((0.0, 0.0), (1.0, 0.0)).contains(far) is False
+    assert px.segment_region((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)).contains(far + (0.0,)) is False
+    assert px.circle_region((0.0, 0.0), 1.0).contains(far) is False
+
+
+TOL_SQUARED = px.spaces.GEOMETRY_TOL_SQUARED
+
+
+def test_the_squared_tolerance_is_the_largest_double_whose_root_is_within_it():
+    assert math.sqrt(TOL_SQUARED) <= px.GEOMETRY_TOL
+    assert math.sqrt(math.nextafter(TOL_SQUARED, math.inf)) > px.GEOMETRY_TOL
+    assert TOL_SQUARED == 1.0000000000000003e-18
+
+
+def _ulps_away(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(min_value=-4, max_value=4).map(lambda k: _ulps_away(TOL_SQUARED, k)),
+        st.floats(min_value=0.0, max_value=1e-16),
+        st.sampled_from([0.0, -0.0, math.inf, math.nan]),
+    )
+)
+def test_comparing_a_square_with_the_squared_tolerance_is_comparing_its_root(s):
+    assert (s <= TOL_SQUARED) == (math.sqrt(s) <= px.GEOMETRY_TOL)
 
 
 # symmetry, which lets the cyclic campaign take d(c, g) for d(g, c): swapping
@@ -374,11 +403,8 @@ SYMMETRY_SPACES = {
 
 
 def _symmetry_outcome(metric, x, y):
-    """NaN, the result's bits, or the exception type (x ** 2 overflow raises)."""
-    try:
-        value = metric(x, y)
-    except OverflowError as exc:
-        return type(exc)
+    """NaN, or the result's bits."""
+    value = metric(x, y)
     return "nan" if math.isnan(value) else _bits([value])
 
 
