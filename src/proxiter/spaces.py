@@ -10,6 +10,7 @@ import functools
 import math
 import operator
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -112,6 +113,23 @@ def _abs_metric(x: Point, y: Point) -> float:
     return abs(x[0] - y[0])
 
 
+#: metrics vector_space and compose_spaces built that grow with each rounded
+#: |x_i - y_i|; a metric wrapped by ``dataclasses.replace`` is not among them
+_MONOTONE_METRICS: weakref.WeakSet = weakref.WeakSet()
+
+
+def _coordinatewise_monotone(metric: Callable[[Point, Point], float]) -> bool:
+    """Whether the metric is nondecreasing in each rounded |x_i - y_i|.
+
+    True for the line metric (by identity with the module global, so a
+    rebound one counts), for ``vector_space``'s metrics and for
+    ``compose_spaces`` of such metrics: rounded subtraction, ``abs``,
+    ``e * e``, addition and ``sqrt`` are each monotone.  Each of them is
+    also NaN or infinite wherever a coordinate is.
+    """
+    return metric is _abs_metric or metric in _MONOTONE_METRICS
+
+
 def _line_cross_sup(
     space: MetricSpace, xs: Sequence[Point], ys: Sequence[Point]
 ) -> Optional[float]:
@@ -147,6 +165,7 @@ def vector_space(dim: int) -> MetricSpace:
     else:
         def d(x: Point, y: Point) -> float:
             return math.sqrt(sum(e * e for e in map(operator.sub, x, y)))
+    _MONOTONE_METRICS.add(d)
     return MetricSpace(f"R^{dim}[euclidean]", dim, d)
 
 
@@ -157,6 +176,8 @@ def compose_spaces(s1: MetricSpace, s2: MetricSpace) -> MetricSpace:
     def d(x: Point, y: Point) -> float:
         return s1.metric(x[:d1], y[:d1]) + s2.metric(x[d1:], y[d1:])
 
+    if _coordinatewise_monotone(s1.metric) and _coordinatewise_monotone(s2.metric):
+        _MONOTONE_METRICS.add(d)
     return MetricSpace(f"({s1.name})x({s2.name})", d1 + s2.dim, d)
 
 

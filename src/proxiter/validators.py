@@ -17,6 +17,7 @@ from .spaces import (
     Point,
     Region,
     SetPair,
+    _coordinatewise_monotone,
     _line_cross_sup,
     distance,
     format_point,
@@ -92,11 +93,6 @@ def split_limit_validate(
     return True
 
 
-def _u_value(paired: PairedTrace, system: ExternalFactorSystem, m: int, n: int) -> float:
-    rho = distance(system.pair.space, paired.a.points[m], paired.b.points[n])
-    return rho + paired.a.f_values[m] + paired.b.f_values[n]
-
-
 def check_l1_bound(
     paired: PairedTrace,
     system: ExternalFactorSystem,
@@ -156,32 +152,136 @@ def check_l2_bound(
     U(m,n) = rho(x_m, y_n) + f_A(u_m) + f_B(v_n); M is the maximum of U over
     the first row and column of the finite trace, indices starting at 1.
     lam is the system's constant, and S is resolved at seed 0 unless given.
+    The full row-major sweep runs only where ``_envelope_screened`` cannot
+    rule a violation out, so it alone names ``first_violation``.
     """
     if paired.steps < 1:
         raise InvalidInputError("need at least one step")
     lam = system.lam
     s = resolve_constants(system).s if s is None else s
     horizon = paired.steps
-    m_const = max(
-        max(_u_value(paired, system, k, 1) for k in range(1, horizon + 1)),
-        max(_u_value(paired, system, 1, k) for k in range(1, horizon + 1)),
-    )
-    # the envelope depends on min(m, n) only: one limit per k, and the first
-    # row and column above have checked the dimension of every swept point
+    space = system.pair.space
+    xs, fa = paired.a.points, paired.a.f_values
+    ys, fb = paired.b.points, paired.b.f_values
+    # U down column 1, then along row 1: the values M is taken over, whose
+    # distance() calls check the dimension of every point the other cells use
+    column = [distance(space, xs[k], ys[1]) + fa[k] + fb[1] for k in range(1, horizon + 1)]
+    row = [distance(space, xs[1], ys[k]) + fa[1] + fb[k] for k in range(1, horizon + 1)]
+    m_const = max(max(column), max(row))
+    # the envelope depends on min(m, n) only: one limit per k
     limits = [math.nan]
     for k in range(1, horizon + 1):
         decay = lam ** (k - 1)
         limits.append(decay * m_const + (1.0 - decay) * s + RESIDUAL_TOL)
-    metric = system.pair.space.metric
+    first = None
+    if not _envelope_screened(space.metric, paired, limits, column + row, s):
+        first = _first_violation(space.metric, paired, limits)
+    return BoundCertificate(m_const, lam, s, horizon, first)
+
+
+def _first_violation(
+    metric: Callable[[Point, Point], float], paired: PairedTrace, limits: list[float]
+) -> Optional[tuple[int, int]]:
+    """The first (m, n) in row-major order whose U exceeds its limit, cell by cell."""
     xs, fa = paired.a.points, paired.a.f_values
     ys, fb = paired.b.points, paired.b.f_values
+    horizon = paired.steps
     for mm in range(1, horizon + 1):
         x, f_m, limit_m = xs[mm], fa[mm], limits[mm]
         for nn in range(1, horizon + 1):
             limit = limits[nn] if nn < mm else limit_m
             if not (metric(x, ys[nn]) + f_m + fb[nn] <= limit):
-                return BoundCertificate(m_const, lam, s, horizon, (mm, nn))
-    return BoundCertificate(m_const, lam, s, horizon, None)
+                return (mm, nn)
+    return None
+
+
+def _suffix_ranges(values: Sequence[float]) -> tuple[list[float], list[float]]:
+    """(min(values[j:]), max(values[j:])) for every j, as two lists."""
+    lo = hi = values[-1]
+    lows, highs = [], []
+    for value in reversed(values):
+        if value < lo:
+            lo = value
+        elif value > hi:
+            hi = value
+        lows.append(lo)
+        highs.append(hi)
+    lows.reverse()
+    highs.reverse()
+    return lows, highs
+
+
+def _far_corners(own: Sequence[Point], other: Sequence[Point], shift: int) -> list[Point]:
+    """For each j, the corner of other[j + shift:]'s coordinate box farthest from own[j].
+
+    Per coordinate it takes the bound whose rounded difference from own[j]'s
+    coordinate is larger in magnitude.
+    """
+    columns = []
+    for mine, theirs in zip(zip(*own), zip(*other)):
+        lows, highs = _suffix_ranges(theirs[shift:])
+        columns.append(
+            [lo if c - lo >= hi - c else hi for c, lo, hi in zip(mine, lows, highs)]
+        )
+    return list(zip(*columns))
+
+
+def _envelope_screened(
+    metric: Callable[[Point, Point], float],
+    paired: PairedTrace,
+    limits: list[float],
+    edge: list[float],
+    s: float,
+) -> bool:
+    """True when no cell can exceed its limit; False leaves it to the sweep.
+
+    The cells split into row 1 and column 1, whose values ``edge`` holds,
+    the upper part of each row m >= 2 (n >= m, limit limits[m]) and the
+    lower part of each column n >= 2 (m > n, limit limits[n]).  A part is
+    bounded by one metric call from its own point to the far corner of the
+    other side's coordinate box over the part, plus its own penalty and the
+    other side's largest penalty there, added in the sweep's order.
+
+    The metrics ``_coordinatewise_monotone`` accepts are NaN or infinite
+    wherever a coordinate is, so finite edge values mean every coordinate
+    and penalty is finite (each index meets row 1 or column 1).  Each cell
+    is then a composition of monotone rounded operations (subtraction,
+    ``abs``, ``e * e``, addition, ``sqrt``) that meets no NaN, so the bound
+    is at least every cell it covers; a part whose bound exceeds its limit
+    is swept exactly.  Any other metric, a non-finite edge value or a
+    non-finite S is left to the sweep.
+    """
+    if not _coordinatewise_monotone(metric):
+        return False
+    if not (math.isfinite(s) and all(map(math.isfinite, edge))):
+        return False
+    if not all(value <= limits[1] for value in edge):
+        return False
+    horizon = paired.steps
+    if horizon == 1:
+        return True  # the edge is the whole grid
+    # indices 1..horizon, 0-based from here on
+    end = horizon + 1
+    xs, fa = paired.a.points[1:end], paired.a.f_values[1:end]
+    ys, fb = paired.b.points[1:end], paired.b.f_values[1:end]
+    # row j + 1 meets y_{j+1}.. and column j + 1 meets x_{j+2}.. (0-based j)
+    row_corners, fb_max = _far_corners(xs, ys, 0), _suffix_ranges(fb)[1]
+    column_corners, fa_max = _far_corners(ys, xs, 1), _suffix_ranges(fa[1:])[1]
+    for j in range(1, horizon):
+        # both parts of index j + 1 share its limit
+        x, f_x, limit = xs[j], fa[j], limits[j + 1]
+        if not (metric(x, row_corners[j]) + f_x + fb_max[j] <= limit):
+            for n in range(j, horizon):
+                if not (metric(x, ys[n]) + f_x + fb[n] <= limit):
+                    return False
+        if j + 1 == horizon:
+            break
+        y, f_y = ys[j], fb[j]
+        if not (metric(column_corners[j], y) + fa_max[j] + f_y <= limit):
+            for m in range(j + 1, horizon):
+                if not (metric(xs[m], y) + fa[m] + f_y <= limit):
+                    return False
+    return True
 
 
 def _aitken_limit(points: Sequence[Point]) -> Point:

@@ -4,10 +4,11 @@ Each command runs in process; its stdout, stderr and exit code are folded
 into one SHA-256 digest and compared with the recorded value.  A refactor
 that changes any byte of any report, CSV or error message fails here.  The
 matrix avoids instances that call libm cos/sin, so that the digests do not
-depend on the platform's math library, except for two of the last three
-rows: the 4-D `cyclic3-affine` trace and the 2-D circle witness, which cover
-point shapes no other row has.  Their digests were recorded with glibc's libm
-and can differ on a platform whose cos/sin round those angles differently.
+depend on the platform's math library, except for the last row: the 2-D
+circle witness of ``scan --kind uc``, whose circle candidates take cos/sin.
+Its digest was recorded with glibc's libm and can differ on a platform whose
+cos/sin round those angles differently.  The 4-D `cyclic3-affine` trace row
+reads its spoke geometry from ``float.fromhex`` literals.
 
 To re-record after an intended report change, run this file as a script
 from the repository root with ``PYTHONPATH=src`` and paste its output over
