@@ -113,7 +113,7 @@ def _abs_metric(x: Point, y: Point) -> float:
     return abs(x[0] - y[0])
 
 
-#: metrics vector_space and compose_spaces built that grow with each rounded
+#: metrics vector_space(2) and compose_spaces built that grow with each rounded
 #: |x_i - y_i|; a metric wrapped by ``dataclasses.replace`` is not among them
 _MONOTONE_METRICS: weakref.WeakSet = weakref.WeakSet()
 
@@ -122,12 +122,20 @@ def _coordinatewise_monotone(metric: Callable[[Point, Point], float]) -> bool:
     """Whether the metric is nondecreasing in each rounded |x_i - y_i|.
 
     True for the line metric (by identity with the module global, so a
-    rebound one counts), for ``vector_space``'s metrics and for
+    rebound one counts), for ``vector_space(2)``'s metric and for
     ``compose_spaces`` of such metrics: rounded subtraction, ``abs``,
     ``e * e``, addition and ``sqrt`` are each monotone.  Each of them is
-    also NaN or infinite wherever a coordinate is.
+    also NaN or infinite wherever a coordinate is.  Other dimensions add
+    with ``sum()``, whose compensated float summation (Python 3.12+) is not
+    a chain of rounded additions, so they are not registered.  A metric
+    that cannot be hashed is not in the registry either.
     """
-    return metric is _abs_metric or metric in _MONOTONE_METRICS
+    if metric is _abs_metric:
+        return True
+    try:
+        return metric in _MONOTONE_METRICS
+    except TypeError:
+        return False
 
 
 def _line_cross_sup(
@@ -162,10 +170,11 @@ def vector_space(dim: int) -> MetricSpace:
             y0, y1 = y
             e0, e1 = x0 - y0, x1 - y1
             return sqrt(e0 * e0 + e1 * e1)
+
+        _MONOTONE_METRICS.add(d)
     else:
         def d(x: Point, y: Point) -> float:
             return math.sqrt(sum(e * e for e in map(operator.sub, x, y)))
-    _MONOTONE_METRICS.add(d)
     return MetricSpace(f"R^{dim}[euclidean]", dim, d)
 
 

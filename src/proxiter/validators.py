@@ -247,9 +247,9 @@ def _envelope_screened(
     and penalty is finite (each index meets row 1 or column 1).  Each cell
     is then a composition of monotone rounded operations (subtraction,
     ``abs``, ``e * e``, addition, ``sqrt``) that meets no NaN, so the bound
-    is at least every cell it covers; a part whose bound exceeds its limit
-    is swept exactly.  Any other metric, a non-finite edge value or a
-    non-finite S is left to the sweep.
+    is at least every cell it covers.  A part whose bound exceeds its
+    limit, any other metric, a non-finite edge value or a non-finite S is
+    left to the sweep.
     """
     if not _coordinatewise_monotone(metric):
         return False
@@ -271,16 +271,11 @@ def _envelope_screened(
         # both parts of index j + 1 share its limit
         x, f_x, limit = xs[j], fa[j], limits[j + 1]
         if not (metric(x, row_corners[j]) + f_x + fb_max[j] <= limit):
-            for n in range(j, horizon):
-                if not (metric(x, ys[n]) + f_x + fb[n] <= limit):
-                    return False
+            return False
         if j + 1 == horizon:
             break
-        y, f_y = ys[j], fb[j]
-        if not (metric(column_corners[j], y) + fa_max[j] + f_y <= limit):
-            for m in range(j + 1, horizon):
-                if not (metric(xs[m], y) + fa[m] + f_y <= limit):
-                    return False
+        if not (metric(column_corners[j], ys[j]) + fa_max[j] + fb[j] <= limit):
+            return False
     return True
 
 

