@@ -38,7 +38,7 @@ from .iteration import (
     write_trace_csv,
 )
 from .spaces import format_point, parse_point
-from .systems import resolve_constants, verify_contraction
+from .systems import verify_contraction
 from .validators import cd_falsify, check_l1_bound, check_l2_bound, uc_falsify
 
 EXIT_OK = 0
@@ -157,14 +157,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     x0 = parse_point(args.x0) if args.x0 is not None else entry.default_x0
     y0 = parse_point(args.y0) if args.y0 is not None else entry.default_y0
     q0 = entry.quadruple(x0, y0)
-    consts = resolve_constants(system, seed=args.seed)
     run = PairedRun(system, q0, args.steps, args.tol)
     if args.format == "csv":
         # the whole run is formatted before anything is written
         chunks = trace_csv_chunks(run)
         _write_out(lambda fh: fh.writelines(chunks), args.out)
     else:
-        _emit(_report("run", args, report=run.report(consts).to_dict()), args.out)
+        _emit(_report("run", args, report=run.report().to_dict()), args.out)
     if run.stop_reason == "tolerance-met":
         return EXIT_OK
     return EXIT_UNDECIDED
@@ -195,15 +194,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     system = entry.build()
     if args.lam is not None:
         system = dataclasses.replace(system, lam=args.lam)
-    consts = resolve_constants(system, seed=args.seed)
-    cert = verify_contraction(system, args.samples, args.seed, depth=args.depth, constants=consts)
+    cert = verify_contraction(system, args.samples, args.seed, depth=args.depth)
     payload = {"certification": cert.to_dict()}
     bounds_ok = None
     if cert.certified:
         q0 = entry.quadruple(entry.default_x0, entry.default_y0)
-        paired, _ = run_paired(system, q0, 300, 1e-9, constants=consts)
-        l1 = check_l1_bound(paired, system, s=consts.s) if paired.steps >= 2 else True
-        l2 = check_l2_bound(paired, system, s=consts.s)
+        paired, _ = run_paired(system, q0, 300, 1e-9)
+        l1 = check_l1_bound(paired, system) if paired.steps >= 2 else True
+        l2 = check_l2_bound(paired, system)
         bounds_ok = bool(l1 and l2.ok)
         payload["bounds"] = {
             "l1_ok": bool(l1),
@@ -250,8 +248,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             raise ProxiterError("uniqueness scans need --grid lo:hi:step")
         grid = _parse_grid(args.grid, args.budget)
         q0 = entry.quadruple(entry.default_x0, entry.default_y0)
-        consts = resolve_constants(system, seed=args.seed)
-        report = PairedRun(system, q0, 500, args.tol).report(consts)
+        report = PairedRun(system, q0, 500, args.tol).report()
         if report.limit is None:
             _emit(_report("scan", args, outcome="undecided"), args.out)
             return EXIT_UNDECIDED
@@ -266,7 +263,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             try:
                 seq = make_infimum_sequence(
                     system, beta, (q0.y, q0.v), lambda n, b=beta: b, 12,
-                    f_tol=1e-9, constants=consts,
+                    f_tol=1e-9,
                 )
             except ProxiterError:
                 skipped += 1

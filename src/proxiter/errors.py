@@ -10,7 +10,7 @@ class InvalidInputError(ProxiterError, ValueError):
 
 
 class EstimationFailureError(ProxiterError, RuntimeError):
-    """A sampler or sampled estimate could not produce a usable value."""
+    """A sampler produced too few samples, or a sample outside its set."""
 
 
 class DomainViolationError(ProxiterError, RuntimeError):

@@ -447,8 +447,7 @@ def product_system(
             cp = need_pair(c)
             return g1.fn(cp.left) + g2.fn(cp.right)
 
-        infs = (g1.inf_value, g2.inf_value)
-        return ExternalFactor(fn, None if None in infs else infs[0] + infs[1])
+        return ExternalFactor(fn, g1.inf_value + g2.inf_value)
 
     def p_contains(x: Point, y: Point, u: CElement, v: CElement) -> bool:
         if not isinstance(u, CPair) or not isinstance(v, CPair):
@@ -552,7 +551,7 @@ def _cyclic_campaign(ct: CyclicTriple, samples: int, seed: int, reduction) -> tu
     """(worst, arg, campaign) from one draw of triples.
 
     worst and arg are ``certify_cyclic``'s minimum and triple.  reduction is
-    None, or (system, constants) for system ``cyclic3_reduce(ct)``.  With a
+    None, or the system ``cyclic3_reduce(ct)``.  With a
     reduction, each triple (g, b, c) is also the sample
     ``_reduction_quadruple(g, b, c)``: its T^3 outputs continue the images
     T(g), T(b), T(c) that the triple's residual took, so a sample makes 9 map
@@ -574,17 +573,16 @@ def _cyclic_campaign(ct: CyclicTriple, samples: int, seed: int, reduction) -> tu
     arg = None
     live = reduction is not None
     if live:
-        system, constants = reduction
-        p_contains = system.p.contains
-        a_contains, b_contains = system.pair.a.contains, system.pair.b.contains
+        p_contains = reduction.p.contains
+        a_contains, b_contains = reduction.pair.a.contains, reduction.pair.b.contains
         # each half of a sample has the triple's dimension, so the product
         # metric's terms are the halves' distances; a sample whose halves
         # split otherwise goes to the generic campaign
         dim = ct.space.dim
         # u and H_A(x, u) are ONE_ATOM in every sample, so both f_A terms are this
-        f_a_one = system.f_a.fn(ONE_ATOM)
-        lam = system.lam
-        r_floor = (1.0 - lam) * constants.s
+        f_a_one = reduction.f_a.fn(ONE_ATOM)
+        lam = reduction.lam
+        r_floor = (1.0 - lam) * resolve_constants(reduction).s
         min_res = math.inf
         arg_min = non_finite = None
         probed = []
@@ -647,16 +645,15 @@ def verify_cyclic(
     """
     try:
         system = cyclic3_reduce(ct)
-        constants = resolve_constants(system, seed=seed)
     except ProxiterError:
         system = None
-    reduction = (system, constants) if system is not None and depth >= 0 else None
+    reduction = system if depth >= 0 else None
     worst, arg, campaign = _cyclic_campaign(ct, samples, seed, reduction)
     if cyclic_refuted(worst):
         return worst, arg, None
     if campaign is None:
         return worst, arg, verify_contraction(cyclic3_reduce(ct), samples, seed, depth=depth)
-    return worst, arg, campaign_report(system, samples, seed, depth, constants, campaign)
+    return worst, arg, campaign_report(system, samples, seed, depth, campaign)
 
 
 def cyclic_refuted(worst: float) -> bool:

@@ -26,7 +26,6 @@ from .systems import (
     CElement,
     ExternalFactorSystem,
     Quadruple,
-    SystemConstants,
     _orbit,
     format_celement,
     resolve_constants,
@@ -226,14 +225,14 @@ class PairedRun:
             x_prev, y_prev = x_next, y_next
         self.stop_reason = "max-steps"
 
-    def report(self, constants: SystemConstants) -> ConvergenceReport:
+    def report(self) -> ConvergenceReport:
         """Run to the end holding only the last CONFIRM_WINDOW rows, and report."""
         window = deque(self, maxlen=CONFIRM_WINDOW)
-        return _window_report(window, self.stop_reason, self.system.pair.space, constants)
+        return _window_report(window, self.stop_reason, self.system)
 
 
 def _window_report(
-    window: Sequence[tuple], stop_reason: str, space: MetricSpace, constants: SystemConstants
+    window: Sequence[tuple], stop_reason: str, system: ExternalFactorSystem
 ) -> ConvergenceReport:
     """A run's report from its stop reason and its last CONFIRM_WINDOW rows.
 
@@ -242,10 +241,12 @@ def _window_report(
     residuals are tail means over it.
     """
     steps = window[-1][0]
+    constants = resolve_constants(system)
     if stop_reason != "tolerance-met":
         return ConvergenceReport(None, None, None, None, None, steps, stop_reason, constants.dist)
     n = CONFIRM_WINDOW
     limit = window[-1][1]
+    space = system.pair.space
     rho_tail = sum([distance(space, limit, row[3]) for row in window]) / n
     fa_tail = sum([row[6] for row in window]) / n - constants.inf_a
     fb_tail = sum([row[7] for row in window]) / n - constants.inf_b
@@ -266,8 +267,6 @@ def run_paired(
     q0: Quadruple,
     max_steps: int,
     tol: float,
-    *,
-    constants: Optional[SystemConstants] = None,
 ) -> tuple[PairedTrace, ConvergenceReport]:
     """A PairedRun collected whole: its trace and its report.
 
@@ -275,14 +274,12 @@ def run_paired(
     instead (PairedRun.report, trace_csv_chunks).
     """
     run = PairedRun(system, q0, max_steps, tol)
-    if constants is None:
-        constants = resolve_constants(system)
     rows = list(run)
     _, xs, us, ys, vs, rho, fa_vals, fb_vals = zip(*rows)
     space = system.pair.space
     trace_a = IterationTrace(space, xs, us, fa_vals)
     trace_b = IterationTrace(space, ys, vs, fb_vals)
-    report = _window_report(rows[-CONFIRM_WINDOW:], run.stop_reason, space, constants)
+    report = _window_report(rows[-CONFIRM_WINDOW:], run.stop_reason, system)
     return PairedTrace(trace_a, trace_b, rho), report
 
 
@@ -294,17 +291,14 @@ def make_infimum_sequence(
     length: int,
     *,
     f_tol: float = 1e-6,
-    constants: Optional[SystemConstants] = None,
 ) -> InfimumSequence:
     """Materialize and validate a C-sequence anchored at a point.
 
     Every element must keep (anchor, y, c_n, v) inside P, and the final f
-    value must sit within f_tol of the resolved infimum of f_A.
+    value must sit within f_tol of the supplied infimum of f_A.
     """
     if length < 1:
         raise InvalidInputError("length must be >= 1")
-    if constants is None:
-        constants = resolve_constants(system)
     y, v = witness
     elements = []
     f_values = []
@@ -316,9 +310,10 @@ def make_infimum_sequence(
             )
         elements.append(c)
         f_values.append(system.f_a.fn(c))
-    if f_values[-1] > constants.inf_a + f_tol:
+    inf_a = resolve_constants(system).inf_a
+    if f_values[-1] > inf_a + f_tol:
         raise NotAnInfimumSequenceError(
-            f"tail f value {f_values[-1]} exceeds inf {constants.inf_a} + {f_tol}"
+            f"tail f value {f_values[-1]} exceeds inf {inf_a} + {f_tol}"
         )
     return InfimumSequence(anchor, y, v, tuple(elements), tuple(f_values))
 

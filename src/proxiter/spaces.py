@@ -381,55 +381,26 @@ def product_region(r1: Region, r2: Region, d1: int) -> Region:
 
 @dataclass(frozen=True)
 class SetPair:
-    """Two regions of one space; dist_ab is exact when supplied, else estimated."""
+    """Two regions of one space and dist_ab, their author-supplied distance."""
 
     space: MetricSpace
     a: Region
     b: Region
-    dist_ab: Optional[float] = None
+    dist_ab: float
 
     def __post_init__(self):
-        if self.dist_ab is not None and self.dist_ab < 0:
+        if self.dist_ab is None:
+            raise InvalidInputError("set distance must be supplied")
+        if self.dist_ab < 0:
             raise InvalidInputError("set distance cannot be negative")
-        if self.dist_ab is not None and not math.isfinite(self.dist_ab):
+        if not math.isfinite(self.dist_ab):
             raise InvalidInputError(f"set distance must be finite, got {self.dist_ab}")
 
 
-def set_distance(pair: SetPair, samples: int = 0, seed: int = 0) -> tuple[float, str]:
-    """Exact author-supplied distance, or a sampled upper estimate of the infimum.
-
-    The estimate is the minimum over the samples x samples cross distances.
-    On the absolute-difference line the closest cross pair is adjacent in the
-    merged sorted order, so that case avoids the quadratic sweep exactly.
-    """
-    if pair.dist_ab is not None:
-        return pair.dist_ab, "exact"
-    if samples < 1:
-        raise InvalidInputError("samples must be >= 1 when dist_ab is estimated")
-    pts_a = sample_region(pair.a, samples, seed)
-    pts_b = sample_region(pair.b, samples, seed + 1)
-    if not pts_a or not pts_b:
-        raise EstimationFailureError("empty sampler output while estimating set distance")
-    if pair.space.metric is _abs_metric:
-        merged = sorted(
-            [(p[0], 0) for p in pts_a] + [(p[0], 1) for p in pts_b]
-        )
-        best = math.inf
-        for (v1, side1), (v2, side2) in zip(merged, merged[1:]):
-            if side1 != side2:
-                best = min(best, v2 - v1)
-        return best, "estimated"
-    best = min(distance(pair.space, x, y) for x in pts_a for y in pts_b)
-    return best, "estimated"
-
-
 def product_space(p1: SetPair, p2: SetPair) -> SetPair:
-    """(A1xA2, B1xB2) in the sum-metric product; exact distances add."""
+    """(A1xA2, B1xB2) in the sum-metric product; the distances add."""
     space = compose_spaces(p1.space, p2.space)
     d1 = p1.space.dim
     a = product_region(p1.a, p2.a, d1)
     b = product_region(p1.b, p2.b, d1)
-    dist = None
-    if p1.dist_ab is not None and p2.dist_ab is not None:
-        dist = p1.dist_ab + p2.dist_ab
-    return SetPair(space, a, b, dist)
+    return SetPair(space, a, b, p1.dist_ab + p2.dist_ab)

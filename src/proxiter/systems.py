@@ -1,9 +1,9 @@
 """Contraction systems driven by an external set, and their certification.
 
 A system bundles two region maps (one per side of a set pair), two update
-maps on an external set C, two penalty functions with known or estimable
-infima, an admissibility relation P on (x, y, u, v) quadruples, and a
-contraction constant.  Certification is sample based: verdicts are
+maps on an external set C, two penalty functions with supplied infima, an
+admissibility relation P on (x, y, u, v) quadruples, and a contraction
+constant.  Certification is sample based: verdicts are
 "certified-on-samples" or "refuted", never "proved".
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .errors import DomainViolationError, EstimationFailureError, InvalidInputError
-from .spaces import Point, SetPair, distance, format_point, set_distance
+from .spaces import Point, SetPair, distance, format_point
 
 #: absolute slack when judging the contraction inequality on samples
 RESIDUAL_TOL = 1e-10
@@ -62,10 +62,17 @@ class Quadruple(NamedTuple):
 
 @dataclass(frozen=True)
 class ExternalFactor:
-    """A penalty function on C with an exact or to-be-estimated infimum."""
+    """A penalty function on C and inf_value, its author-supplied infimum.
+
+    A non-finite infimum is accepted, and refutes every certification.
+    """
 
     fn: Callable[[CElement], float]
-    inf_value: Optional[float] = None
+    inf_value: float
+
+    def __post_init__(self):
+        if self.inf_value is None:
+            raise InvalidInputError("penalty infimum must be supplied")
 
 
 @dataclass(frozen=True)
@@ -178,36 +185,20 @@ def live_block(system: ExternalFactorSystem) -> Optional[Callable[[random.Random
 
 @dataclass(frozen=True)
 class SystemConstants:
-    """Resolved distance and infima, each flagged exact or estimated."""
+    """The system's set distance and penalty infima, and their sum S."""
 
     dist: float
-    dist_flag: str
     inf_a: float
-    inf_a_flag: str
     inf_b: float
-    inf_b_flag: str
 
     @property
     def s(self) -> float:
         return self.dist + self.inf_a + self.inf_b
 
 
-def factor_infimum(factor: ExternalFactor, universe: CUniverse, seed: int) -> tuple[float, str]:
-    """Author-supplied infimum, or the minimum over 2048 elements of C drawn at seed."""
-    if factor.inf_value is not None:
-        return factor.inf_value, "exact"
-    cs = universe.draw(random.Random(seed), 2048)
-    if not cs:
-        raise EstimationFailureError("empty C sample while estimating an infimum")
-    return min(factor.fn(c) for c in cs), "estimated"
-
-
-def resolve_constants(system: ExternalFactorSystem, seed: int = 0) -> SystemConstants:
-    """The distance and both infima; an estimated one takes 2048 seeded samples."""
-    dist, dist_flag = set_distance(system.pair, 2048, seed)
-    inf_a, fa_flag = factor_infimum(system.f_a, system.c_universe, seed + 101)
-    inf_b, fb_flag = factor_infimum(system.f_b, system.c_universe, seed + 202)
-    return SystemConstants(dist, dist_flag, inf_a, fa_flag, inf_b, fb_flag)
+def resolve_constants(system: ExternalFactorSystem) -> SystemConstants:
+    """The distance and both infima that the system supplies."""
+    return SystemConstants(system.pair.dist_ab, system.f_a.inf_value, system.f_b.inf_value)
 
 
 def _orbit(t: Callable, h: Callable, x: Point, u: CElement) -> Iterator[tuple]:
@@ -275,9 +266,7 @@ def _one_step(
         yield q, before, after
 
 
-def contraction_residual(
-    system: ExternalFactorSystem, q: Quadruple, constants: SystemConstants
-) -> float:
+def contraction_residual(system: ExternalFactorSystem, q: Quadruple) -> float:
     """Right side minus left side of the contraction inequality at q.
 
     Nonnegative exactly when the inequality holds at q.  The left side maps
@@ -285,7 +274,7 @@ def contraction_residual(
     in P and each T output in its region, as in a certification campaign.
     """
     ((_, before, after),) = _one_step(system, (q,), "quadruple not in P")
-    return system.lam * before + (1.0 - system.lam) * constants.s - after
+    return system.lam * before + (1.0 - system.lam) * resolve_constants(system).s - after
 
 
 def check_p_invariance(
@@ -365,7 +354,6 @@ def verify_contraction(
     seed: int,
     *,
     depth: int = 8,
-    constants: Optional[SystemConstants] = None,
 ) -> CertificationReport:
     """Sample quadruples from P and certify the three contraction conditions.
 
@@ -391,14 +379,12 @@ def verify_contraction(
         raise InvalidInputError("samples must be >= 1")
     if depth < 0:
         raise InvalidInputError(f"depth must be >= 0, got {depth}")
-    if constants is None:
-        constants = resolve_constants(system, seed=seed)
     lam = system.lam
-    floor = (1.0 - lam) * constants.s
+    floor = (1.0 - lam) * resolve_constants(system).s
     campaign = _block_campaign(system, samples, seed, lam, floor)
     if campaign is None:
         campaign = _scalar_campaign(system, samples, seed, lam, floor)
-    return campaign_report(system, samples, seed, depth, constants, campaign)
+    return campaign_report(system, samples, seed, depth, campaign)
 
 
 def campaign_report(
@@ -406,7 +392,6 @@ def campaign_report(
     samples: int,
     seed: int,
     depth: int,
-    constants: SystemConstants,
     campaign: tuple,
 ) -> CertificationReport:
     """``verify_contraction``'s report from a finished campaign.
@@ -416,7 +401,7 @@ def campaign_report(
     infima, the P-invariance probes and the reason order are judged here.
     """
     min_res, arg_min, non_finite, probed = campaign
-
+    constants = resolve_constants(system)
     infima_finite = math.isfinite(constants.inf_a) and math.isfinite(constants.inf_b)
 
     p_ok = True

@@ -21,7 +21,6 @@ from .spaces import (
     _line_cross_sup,
     distance,
     format_point,
-    set_distance,
 )
 from .systems import RESIDUAL_TOL, ExternalFactorSystem, resolve_constants
 
@@ -93,23 +92,18 @@ def split_limit_validate(
     return True
 
 
-def check_l1_bound(
-    paired: PairedTrace,
-    system: ExternalFactorSystem,
-    *,
-    s: Optional[float] = None,
-) -> bool:
+def check_l1_bound(paired: PairedTrace, system: ExternalFactorSystem) -> bool:
     """One-sided boundedness check along a paired trace.
 
     Validates rho(x_n, y_1) + f_A(u_n) <= rho(x_1, y_1) + f_A(u_1)
     + Q/(1-lam) + S at every n >= 1, with Q = rho(y_1, y_2)
-    + lam*f_B(v_1) - f_B(v_2), lam the system's constant and S resolved at
-    seed 0 unless given.
+    + lam*f_B(v_1) - f_B(v_2), lam the system's constant and S the sum of its
+    supplied distance and infima.
     """
     if paired.steps < 2:
         raise InvalidInputError("need at least two steps for the boundedness check")
     lam = system.lam
-    s = resolve_constants(system).s if s is None else s
+    s = resolve_constants(system).s
     space = system.pair.space
     y1, y2 = paired.b.points[1], paired.b.points[2]
     q = distance(space, y1, y2) + lam * paired.b.f_values[1] - paired.b.f_values[2]
@@ -141,24 +135,20 @@ class BoundCertificate:
         return self.first_violation is None
 
 
-def check_l2_bound(
-    paired: PairedTrace,
-    system: ExternalFactorSystem,
-    *,
-    s: Optional[float] = None,
-) -> BoundCertificate:
+def check_l2_bound(paired: PairedTrace, system: ExternalFactorSystem) -> BoundCertificate:
     """Check U(m,n) <= lam^(min(m,n)-1) * M + (1 - lam^(min(m,n)-1)) * S.
 
     U(m,n) = rho(x_m, y_n) + f_A(u_m) + f_B(v_n); M is the maximum of U over
     the first row and column of the finite trace, indices starting at 1.
-    lam is the system's constant, and S is resolved at seed 0 unless given.
+    lam is the system's constant, and S the sum of its supplied distance and
+    infima.
     The full row-major sweep runs only where ``_envelope_screened`` cannot
     rule a violation out, so it alone names ``first_violation``.
     """
     if paired.steps < 1:
         raise InvalidInputError("need at least one step")
     lam = system.lam
-    s = resolve_constants(system).s if s is None else s
+    s = resolve_constants(system).s
     horizon = paired.steps
     space = system.pair.space
     xs, fa = paired.a.points, paired.a.f_values
@@ -349,7 +339,7 @@ def cd_falsify(
     if budget < 1:
         raise InvalidInputError("budget must be >= 1")
     _check_tol(tol)
-    dist, _ = set_distance(pair)
+    dist = pair.dist_ab
     space = pair.space
     metric, dim = space.metric, space.dim
     for i in range(budget):
@@ -411,7 +401,7 @@ def uc_falsify(
     if budget < 1:
         raise InvalidInputError("budget must be >= 1")
     _check_tol(tol)
-    dist, _ = set_distance(pair)
+    dist = pair.dist_ab
     space = pair.space
     metric, dim = space.metric, space.dim
 

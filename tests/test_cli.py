@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import proxiter as px
-from proxiter import cli, instances, iteration, systems, validators
+from proxiter import cli, instances, iteration, systems
 from proxiter.cli import _emit, main
 from proxiter.instances import ONE_ATOM
 
@@ -579,18 +579,32 @@ def _count_calls(monkeypatch, name, modules):
     return calls
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("verify", "--instance", "e1", "--samples", "300", "--seed", "3"),
-        ("scan", "--kind", "uniqueness", "--instance", "e1", "--grid", "0:20:0.5"),
-    ],
-)
-def test_one_constants_resolution_per_command(capsys, monkeypatch, argv):
-    calls = _count_calls(monkeypatch, "resolve_constants", (cli, systems, iteration, validators))
-    code, _, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert len(calls) == 1
+def test_constants_are_the_systems_own_whatever_the_seed(capsys):
+    def never(rng, n):
+        raise AssertionError("a constant was sampled")
+
+    e1 = px.example1_system()
+    unsampled = dataclasses.replace(
+        e1,
+        pair=dataclasses.replace(
+            e1.pair,
+            a=dataclasses.replace(e1.pair.a, draw=never),
+            b=dataclasses.replace(e1.pair.b, draw=never),
+        ),
+        c_universe=dataclasses.replace(e1.c_universe, draw=never),
+        p=dataclasses.replace(e1.p, draw=never),
+        f_a=px.ExternalFactor(e1.f_a.fn, 0.25),
+        f_b=px.ExternalFactor(e1.f_b.fn, 0.5),
+    )
+    assert px.resolve_constants(unsampled) == px.SystemConstants(1.0, 0.25, 0.5)
+    s_values = set()
+    for seed in ("3", "7"):
+        code, out, _ = run_cli(
+            capsys, "verify", "--instance", "e1", "--samples", "300", "--seed", seed
+        )
+        assert code == 0
+        s_values.add(json.loads(out)["certification"]["s_value"])
+    assert s_values == {1.0}
 
 
 def test_cyclic_csv_reuses_the_solve_run(capsys, monkeypatch):
@@ -599,21 +613,6 @@ def test_cyclic_csv_reuses_the_solve_run(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "run", "--instance", "cyclic3-singleton", "--format", "csv")
     assert code == 0
     assert len(reduce_calls) == len(run_calls) == 3  # one per rotation
-
-
-def test_run_resolves_constants_from_the_seed(capsys, monkeypatch):
-    seeds = []
-    original = systems.resolve_constants
-
-    def spy(system, seed=0):
-        seeds.append(seed)
-        return original(system, seed)
-
-    for mod in (cli, systems, iteration, validators):
-        monkeypatch.setattr(mod, "resolve_constants", spy, raising=False)
-    code, _, _ = run_cli(capsys, "run", "--instance", "e1", "--seed", "7")
-    assert code == 0
-    assert seeds == [7]
 
 
 def test_verify_e1_calls_the_point_map_once_per_sample(capsys, monkeypatch):

@@ -16,7 +16,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_kernel_oracles import reference_check_l2_bound
+from test_kernel_oracles import reference_check_l2_bound, with_s
 
 import proxiter.spaces as spaces
 from proxiter import (
@@ -26,7 +26,6 @@ from proxiter import (
     compose_spaces,
     load_instance_json,
     real_line,
-    resolve_constants,
     run_paired,
     vector_space,
 )
@@ -60,9 +59,9 @@ def _system(space, lam):
     return dataclasses.replace(system, pair=dataclasses.replace(system.pair, space=space), lam=lam)
 
 
-def _outcome(fn, paired, system, s):
+def _outcome(fn, paired, system):
     try:
-        return repr(fn(paired, system, s=s))
+        return repr(fn(paired, system))
     except Exception as exc:  # noqa: BLE001 - any exception must match the reference's
         return (type(exc), str(exc))
 
@@ -106,9 +105,9 @@ def converging_traces(draw):
 @given(case=converging_traces())
 def test_the_screen_gives_the_reference_certificate(case):
     key, paired, lam, s = case
-    system = _system(SPACES[key], lam)
-    assert _outcome(check_l2_bound, paired, system, s) == _outcome(
-        reference_check_l2_bound, paired, system, s
+    system = with_s(_system(SPACES[key], lam), s)
+    assert _outcome(check_l2_bound, paired, system) == _outcome(
+        reference_check_l2_bound, paired, system
     )
 
 
@@ -136,10 +135,10 @@ def test_a_part_whose_bound_fails_without_a_violating_cell_passes():
         [0.0] * 4,
         [0.0, 0.0, 1.0, 0.0],
     )
-    system = _system(space, 0.0)
-    cert = check_l2_bound(paired, system, s=1.5)
+    system = with_s(_system(space, 0.0), 1.5)
+    cert = check_l2_bound(paired, system)
     assert cert.ok
-    assert repr(cert) == repr(reference_check_l2_bound(paired, system, s=1.5))
+    assert repr(cert) == repr(reference_check_l2_bound(paired, system))
 
 
 @dataclasses.dataclass
@@ -158,8 +157,8 @@ def test_an_unhashable_or_unregistered_metric_takes_the_sweep():
         assert not spaces._coordinatewise_monotone(space.metric), space.name
         paired = _contracting_trace(space, 6)
         system = _system(space, 0.9)
-        assert repr(check_l2_bound(paired, system, s=0.0)) == repr(
-            reference_check_l2_bound(paired, system, s=0.0)
+        assert repr(check_l2_bound(paired, system)) == repr(
+            reference_check_l2_bound(paired, system)
         )
 
 
@@ -175,9 +174,9 @@ def test_the_full_sweep_names_a_violation_the_screen_meets_later():
     fb[4] += 16.0
     paired = _paired(space, xs, ys, fa, fb)
     system = _system(space, 0.5)
-    cert = check_l2_bound(paired, system, s=0.0)
+    cert = check_l2_bound(paired, system)
     assert cert.first_violation == (3, 4)
-    assert repr(cert) == repr(reference_check_l2_bound(paired, system, s=0.0))
+    assert repr(cert) == repr(reference_check_l2_bound(paired, system))
 
 
 def _contracting_trace(space, horizon):
@@ -196,7 +195,7 @@ def test_a_long_converging_trace_takes_linearly_many_metric_calls(monkeypatch, k
     horizon = 300
     paired = _contracting_trace(space, horizon)
     system = _system(space, 0.9)
-    cert = check_l2_bound(paired, system, s=0.0)
+    cert = check_l2_bound(paired, system)
     # each metric call takes dim line-metric calls; the sweep would take h^2
     assert cert.ok and calls[0] <= 8 * horizon * space.dim
 
@@ -218,10 +217,9 @@ def test_every_bounds_trace_of_verify_takes_linearly_many_metric_calls(monkeypat
     calls = _counting_abs(monkeypatch)
     for entry in _builtin_and_json_entries(tmp_path):
         system = entry.build()
-        constants = resolve_constants(system)
         q0 = entry.quadruple(entry.default_x0, entry.default_y0)
-        paired, _ = run_paired(system, q0, 300, 1e-9, constants=constants)
+        paired, _ = run_paired(system, q0, 300, 1e-9)
         calls[0] = 0
-        cert = check_l2_bound(paired, system, s=constants.s)
+        cert = check_l2_bound(paired, system)
         assert cert.ok, system.name
         assert calls[0] <= 8 * paired.steps * system.pair.space.dim, system.name

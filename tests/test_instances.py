@@ -182,20 +182,16 @@ def test_product_maps_lift_each_factor_onto_its_component():
             fn(y, (3.0,))
 
 
-def test_product_penalties_add_and_an_unknown_infimum_stays_unknown():
+def test_product_penalties_and_infima_add():
     e1 = px.example1_system()
     known = dataclasses.replace(
         e1, f_a=px.ExternalFactor(e1.f_a.fn, 0.25), f_b=px.ExternalFactor(e1.f_b.fn, 0.5)
     )
-    unknown = dataclasses.replace(e1, f_a=px.ExternalFactor(e1.f_a.fn, None))
     prod = px.product_system(known, known)
     assert (prod.f_a.inf_value, prod.f_b.inf_value) == (0.5, 1.0)
     c = px.CPair((3.0,), (-2.0,))
     assert prod.f_a.fn(c) == e1.f_a.fn((3.0,)) + e1.f_a.fn((-2.0,)) == 12.0
     assert prod.f_b.fn(c) == e1.f_b.fn((3.0,)) + e1.f_b.fn((-2.0,))
-    for mixed in (px.product_system(known, unknown), px.product_system(unknown, known)):
-        assert mixed.f_a.inf_value is None
-        assert mixed.f_b.inf_value == 0.5  # 0.5 + 0.0
     with pytest.raises(px.InvalidInputError):
         prod.f_b.fn((3.0,))
 

@@ -43,7 +43,7 @@ from proxiter.iteration import (
     run_paired,
 )
 from proxiter.spaces import MetricSpace, Point, Region, distance
-from proxiter.systems import RESIDUAL_TOL, SystemConstants, _orbit
+from proxiter.systems import RESIDUAL_TOL, _orbit
 from proxiter.validators import BoundCertificate, check_l2_bound
 
 
@@ -53,7 +53,7 @@ def _check_finite(p: Point, step: int) -> None:
             raise NumericFailureError(f"non-finite coordinate at step {step}: {p}")
 
 
-def reference_run_paired(system, q0, max_steps, tol, *, constants):
+def reference_run_paired(system, q0, max_steps, tol):
     """run_paired as a plain transcription: distance() everywhere, guard over x + y."""
     _check_tol(tol)
     if max_steps < 0:
@@ -63,6 +63,7 @@ def reference_run_paired(system, q0, max_steps, tol, *, constants):
         raise InvalidInputError(f"initial quadruple not in P: {q0}")
     space = system.pair.space
     region_a, region_b = system.pair.a, system.pair.b
+    dist = system.pair.dist_ab
 
     xs, us = [q0.x], [q0.u]
     ys, vs = [q0.y], [q0.v]
@@ -109,7 +110,7 @@ def reference_run_paired(system, q0, max_steps, tol, *, constants):
     paired = PairedTrace(trace_a, trace_b, tuple(rho))
     if stop_reason != "tolerance-met":
         report = ConvergenceReport(
-            None, None, None, None, None, paired.steps, stop_reason, constants.dist
+            None, None, None, None, None, paired.steps, stop_reason, dist
         )
         return paired, report
 
@@ -117,17 +118,17 @@ def reference_run_paired(system, q0, max_steps, tol, *, constants):
     w = min(window, len(ys) - 1) or 1
     tail_rho = [distance(space, limit, y) for y in ys[-w:]]
     rho_tail = sum(tail_rho) / len(tail_rho)
-    fa_tail = sum(fa_vals[-w:]) / w - constants.inf_a
-    fb_tail = sum(fb_vals[-w:]) / w - constants.inf_b
+    fa_tail = sum(fa_vals[-w:]) / w - system.f_a.inf_value
+    fb_tail = sum(fb_vals[-w:]) / w - system.f_b.inf_value
     report = ConvergenceReport(
         limit=limit,
-        proximity_residual=abs(rho_tail - constants.dist),
+        proximity_residual=abs(rho_tail - dist),
         fa_residual=fa_tail,
         fb_residual=fb_tail,
         rho_alpha_y_tail=rho_tail,
         steps=paired.steps,
         stop_reason=stop_reason,
-        dist=constants.dist,
+        dist=dist,
     )
     return paired, report
 
@@ -137,11 +138,25 @@ def _reference_u(paired, system, m, n):
     return rho + paired.a.f_values[m] + paired.b.f_values[n]
 
 
-def reference_check_l2_bound(paired, system, *, s):
+def with_s(system, s):
+    """The system with S = s: set distance 0, f_A's infimum s and f_B's 0.
+
+    0 + s + 0 is s, bit for bit, for every s >= 0 and for NaN.
+    """
+    return dataclasses.replace(
+        system,
+        pair=dataclasses.replace(system.pair, dist_ab=0.0),
+        f_a=dataclasses.replace(system.f_a, inf_value=s),
+        f_b=dataclasses.replace(system.f_b, inf_value=0.0),
+    )
+
+
+def reference_check_l2_bound(paired, system):
     """check_l2_bound as a plain transcription: every cell through distance()."""
     if paired.steps < 1:
         raise InvalidInputError("need at least one step")
     lam = system.lam
+    s = system.pair.dist_ab + system.f_a.inf_value + system.f_b.inf_value
     horizon = paired.steps
     m_const = max(
         max(_reference_u(paired, system, k, 1) for k in range(1, horizon + 1)),
@@ -160,13 +175,13 @@ def reference_check_l2_bound(paired, system, *, s):
     return BoundCertificate(m_const, lam, s, horizon, first)
 
 
-def _outcome(fn, *args, **kwargs):
+def _outcome(fn, *args):
     """('ok', repr of the result) or ('raised', type, message, step).
 
     Object addresses are cut from the repr: each run builds its own metric.
     """
     try:
-        return ("ok", re.sub(r" at 0x[0-9a-f]+", "", repr(fn(*args, **kwargs))))
+        return ("ok", re.sub(r" at 0x[0-9a-f]+", "", repr(fn(*args))))
     except Exception as exc:  # noqa: BLE001 - any exception must match the reference's
         return ("raised", type(exc), str(exc), getattr(exc, "step", None))
 
@@ -274,7 +289,7 @@ def _faulty_system(space_key, slope, offset, faults, pens, log):
     )
 
 
-def _same_outcome_and_calls(reference, new, system_args, make_args, **kwargs):
+def _same_outcome_and_calls(reference, new, system_args, make_args):
     """Run both on fresh copies of one system; their outcomes and call logs must agree.
 
     make_args(system) gives the positional arguments; returns the common outcome.
@@ -283,12 +298,11 @@ def _same_outcome_and_calls(reference, new, system_args, make_args, **kwargs):
     for fn in (reference, new):
         log: list = []
         system = _faulty_system(*system_args, log)
-        runs.append((_outcome(fn, *make_args(system), **kwargs), repr(log)))
+        runs.append((_outcome(fn, *make_args(system)), repr(log)))
     assert runs[1] == runs[0]
     return runs[0][0]
 
 
-EXACT_ZERO = SystemConstants(0.0, "exact", 0.0, "exact", 0.0, "exact")
 NO_FAULTS = {"a": ("none", 0), "b": ("none", 0)}
 coordinate = st.one_of(st.floats(-10.0, 10.0), st.just(-0.0), st.just(0.0))
 
@@ -324,7 +338,6 @@ def test_run_paired_matches_the_reference(
         run_paired,
         (space_key, slope, offset, faults, pens),
         lambda system: (system, q0, max_steps, tol),
-        constants=EXACT_ZERO,
     )
 
 
@@ -363,7 +376,7 @@ def test_run_paired_matches_the_reference_at_the_step_checks_edges(space_key, fa
     faults = {"a": (fault_a, 3), "b": (fault_b, 3)}
     outcome = _same_outcome_and_calls(
         reference_run_paired, run_paired, (space_key, 0.5, 1.0, faults, (1.0, 1.0)),
-        lambda system: (system, q0, 8, 1e-9), constants=EXACT_ZERO,
+        lambda system: (system, q0, 8, 1e-9),
     )
     non_finite = ("nan", "inf", "-inf")
     if fault_a in non_finite or fault_b in non_finite:
@@ -381,7 +394,7 @@ def test_run_paired_keeps_a_point_on_the_guard():
     faults = {"a": ("at-guard", 3), "b": ("none", 0)}
     outcome = _same_outcome_and_calls(
         reference_run_paired, run_paired, ("R", 0.5, 1.0, faults, (1.0, 1.0)),
-        lambda system: (system, q0, 8, 1e-9), constants=EXACT_ZERO,
+        lambda system: (system, q0, 8, 1e-9),
     )
     assert "stop_reason='max-steps'" in outcome[1] and "steps=8" in outcome[1]
     assert "(1000000000000000.0,)" in outcome[1]
@@ -450,8 +463,7 @@ def test_check_l2_bound_matches_the_reference(case, lam, s):
         reference_check_l2_bound,
         check_l2_bound,
         (space_key, 0.5, 0.0, NO_FAULTS, (0.0, 0.0)),
-        lambda system: (paired, dataclasses.replace(system, lam=lam)),
-        s=s,
+        lambda system: (paired, with_s(dataclasses.replace(system, lam=lam), s)),
     )
 
 
@@ -461,28 +473,28 @@ def test_the_generated_cases_reach_every_outcome():
     both_near_guard = {"a": ("near-guard", 3), "b": ("near-guard", 3)}
     outcome = _same_outcome_and_calls(
         reference_run_paired, run_paired, ("R", 0.5, 1.0, both_near_guard, (0.0, 0.0)),
-        lambda system: (system, q0, 10, 1e-9), constants=EXACT_ZERO,
+        lambda system: (system, q0, 10, 1e-9),
     )
     assert "stop_reason='divergence-guard'" in outcome[1] and "steps=3" in outcome[1]
     both_half_guard = {"a": ("half-guard", 3), "b": ("half-guard", 3)}
     outcome = _same_outcome_and_calls(
         reference_run_paired, run_paired, ("R", 0.5, 1.0, both_half_guard, (0.0, 0.0)),
-        lambda system: (system, q0, 10, 1e-9), constants=EXACT_ZERO,
+        lambda system: (system, q0, 10, 1e-9),
     )
     assert "stop_reason='max-steps'" in outcome[1] and "1000000000000000.0" in outcome[1]
     exit_and_wide = {"a": ("region-exit", 2), "b": ("wide", 2)}
     outcome = _same_outcome_and_calls(
         reference_run_paired, run_paired, ("R", 0.5, 1.0, exit_and_wide, (0.0, 0.0)),
-        lambda system: (system, q0, 10, 1e-9), constants=EXACT_ZERO,
+        lambda system: (system, q0, 10, 1e-9),
     )
     assert outcome[:2] == ("raised", DomainViolationError) and outcome[3] == 2
     system = _faulty_system("R", 0.5, 1.0, NO_FAULTS, (0.0, 0.0), [])
-    paired, _ = run_paired(system, q0, 12, 1e-9, constants=EXACT_ZERO)
+    paired, _ = run_paired(system, q0, 12, 1e-9)
     fb = paired.b.f_values[:5] + (40.0,) + paired.b.f_values[6:]
     broken = PairedTrace(paired.a, dataclasses.replace(paired.b, f_values=fb), paired.rho_xy)
     outcome = _same_outcome_and_calls(
         reference_check_l2_bound, check_l2_bound, ("R", 0.5, 1.0, NO_FAULTS, (0.0, 0.0)),
-        lambda system: (broken, system), s=0.0,
+        lambda system: (broken, system),
     )
     assert "first_violation=(2, 5)" in outcome[1]
 

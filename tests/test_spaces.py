@@ -52,45 +52,11 @@ def test_vector_space_refuses_dimension_zero():
 @pytest.mark.parametrize(
     "dist, needle",
     [(math.nan, "must be finite"), (math.inf, "must be finite"), (-math.inf, "cannot be negative"),
-     (-1.0, "cannot be negative")],
+     (-1.0, "cannot be negative"), (None, "must be supplied")],
 )
 def test_set_pair_refuses_a_non_finite_or_negative_distance(dist, needle):
     with pytest.raises(px.InvalidInputError, match=needle):
         px.SetPair(px.real_line(), px.interval(0, 1), px.interval(3, 4), dist)
-
-
-def test_set_distance_exact_passthrough():
-    pair = px.example1_pair()
-    assert px.set_distance(pair) == (1.0, "exact")
-    overlap = px.SetPair(px.real_line(), px.interval(0, 1), px.interval(0, 1), 0.0)
-    assert px.set_distance(overlap) == (0.0, "exact")
-
-
-def test_set_distance_estimated_interval_gap():
-    # dense-grid oracle: closest points are the endpoints 1 and 3, gap 2
-    grid_a = [i / 5000.0 for i in range(5001)]
-    grid_b = [3.0 + i / 5000.0 for i in range(5001)]
-    oracle = min(b - a for a in grid_a[-2:] for b in grid_b[:2])
-    assert oracle == 2.0
-
-    pair = px.SetPair(px.real_line(), px.interval(0.0, 1.0), px.interval(3.0, 4.0), None)
-    value, flag = px.set_distance(pair, samples=10000, seed=42)
-    assert flag == "estimated"
-    assert 2.0 <= value <= 2.0 + 1e-3
-
-
-def test_set_distance_requires_samples_when_estimating():
-    pair = px.SetPair(px.real_line(), px.interval(0, 1), px.interval(3, 4), None)
-    with pytest.raises(px.InvalidInputError):
-        px.set_distance(pair)
-
-
-def test_estimated_distance_never_undershoots_exact():
-    exact = px.example1_pair()
-    estimated = px.SetPair(exact.space, exact.a, exact.b, None)
-    for seed in range(5):
-        value, _ = px.set_distance(estimated, samples=2000, seed=seed)
-        assert value >= exact.dist_ab - 1e-9
 
 
 def test_product_space_distances_add():
@@ -104,15 +70,6 @@ def test_product_space_distances_add():
         px.real_line(), px.singleton_region(0.0), px.singleton_region(7.0), 7.0
     )
     assert px.product_space(singles, singles2).dist_ab == 12.0
-
-
-def test_product_space_estimated_flag_propagates():
-    exact = px.example1_pair()
-    estimated = px.SetPair(exact.space, exact.a, exact.b, None)
-    prod = px.product_space(exact, estimated)
-    assert prod.dist_ab is None
-    value, flag = px.set_distance(prod, samples=200, seed=0)
-    assert flag == "estimated" and value >= 2.0 - 1e-9
 
 
 def test_product_metric_is_exact_sum():

@@ -24,7 +24,6 @@ import proxiter as px
 from proxiter import cli
 from proxiter.instances import load_instance_json
 from proxiter.iteration import CSV_CHUNK_ROWS, PairedRun, run_paired, write_trace_csv
-from proxiter.systems import resolve_constants
 
 #: step budgets on both sides of the first CSV chunk edge and past the second
 BUDGETS = (CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 1)
@@ -66,8 +65,7 @@ def reference_run(argv) -> tuple[int, str, str]:
     entry = load_instance_json(args.instance)
     system = entry.build()
     q0 = entry.quadruple(entry.default_x0, entry.default_y0)
-    consts = resolve_constants(system, seed=args.seed)
-    paired, report = run_paired(system, q0, args.steps, args.tol, constants=consts)
+    paired, report = run_paired(system, q0, args.steps, args.tol)
     out = io.StringIO()
     if args.format == "csv":
         write_trace_csv(paired, out)

@@ -11,6 +11,11 @@ position, or passes ``*args`` or ``**kwargs``.  Dunder methods are exempt.
 An exported function that no other code of the package loads is reached by
 no command; it must state a checked property of its own (``LIBRARY_ONLY``)
 or go.
+
+Every parameter of a module-level function or method is read in its body: a
+parameter the body ignores is a setting that changes nothing.  Nested defs
+and lambdas are exempt, since they fill the map and sampler protocols, and
+so is a method's self or cls.
 """
 
 from __future__ import annotations
@@ -148,3 +153,30 @@ def test_readme_library_only_list_names_exactly_the_table():
     heads = re.findall(r"^- (.*?`):", section, flags=re.MULTILINE)
     named = [name for head in heads for name in re.findall(r"`(\w+)", head)]
     assert sorted(named) == sorted(LIBRARY_ONLY)
+
+
+def test_every_parameter_is_read_in_its_body():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        methods = [
+            (child, True)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for child in node.body
+        ]
+        for fn, method in [(node, False) for node in tree.body] + methods:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            if method and params and params[0].arg in ("self", "cls"):
+                params = params[1:]
+            read = {
+                node.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread += [f"{path.name}:{fn.lineno} {fn.name}({a.arg})" for a in params
+                       if a.arg not in read]
+    assert not unread, "parameters no body reads: " + ", ".join(unread)

@@ -47,30 +47,27 @@ def test_contraction_residual_equality_point():
     # direct evaluation: left side is 1, right side is 5/8 * 1 + 3/8 * 1
     lhs = abs(px.example1_T(0.0) - px.example1_Tb(-1.0))
     assert lhs == 1.0
-    assert px.contraction_residual(system, q, px.resolve_constants(system)) == 0.0
+    assert px.contraction_residual(system, q) == 0.0
 
 
 def test_contraction_residual_nonnegative_on_e1():
     system = px.example1_system()
-    assert px.contraction_residual(system, E1_Q0, px.resolve_constants(system)) >= 0.0
+    assert px.contraction_residual(system, E1_Q0) >= 0.0
 
 
 def test_contraction_residual_banach_is_displacement_slack():
     system = banach(lambda x: (0.9 * x[0],), 0.9)
-    constants = px.resolve_constants(system)
     rng = random.Random(1)
     for _ in range(100):
         x, y = (rng.uniform(-50, 50),), (rng.uniform(-50, 50),)
         q = px.Quadruple(x, y, px.Atom("unit"), px.Atom("unit"))
-        assert px.contraction_residual(system, q, constants) >= -1e-12
+        assert px.contraction_residual(system, q) >= -1e-12
 
 
 def test_contraction_residual_rejects_off_relation():
     system = px.example1_system()
     with pytest.raises(px.InvalidInputError):
-        px.contraction_residual(
-            system, px.Quadruple((3.0,), (-2.0,), (4.0,), (-2.0,)), px.resolve_constants(system)
-        )
+        px.contraction_residual(system, px.Quadruple((3.0,), (-2.0,), (4.0,), (-2.0,)))
 
 
 def test_verify_contraction_certifies_e1():
@@ -135,11 +132,10 @@ def test_verify_contraction_matches_reference_residuals(name):
     # the campaign's minimum and witness are exactly those of the public
     # reference residual over the same sampled quadruples
     samples, seed = 1500, 7
-    constants = px.resolve_constants(system, seed=seed)
     # at depth 0 a P-invariance probe tests its own quadruple only, which is in P
-    report = px.verify_contraction(system, samples, seed, depth=0, constants=constants)
+    report = px.verify_contraction(system, samples, seed, depth=0)
     quads = system.p.draw(random.Random(seed), samples)
-    residuals = [px.contraction_residual(system, q, constants) for q in quads]
+    residuals = [px.contraction_residual(system, q) for q in quads]
     lowest = min(residuals)
     assert report.min_residual == lowest
     if report.reason == "negative-residual":
@@ -298,16 +294,54 @@ def test_p_invariance_monotone_in_depth():
             assert ok
 
 
-def test_factor_infimum_estimation_flagged():
-    system = make_permissive_system()
-    stripped = dataclasses.replace(
-        system, f_a=px.ExternalFactor(system.f_a.fn, None)
+def mirror_probe(inf_a, inf_b) -> px.ExternalFactorSystem:
+    """x -> x/2 on [0, 1] on both sides, u = x and v = y, f(c) = c, lambda = 0.4999.
+
+    The one-step value halves, so the residual is (lambda - 1/2) * before
+    + (1 - lambda) * S: it is negative once S is 0, the true value.
+    """
+    region = px.interval(0.0, 1.0, name="[0,1]")
+
+    def half(x, c):
+        return (x[0] / 2.0,)
+
+    def p_draw(rng, n):
+        out = []
+        for _ in range(n):
+            x, y = (rng.random(),), (rng.random(),)
+            out.append(px.Quadruple(x, y, x, y))
+        return out
+
+    return px.ExternalFactorSystem(
+        name="mirror-probe",
+        pair=px.SetPair(px.real_line(), region, region, 0.0),
+        c_universe=px.CUniverse("[0,1]", lambda rng, n: [(rng.random(),) for _ in range(n)]),
+        t_a=half,
+        h_a=half,
+        t_b=half,
+        h_b=half,
+        f_a=px.ExternalFactor(lambda c: c[0], inf_a),
+        f_b=px.ExternalFactor(lambda c: c[0], inf_b),
+        p=px.RelationP(
+            lambda x, y, u, v: region.contains(x) and region.contains(y) and (u, v) == (x, y),
+            p_draw,
+        ),
+        lam=0.4999,
     )
-    value, flag = px.factor_infimum(stripped.f_a, stripped.c_universe, seed=5)
-    assert flag == "estimated"
-    assert value >= 0.0  # upper estimate of the true infimum 0
-    drawn = stripped.c_universe.draw(random.Random(5), 2048)
-    assert value == min(map(stripped.f_a.fn, drawn))
+
+
+def test_the_mirror_probe_needs_its_infima_and_refutes_with_them():
+    # a sampled minimum of f overestimates its infimum, which lifts S and
+    # certified this system; a constant must now be supplied
+    with pytest.raises(px.InvalidInputError, match="infimum must be supplied"):
+        mirror_probe(None, 0.0)
+    with pytest.raises(px.InvalidInputError, match="infimum must be supplied"):
+        mirror_probe(0.0, None)
+    with pytest.raises(TypeError):
+        px.ExternalFactor(lambda c: c[0])
+    report = px.verify_contraction(mirror_probe(0.0, 0.0), 20000, 1)
+    assert report.verdict == "refuted" and report.reason == "negative-residual"
+    assert -2.0e-4 <= report.min_residual < -1.9e-4
 
 
 def test_penalties_respect_exact_infima():

@@ -32,7 +32,7 @@ from proxiter.iteration import (
     _settled,
     write_trace_csv,
 )
-from proxiter.spaces import Region, distance, format_point, set_distance
+from proxiter.spaces import Region, distance, format_point
 from proxiter.validators import (
     CDCounterexample,
     _aitken_limit,
@@ -99,7 +99,7 @@ def reference_cd_falsify(pair, gen, budget, tol):
     if budget < 1:
         raise InvalidInputError("budget must be >= 1")
     _check_tol(tol)
-    dist, _ = set_distance(pair)
+    dist = pair.dist_ab
     for i in range(budget):
         xs, ys = reference_intake(gen(i), (pair.a, pair.b))
         horizon = min(len(xs), len(ys)) - 1

@@ -160,7 +160,7 @@ def test_check_l1_bound_fails_on_nan_values():
     assert px.check_l1_bound(_nan_trace(system, None), system)
     assert not px.check_l1_bound(_nan_trace(system, 3), system)
     quarter = dataclasses.replace(system, lam=0.25)
-    assert not px.check_l1_bound(_nan_trace(system, 3), quarter, s=0.0)
+    assert not px.check_l1_bound(_nan_trace(system, 3), quarter)
 
 
 def test_check_l2_bound_fails_on_nan_values():

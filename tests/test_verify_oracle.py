@@ -42,10 +42,8 @@ from proxiter.systems import (
     INVARIANCE_PROBES,
     RESIDUAL_TOL,
     CertificationReport,
-    SystemConstants,
     check_p_invariance,
     contraction_residual,
-    resolve_constants,
     verify_contraction,
 )
 
@@ -61,21 +59,24 @@ def reference_one_step_sides(system, q, ta_out, tb_out):
     return before, after
 
 
-def reference_verify_contraction(system, samples, seed, *, depth, constants):
+def reference_s(system):
+    """S: the system's set distance plus both penalty infima."""
+    return system.pair.dist_ab + system.f_a.inf_value + system.f_b.inf_value
+
+
+def reference_verify_contraction(system, samples, seed, *, depth):
     """verify_contraction as a plain transcription: one sides call per sample."""
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
-    if constants is None:
-        constants = resolve_constants(system, seed=seed)
     quads = system.p.draw(random.Random(seed), samples)
     if not quads:
         raise EstimationFailureError("relation sampler produced no quadruples")
 
-    infima_finite = math.isfinite(constants.inf_a) and math.isfinite(constants.inf_b)
+    infima_finite = math.isfinite(system.f_a.inf_value) and math.isfinite(system.f_b.inf_value)
 
     region_a, region_b = system.pair.a, system.pair.b
     lam = system.lam
-    floor = (1.0 - lam) * constants.s
+    floor = (1.0 - lam) * reference_s(system)
     min_res = math.inf
     arg_min: Optional[Quadruple] = None
     non_finite: Optional[Quadruple] = None
@@ -121,7 +122,7 @@ def reference_verify_contraction(system, samples, seed, *, depth, constants):
         samples=samples,
         seed=seed,
         lam=system.lam,
-        s=constants.s,
+        s=reference_s(system),
         infima_finite=infima_finite,
         p_invariant=p_ok,
         p_depth=depth,
@@ -130,14 +131,14 @@ def reference_verify_contraction(system, samples, seed, *, depth, constants):
     )
 
 
-def reference_contraction_residual(system, q, constants):
+def reference_contraction_residual(system, q):
     q = Quadruple(*q)
     if not system.in_p(q):
         raise InvalidInputError(f"quadruple not in P: {q}")
     before, after = reference_one_step_sides(
         system, q, system.t_a(q.x, q.u), system.t_b(q.y, q.v)
     )
-    return system.lam * before + (1.0 - system.lam) * constants.s - after
+    return system.lam * before + (1.0 - system.lam) * reference_s(system) - after
 
 
 def _outcome(fn, *args, **kwargs):
@@ -184,13 +185,14 @@ def _bad_image(key, dim):
     return None
 
 
-def _system(space_key, maps, shared, pens, lam, quads, plain, log):
+def _system(space_key, maps, shared, pens, lam, quads, plain, log, consts=(0.0, 0.0, 0.0)):
     """A generated system on a box pair; every callable logs its call.
 
     ``maps`` is ((slope, offset), (slope, offset)) for the two point maps,
     ``shared`` says per side whether H is T, and the sampler hands out
     ``quads`` as given (plain tuples when ``plain``).  The maps and the
-    penalties stay pure: they misbehave at marker inputs only.
+    penalties stay pure: they misbehave at marker inputs only.  ``consts``
+    is the set distance and the infima of f_A and f_B.
     """
     base = SPACES[space_key]
     dim = base.dim
@@ -242,14 +244,14 @@ def _system(space_key, maps, shared, pens, lam, quads, plain, log):
     t_a, t_b = point_map("a", *maps[0]), point_map("b", *maps[1])
     return ExternalFactorSystem(
         name="generated",
-        pair=SetPair(MetricSpace(base.name, dim, metric), box("box-a"), box("box-b"), 0.0),
+        pair=SetPair(MetricSpace(base.name, dim, metric), box("box-a"), box("box-b"), consts[0]),
         c_universe=CUniverse("points", lambda rng, n: []),
         t_a=t_a,
         h_a=t_a if shared[0] else external_map("a"),
         t_b=t_b,
         h_b=t_b if shared[1] else external_map("b"),
-        f_a=ExternalFactor(penalty("a", pens[0]), 0.0),
-        f_b=ExternalFactor(penalty("b", pens[1]), 0.0),
+        f_a=ExternalFactor(penalty("a", pens[0]), consts[1]),
+        f_b=ExternalFactor(penalty("b", pens[1]), consts[2]),
         p=RelationP(p_contains, p_draw),
         lam=lam,
     )
@@ -328,11 +330,14 @@ lams = st.one_of(st.floats(0.0, 0.999), st.just(0.0))
 
 @st.composite
 def constants(draw):
-    """Exact constants; in one draw of four, one of them is infinite or NaN."""
+    """(distance, inf f_A, inf f_B); in one draw of four, an infimum is infinite or NaN.
+
+    Only an infimum: a set pair refuses a distance that is not finite.
+    """
     values = [draw(st.one_of(st.floats(0.0, 3.0), st.just(-0.0))) for _ in range(3)]
     if draw(st.integers(0, 3)) == 0:
-        values[draw(st.integers(0, 2))] = draw(st.sampled_from((math.inf, math.nan)))
-    return SystemConstants(values[0], "exact", values[1], "exact", values[2], "exact")
+        values[draw(st.integers(1, 2))] = draw(st.sampled_from((math.inf, math.nan)))
+    return tuple(values)
 
 
 def _both(reference, new, make_system, call, keep=None):
@@ -367,8 +372,8 @@ def test_verify_contraction_matches_the_reference(case, maps, shared, pens, lam,
     _both(
         reference_verify_contraction,
         verify_contraction,
-        lambda log: _system(space_key, maps, shared, pens, lam, quads, plain, log),
-        lambda fn, system: fn(system, 7, 3, depth=2, constants=consts),
+        lambda log: _system(space_key, maps, shared, pens, lam, quads, plain, log, consts),
+        lambda fn, system: fn(system, 7, 3, depth=2),
     )
 
 
@@ -392,24 +397,21 @@ def test_contraction_residual_matches_the_reference(case, maps, shared, pens, la
         _both(
             reference_contraction_residual,
             contraction_residual,
-            lambda log: _system(space_key, maps, shared, pens, lam, quads, False, log),
-            lambda fn, system: fn(system, q, consts),
+            lambda log: _system(space_key, maps, shared, pens, lam, quads, False, log, consts),
+            lambda fn, system: fn(system, q),
             keep=CORE_CALLS,
         )
 
 
-EXACT_ZERO = SystemConstants(0.0, "exact", 0.0, "exact", 0.0, "exact")
-
-
-def _run(fault_quads, space_key="R", shared=(True, False), plain=False, consts=EXACT_ZERO):
+def _run(fault_quads, space_key="R", shared=(True, False), plain=False, consts=(0.0, 0.0, 0.0)):
     return _both(
         reference_verify_contraction,
         verify_contraction,
         lambda log: _system(
             space_key, ((0.5, 1.0), (0.5, -1.0)), shared, (1.0, 1.0), 0.5,
-            fault_quads, plain, log,
+            fault_quads, plain, log, consts,
         ),
-        lambda fn, system: fn(system, 7, 3, depth=2, constants=consts),
+        lambda fn, system: fn(system, 7, 3, depth=2),
     )
 
 
@@ -442,9 +444,7 @@ def test_plain_tuples_give_a_quadruple_witness():
     bad = ((1.0,), (2.0,), (0.5,), (201.0,))
     outcome = _run([((1.0,), (2.0,), (0.5,), (0.25,)), bad], plain=True)
     assert "witness=Quadruple(x=(1.0,), y=(2.0,), u=(0.5,), v=(201.0,))" in outcome[1]
-    assert "infimum-not-finite" in _run([bad], consts=SystemConstants(
-        0.0, "exact", math.inf, "exact", 0.0, "exact"
-    ))[1]
+    assert "infimum-not-finite" in _run([bad], consts=(0.0, math.inf, 0.0))[1]
 
 
 def test_a_tie_keeps_the_first_witness():
