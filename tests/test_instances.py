@@ -182,6 +182,22 @@ def test_product_maps_lift_each_factor_onto_its_component():
             fn(y, (3.0,))
 
 
+def test_a_product_resolves_the_summed_constants():
+    e1 = px.example1_system()
+    other = dataclasses.replace(
+        px.SYSTEMS["banach-half"].build(),
+        f_a=px.ExternalFactor(lambda c: 0.0, 0.125),
+        f_b=px.ExternalFactor(lambda c: 0.0, 0.375),
+    )
+    other = dataclasses.replace(other, pair=dataclasses.replace(other.pair, dist_ab=2.0))
+    prod = px.product_system(e1, other)
+    left, right = px.resolve_constants(e1), px.resolve_constants(other)
+    assert px.resolve_constants(prod) == px.SystemConstants(
+        left.dist + right.dist, left.inf_a + right.inf_a, left.inf_b + right.inf_b
+    )
+    assert px.resolve_constants(prod).s == 3.5
+
+
 def test_product_penalties_and_infima_add():
     e1 = px.example1_system()
     known = dataclasses.replace(
@@ -427,6 +443,25 @@ def test_load_instance_json(tmp_path):
     q0 = entry.quadruple(entry.default_x0, entry.default_y0)
     _, report = px.run_paired(system, q0, 300, 1e-10)
     assert report.limit[0] == pytest.approx(4.0, abs=1e-8)  # x = x/2 + 2
+
+
+def test_json_instance_reads_omitted_dist_and_infima_as_zero(tmp_path):
+    spec = {
+        "name": "no-constants",
+        "space": {"kind": "real"},
+        "regions": {"a": {"lo": -10.0, "hi": 10.0}},
+        "maps": {
+            "t_a": {"name": "affine", "slope": 0.5},
+            "t_b": {"name": "affine", "slope": 0.5},
+        },
+        "lambda": 0.5,
+    }
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(spec))
+    system = px.load_instance_json(str(path)).build()
+    assert px.resolve_constants(system) == px.SystemConstants(0.0, 0.0, 0.0)
+    report = px.verify_contraction(system, 500, seed=0)
+    assert report.certified and report.s == 0.0
 
 
 def test_json_instance_with_two_regions_keeps_its_system(tmp_path):

@@ -155,28 +155,52 @@ def test_readme_library_only_list_names_exactly_the_table():
     assert sorted(named) == sorted(LIBRARY_ONLY)
 
 
+def _unread(tree: ast.Module, filename: str) -> list[str]:
+    """'file:line name(param)' for each parameter its module-level def or method never reads."""
+    unread = []
+    methods = [
+        (child, True)
+        for node in tree.body if isinstance(node, ast.ClassDef)
+        for child in node.body
+    ]
+    for fn, method in [(node, False) for node in tree.body] + methods:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        if method and params and params[0].arg in ("self", "cls"):
+            params = params[1:]
+        read = {
+            node.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [f"{filename}:{fn.lineno} {fn.name}({a.arg})" for a in params
+                   if a.arg not in read]
+    return unread
+
+
 def test_every_parameter_is_read_in_its_body():
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        methods = [
-            (child, True)
-            for node in tree.body if isinstance(node, ast.ClassDef)
-            for child in node.body
-        ]
-        for fn, method in [(node, False) for node in tree.body] + methods:
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            args = fn.args
-            params = args.posonlyargs + args.args + args.kwonlyargs
-            params += [a for a in (args.vararg, args.kwarg) if a is not None]
-            if method and params and params[0].arg in ("self", "cls"):
-                params = params[1:]
-            read = {
-                node.id
-                for node in ast.walk(fn)
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-            }
-            unread += [f"{path.name}:{fn.lineno} {fn.name}({a.arg})" for a in params
-                       if a.arg not in read]
+        unread += _unread(ast.parse(path.read_text(), str(path)), path.name)
     assert not unread, "parameters no body reads: " + ", ".join(unread)
+
+
+def test_the_unread_parameter_guard_flags_a_leftover_seed():
+    source = (
+        "def resolve_constants(system, seed=0):\n"
+        "    return system.pair.dist_ab\n"
+        "class Run:\n"
+        "    def report(self, constants, *rest, **extra):\n"
+        "        return [lambda rng, n: rest for _ in extra]\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        def draw(rng, n):\n"
+        "            return []\n"
+        "        return draw\n"
+    )
+    assert _unread(ast.parse(source), "m.py") == [
+        "m.py:1 resolve_constants(seed)", "m.py:4 report(constants)",
+    ]

@@ -197,6 +197,17 @@ def test_verify_contraction_reason_order():
     assert report.reason == "infimum-not-finite"
 
 
+@pytest.mark.parametrize("side", ["f_a", "f_b"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_a_non_finite_infimum_is_accepted_and_refutes(side, value):
+    system = px.SYSTEMS["banach-half"].build()
+    broken = dataclasses.replace(system, **{side: px.ExternalFactor(lambda c: 0.0, value)})
+    assert not math.isfinite(px.resolve_constants(broken).s)
+    report = px.verify_contraction(broken, 50, seed=4)
+    assert report.verdict == "refuted" and report.reason == "infimum-not-finite"
+    assert not report.infima_finite
+
+
 def test_verify_contraction_refutes_a_probe_that_leaves_p():
     # h_a = x + 1 puts u_1 off the point x_1, so the first probe leaves P at
     # its first step; at lambda 1/2 it outranks the negative residual that

@@ -226,6 +226,26 @@ def test_check_l2_bound_detects_planted_violation():
     assert not cert.ok and cert.first_violation is not None
 
 
+def test_bound_checks_take_s_from_the_system():
+    # each violation above passes once the judging system supplies an S that
+    # covers it: the checks read S from the system they are given
+    system = px.example1_system()
+    paired, _ = px.run_paired(system, E1_Q0, 50, 1e-9)
+    tight = dataclasses.replace(system, lam=1e-6)
+    loose = dataclasses.replace(tight, pair=dataclasses.replace(system.pair, dist_ab=100.0))
+    assert not px.check_l2_bound(paired, tight).ok
+    cert = px.check_l2_bound(paired, loose)
+    assert cert.ok and cert.s == 100.0
+    b9 = px.banach_system(lambda x: (0.9 * x[0],), px.real_line(), line_region(), 0.9, name="b9")
+    q0 = px.Quadruple((50.0,), (111.11,), px.Atom("unit"), px.Atom("unit"))
+    paired, _ = px.run_paired(b9, q0, 400, 1e-9)
+    lowered = dataclasses.replace(b9, lam=0.4)
+    assert not px.check_l1_bound(paired, lowered)
+    covered = dataclasses.replace(lowered, f_b=px.ExternalFactor(b9.f_b.fn, 1e3))
+    assert px.resolve_constants(covered).s == 1e3
+    assert px.check_l1_bound(paired, covered)
+
+
 def geometric_pair(seed, target_a=0.0, target_b=-1.0, length=70):
     rng = random.Random(seed)
     c1, c2 = rng.uniform(1, 40), rng.uniform(1, 40)
@@ -327,6 +347,20 @@ def test_uc_falsify_antipodal_circle():
     assert found.index == 0  # the antipodal construction is the first candidate
     assert found.tail_separation == pytest.approx(2.0, abs=1e-12)
     assert found.to_dict()["tail_separation"] == found.tail_separation
+
+
+def test_falsifiers_judge_admissibility_by_the_supplied_distance():
+    # the same circle candidates are counterexamples at the true gap 1 and
+    # inadmissible once the pair supplies another distance
+    pair = px.circle_origin_pair()
+    hops = [((-1.0) ** n, 0.0) for n in range(50)]
+    origin = [(0.0, 0.0)] * 50
+    assert px.cd_falsify(pair, lambda i: (hops, origin), 1, 1e-6) is not None
+    uc = px.pair_uc_generator("circle-origin-pair", 0)
+    assert px.uc_falsify(pair, uc, 1, 1e-6) is not None
+    off = dataclasses.replace(pair, dist_ab=0.5)
+    assert px.cd_falsify(off, lambda i: (hops, origin), 1, 1e-6) is None
+    assert px.uc_falsify(off, uc, 1, 1e-6) is None
 
 
 def test_uc_falsify_none_on_overlapping_sets():
