@@ -26,7 +26,6 @@ from .systems import (
     CElement,
     ExternalFactorSystem,
     Quadruple,
-    _orbit,
     format_celement,
     resolve_constants,
 )
@@ -147,10 +146,13 @@ class PairedRun:
     Iterating advances both sides in lock step and yields (n, x_n, u_n, y_n,
     v_n, rho(x_n, y_n), f_A(u_n), f_B(v_n)) until both sides settle or the
     budget ends.  The stop rule requires the successive displacements of both
-    sides to stay below tol for a full confirmation window.  The arguments
-    are checked at construction.  stop_reason says why the run ended; it is
-    None until the rows are exhausted, and stays None after a run that raised
-    or was left part way.
+    sides to stay below tol for a full confirmation window.  Each step calls
+    T_A, H_A, T_B, H_B in that order (H not at all on a side whose H is its
+    T), and a penalty only when its side's external element is a new object;
+    otherwise the previous f value is reused, as every map is pure.  The
+    arguments are checked at construction.  stop_reason says why the run
+    ended; it is None until the rows are exhausted, and stays None after a
+    run that raised or was left part way.
     """
 
     def __init__(self, system: ExternalFactorSystem, q0: Quadruple, max_steps: int, tol: float):
@@ -169,8 +171,8 @@ class PairedRun:
         space = system.pair.space
         region_a, region_b = system.pair.a, system.pair.b
         fa, fb = system.f_a.fn, system.f_b.fn
-        fa_0, fb_0 = fa(q0.u), fb(q0.v)
-        yield 0, q0.x, q0.u, q0.y, q0.v, distance(space, q0.x, q0.y), fa_0, fb_0
+        fa_k, fb_k = fa(q0.u), fb(q0.v)
+        yield 0, q0.x, q0.u, q0.y, q0.v, distance(space, q0.x, q0.y), fa_k, fb_k
 
         # the loop body checks each new point once and calls the metric directly;
         # every earlier point already passed distance()'s dimension check
@@ -178,14 +180,17 @@ class PairedRun:
         metric, dim = space.metric, space.dim
         guard = DIVERGENCE_GUARD
         lo = -guard
-        x_prev, y_prev = q0.x, q0.y
+        t_a, t_b = system.t_a, system.t_b
+        h_a = None if system.h_a is t_a else system.h_a
+        h_b = None if system.h_b is t_b else system.h_b
+        x_prev, y_prev, u, v = q0
         settled = 0
         window = CONFIRM_WINDOW
-        orbit_a = _orbit(system.t_a, system.h_a, q0.x, q0.u)
-        orbit_b = _orbit(system.t_b, system.h_b, q0.y, q0.v)
-        for k, (x_next, u_next), (y_next, v_next) in zip(
-            range(1, self.max_steps + 1), orbit_a, orbit_b
-        ):
+        for k in range(1, self.max_steps + 1):
+            x_next = t_a(x_prev, u)
+            u_next = x_next if h_a is None else h_a(x_prev, u)
+            y_next = t_b(y_prev, v)
+            v_next = y_next if h_b is None else h_b(y_prev, v)
             # a coordinate fails the chained test only when it is NaN or beyond
             # the guard; then the exact pass raises on a non-finite one or trips it
             big = False
@@ -210,7 +215,10 @@ class PairedRun:
                 distance(space, y_prev, y_next)
             da = metric(x_prev, x_next)
             db = metric(y_prev, y_next)
-            fa_k, fb_k = fa(u_next), fb(v_next)
+            if u_next is not u:
+                fa_k = fa(u_next)
+            if v_next is not v:
+                fb_k = fb(v_next)
             r = metric(x_next, y_next)
             yield k, x_next, u_next, y_next, v_next, r, fa_k, fb_k
 
@@ -222,7 +230,7 @@ class PairedRun:
             if settled >= window:
                 self.stop_reason = "tolerance-met"
                 return
-            x_prev, y_prev = x_next, y_next
+            x_prev, u, y_prev, v = x_next, u_next, y_next, v_next
         self.stop_reason = "max-steps"
 
     def report(self) -> ConvergenceReport:

@@ -129,8 +129,9 @@ class ExternalFactorSystem:
     Every map must be pure: its output depends on its arguments only.  A
     system whose external update on a side is that side's point map says so
     by passing the same object as T and H; the engine then evaluates it once
-    per state and reuses T's output as H's.  ``block`` is an optional array
-    kernel for certification campaigns; see ``declare_block``.
+    per state and reuses T's output as H's; a run reuses f's value while H
+    returns the element it was given.  ``block`` is an optional array kernel
+    for certification campaigns; see ``declare_block``.
     """
 
     name: str
@@ -204,8 +205,9 @@ def resolve_constants(system: ExternalFactorSystem) -> SystemConstants:
 def _orbit(t: Callable, h: Callable, x: Point, u: CElement) -> Iterator[tuple]:
     """Yield (x_1, u_1), (x_2, u_2), ... of x_{n+1} = t(x_n, u_n), u_{n+1} = h(x_n, u_n).
 
-    Endless: callers zip it with a range, so no map is called past the budget.
-    When h is t, each step calls t once and its output is also u_{n+1}.
+    Endless: check_p_invariance and the tests' reference for PairedRun zip
+    it with a range, so no map is called past the budget.  When h is t, each
+    step calls t once and its output is also u_{n+1}.
     """
     if h is t:
         while True:

@@ -400,6 +400,91 @@ def test_run_paired_keeps_a_point_on_the_guard():
     assert "(1000000000000000.0,)" in outcome[1]
 
 
+def _fixed_side_system(fixed_side, element, space_key, slope, offset, faults, pens, log):
+    """_faulty_system with fixed_side's H returning ``element`` at every step.
+
+    That side's external element no longer counts steps, so its point map
+    counts them in the first coordinate instead: x[0] runs 0, 1, ..., k and
+    stays at k, the side's fault step, so the side can still settle.  The
+    map stays pure and misbehaves when it makes step k; the side's penalty
+    is NaN on the element when the fault is "nan-penalty" and element is (k,).
+    """
+    system = _faulty_system(space_key, slope, offset, faults, pens, log)
+    dim = SPACES[space_key].dim
+    fault, k = faults[fixed_side]
+    sign = 1.0 if fixed_side == "a" else -1.0
+
+    def t(x, u):
+        log.append(("t_" + fixed_side, x, u))
+        n = x[0] + 1
+        if n == k and fault in BAD_POINTS:
+            return BAD_POINTS[fault](dim)
+        if n == k and fault in NEAR_GUARD:
+            return (sign * NEAR_GUARD[fault] * DIVERGENCE_GUARD,) * dim
+        return (min(n, k),) + tuple(slope * c + offset for c in x[1:])
+
+    def h(x, u):
+        log.append(("h_" + fixed_side, x, u))
+        return element
+
+    return dataclasses.replace(system, **{"t_" + fixed_side: t, "h_" + fixed_side: h})
+
+
+#: faults after which a side can still settle
+MILD_FAULTS = ("none", "nan-penalty", "at-guard", "half-guard")
+
+
+@st.composite
+def mild_or_any_faults(draw):
+    """side_faults, or half the time faults that leave both sides able to settle."""
+    faults = draw(side_faults())
+    if draw(st.booleans()):
+        faults = {side: (draw(st.sampled_from(MILD_FAULTS)), k) for side, (_, k) in faults.items()}
+    return faults
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fixed_side=st.sampled_from(("a", "b")),
+    start_is_element=st.booleans(),
+    element_is_fault_step=st.booleans(),
+    space_key=st.sampled_from(sorted(SPACES)),
+    slope=st.one_of(st.floats(-0.99, 0.99), st.just(0.0), st.just(1.5)),
+    offset=st.one_of(st.floats(-5.0, 5.0), st.just(0.0)),
+    faults=mild_or_any_faults(),
+    pens=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+    max_steps=st.integers(0, 50),
+    tol=st.sampled_from((1e-2, 1e-6, 1e-12)),
+    start=st.tuples(coordinate, coordinate),
+)
+def test_run_paired_matches_the_reference_when_a_side_keeps_its_element(
+    fixed_side, start_is_element, element_is_fault_step, space_key, slope, offset, faults,
+    pens, max_steps, tol, start,
+):
+    # the fixed side's penalty is reused, so only its calls may differ from the reference's
+    dim = SPACES[space_key].dim
+    element = (faults[fixed_side][1] if element_is_fault_step else 0,)
+    starts = {"a": (start[0],) * dim, "b": (start[1],) * dim}
+    starts[fixed_side] = (0.0,) + starts[fixed_side][1:]
+    elements = {"a": (0,), "b": (0,)}
+    if start_is_element:
+        elements[fixed_side] = element
+    q0 = Quadruple(starts["a"], starts["b"], elements["a"], elements["b"])
+    penalty = "f_" + fixed_side
+    runs = []
+    for fn in (reference_run_paired, run_paired):
+        log: list = []
+        system = _fixed_side_system(
+            fixed_side, element, space_key, slope, offset, faults, pens, log
+        )
+        outcome = _outcome(fn, system, q0, max_steps, tol)
+        calls = [entry for entry in log if entry[0] != penalty]
+        runs.append((outcome, repr(calls), sum(entry[0] == penalty for entry in log)))
+    (reference, ref_calls, _), (new, new_calls, penalty_calls) = runs
+    assert (new, new_calls) == (reference, ref_calls)
+    assert penalty_calls <= (1 if start_is_element else 2)
+
+
 #: ways to break a trace; a wrong-dimension point raises, so it is drawn less often
 BREAKS = ("bump-a", "bump-b") * 3 + ("nan-a", "nan-b") * 2 + ("wide", "short")
 

@@ -10,6 +10,7 @@ that end next to a CSV chunk edge.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernel_oracles import reference_run_paired
 
 import proxiter as px
 from proxiter import cli
@@ -194,3 +196,51 @@ def test_a_json_run_holds_one_window_whatever_its_length(tmp_path):
     finally:
         tracemalloc.stop()
     assert long - short <= 64 * 1024, (short, long)
+
+
+def _counting_penalties(system: px.ExternalFactorSystem, calls: dict) -> px.ExternalFactorSystem:
+    """The system with each penalty counting its calls in calls["f_a"] and calls["f_b"]."""
+
+    def counted(name, factor):
+        def f(c):
+            calls[name] += 1
+            return factor.fn(c)
+
+        return dataclasses.replace(factor, fn=f)
+
+    return dataclasses.replace(
+        system, f_a=counted("f_a", system.f_a), f_b=counted("f_b", system.f_b)
+    )
+
+
+def _rows_and_penalty_calls(system, q0, max_steps) -> tuple:
+    calls = {"f_a": 0, "f_b": 0}
+    rows = list(PairedRun(_counting_penalties(system, calls), q0, max_steps, 1e-9))
+    return rows, calls
+
+
+def _reference_rows(system, q0, max_steps) -> list:
+    paired, _ = reference_run_paired(system, q0, max_steps, 1e-9)
+    a, b = paired.a, paired.b
+    return list(zip(range(len(a.points)), a.points, a.celements, b.points, b.celements,
+                    paired.rho_xy, a.f_values, b.f_values))
+
+
+def test_a_single_atom_run_calls_each_penalty_once(tmp_path):
+    # x -> 1 - x never settles, so all 1 000 steps run; H returns the start's atom throughout
+    entry = load_instance_json(_write_spec(tmp_path, _spec(-1.0, 1.0, 3.0, -2.0, {})))
+    system = entry.build()
+    q0 = entry.quadruple(entry.default_x0, entry.default_y0)
+    rows, calls = _rows_and_penalty_calls(system, q0, 1000)
+    assert len(rows) == 1001
+    assert calls == {"f_a": 1, "f_b": 1}
+    assert repr(rows) == repr(_reference_rows(system, q0, 1000))
+
+
+def test_a_mirror_run_calls_each_penalty_once_per_step():
+    # e1's H is its T: every step makes a new external element
+    system = px.example1_system()
+    q0 = px.Quadruple((3.0,), (-2.0,), (3.0,), (-2.0,))
+    rows, calls = _rows_and_penalty_calls(system, q0, 40)
+    assert calls == {"f_a": len(rows), "f_b": len(rows)}
+    assert repr(rows) == repr(_reference_rows(system, q0, 40))
