@@ -541,7 +541,8 @@ def certify_cyclic(
     """Minimum sampled residual and the worst triple.
 
     The first NaN or infinite residual is returned at once with its triple,
-    so that ``cyclic_refuted`` refuses it.
+    so that ``cyclic_refuted`` refuses it.  A run of triples holding the
+    same point objects is mapped once (see ``_cyclic_campaign``).
     """
     worst, arg, _ = _cyclic_campaign(ct, samples, seed, None)
     return worst, arg
@@ -563,6 +564,12 @@ def _cyclic_campaign(ct: CyclicTriple, samples: int, seed: int, reduction) -> tu
     ``_scalar_campaign``'s tuple for ``verify_contraction(system, samples,
     seed)``, bit for bit.  It is None without a reduction, or once a
     reduction sample fails a check or raises; the triple's own errors raise.
+
+    A triple whose three points are the previous triple's objects (``is``,
+    not ``==``: +0.0 and -0.0 compare equal yet may map apart) is not
+    evaluated again: pure maps and metrics repeat its values, which move no
+    strict minimum.  It is still a probe while fewer than INVARIANCE_PROBES
+    are held.  So a singleton triple, drawn ``[pt] * n``, makes 9 map calls.
     """
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
@@ -587,7 +594,13 @@ def _cyclic_campaign(ct: CyclicTriple, samples: int, seed: int, reduction) -> tu
         arg_min = non_finite = None
         probed = []
     draw = draw_columns([region.draw for region in ct.regions], lambda *xs: xs)
+    g0 = b0 = c0 = object()  # no drawn point is this object
     for g, b, c in draw(random.Random(seed), samples):
+        if g is g0 and b is b0 and c is c0:
+            if live and len(probed) < INVARIANCE_PROBES:
+                probed.append(_reduction_quadruple(g, b, c))
+            continue
+        g0, b0, c0 = g, b, c
         tg, tb, tc = t(g), t(b), t(c)
         r, sides = _summed_residual(d, k, floor, g, b, c, tg, tb, tc)
         if not isfinite(r):

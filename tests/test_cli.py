@@ -15,6 +15,7 @@ import proxiter as px
 from proxiter import cli, instances, iteration, systems
 from proxiter.cli import _emit, main
 from proxiter.instances import ONE_ATOM
+from test_cyclic_campaign import two_campaigns
 
 
 def run_cli(capsys, *argv):
@@ -270,6 +271,48 @@ def test_verify_cyclic_affine(capsys):
     assert payload["reduction"]["verdict"] == "certified-on-samples"
 
 
+def _counted_cyclic(monkeypatch, name, in_probe):
+    """CYCLIC[name] rebuilt so that its draws and its map calls are recorded.
+
+    Map calls made inside ``check_p_invariance`` (the invariance probes) are
+    not recorded: in_probe is non-empty while one runs.  Returns the built
+    triple, the (region, n) draws and the mapped points.
+    """
+    draws, map_calls = [], []
+    entry = instances.CYCLIC[name]
+    ct = entry.build()
+
+    def counted_draw(region):
+        def draw(rng, n):
+            draws.append((region.name, n))
+            return region.draw(rng, n)
+
+        return dataclasses.replace(region, draw=draw)
+
+    def counted_t(p):
+        if not in_probe:
+            map_calls.append(p)
+        return ct.t(p)
+
+    probe = systems.check_p_invariance
+
+    def flagged_probe(*args, **kwargs):
+        in_probe.append(True)
+        try:
+            return probe(*args, **kwargs)
+        finally:
+            in_probe.pop()
+
+    counted = dataclasses.replace(
+        ct, regions=tuple(counted_draw(r) for r in ct.regions), t=counted_t
+    )
+    monkeypatch.setitem(
+        instances.CYCLIC, name, dataclasses.replace(entry, build=lambda: counted)
+    )
+    monkeypatch.setattr(systems, "check_p_invariance", flagged_probe)
+    return ct, draws, map_calls
+
+
 def test_verify_cyclic_draws_once_and_maps_nine_times_per_sample(capsys, monkeypatch):
     # one campaign: each region's column is drawn once, and each sample maps
     # g, b and c once for the summed residual and twice more for the
@@ -280,7 +323,6 @@ def test_verify_cyclic_draws_once_and_maps_nine_times_per_sample(capsys, monkeyp
     # 2-D metric calls: the triple's 3 sides and its images' 3, which the
     # reduction's before reuses, and the 3 sides of the T^3 outputs; the
     # composed product metric and the second penalty are not called.
-    draws, loop_calls = [], []
     in_probe = []
     segment_tests, metric_calls, composed_calls = [], [], []
 
@@ -314,37 +356,7 @@ def test_verify_cyclic_draws_once_and_maps_nine_times_per_sample(capsys, monkeyp
         instances, "compose_spaces",
         lambda s1, s2: counted_space(compose_spaces(s1, s2), composed_calls),
     )
-    entry = instances.CYCLIC["cyclic3-affine"]
-    ct = entry.build()
-
-    def counted_draw(region):
-        def draw(rng, n):
-            draws.append((region.name, n))
-            return region.draw(rng, n)
-
-        return dataclasses.replace(region, draw=draw)
-
-    def counted_t(p):
-        if not in_probe:
-            loop_calls.append(p)
-        return ct.t(p)
-
-    probe = systems.check_p_invariance
-
-    def flagged_probe(*args, **kwargs):
-        in_probe.append(True)
-        try:
-            return probe(*args, **kwargs)
-        finally:
-            in_probe.pop()
-
-    counted = dataclasses.replace(
-        ct, regions=tuple(counted_draw(r) for r in ct.regions), t=counted_t
-    )
-    monkeypatch.setitem(
-        instances.CYCLIC, "cyclic3-affine", dataclasses.replace(entry, build=lambda: counted)
-    )
-    monkeypatch.setattr(systems, "check_p_invariance", flagged_probe)
+    ct, draws, loop_calls = _counted_cyclic(monkeypatch, "cyclic3-affine", in_probe)
     samples = 500
     code, out, _ = run_cli(
         capsys, "verify", "--instance", "cyclic3-affine", "--samples", str(samples)
@@ -356,6 +368,26 @@ def test_verify_cyclic_draws_once_and_maps_nine_times_per_sample(capsys, monkeyp
     assert len(segment_tests) == 15 * samples
     assert len(metric_calls) == 9 * samples
     assert composed_calls == []
+
+
+def test_verify_cyclic_singleton_maps_its_one_triple_once(capsys, monkeypatch):
+    # every singleton triple holds the same three point objects, so the
+    # campaign maps the first one 9 times and repeats it for the rest;
+    # evaluating every triple would make 9 * 2000 = 18 000 calls
+    ct, draws, map_calls = _counted_cyclic(monkeypatch, "cyclic3-singleton", [])
+    samples = 2000
+    argv = ("verify", "--instance", "cyclic3-singleton", "--samples", str(samples))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "certified-on-samples"
+    assert sorted(draws) == [(r.name, samples) for r in ct.regions]
+    assert len(map_calls) == 9
+    assert repr(instances.verify_cyclic(ct, samples, 0, 8)) == repr(
+        two_campaigns(ct, samples, 0, 8)
+    )
+    # the report's bytes are those of the two campaigns it fuses
+    monkeypatch.setattr(cli, "verify_cyclic", two_campaigns)
+    assert run_cli(capsys, *argv) == (code, out, "")
 
 
 def test_run_cyclic_certifies_once(capsys, monkeypatch):

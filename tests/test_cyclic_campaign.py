@@ -15,6 +15,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import proxiter as px
 from proxiter.instances import (
@@ -175,3 +177,134 @@ def test_the_singleton_map_keeps_the_loop_it_replaced():
     others = [(10,), (20.000000000000004,), (-0.0,), (math.nan,), (math.inf,), (10.0, 0.0), ()]
     for p in pts + others:
         assert outcome(t, p) == outcome(loop, p), p
+
+
+# ---------------------------------------------------------------------------
+# runs of repeated triples: the campaign maps a triple once per run of the
+# same point objects, and must still equal the references that map them all
+
+
+def in_runs(region):
+    """region whose draw repeats point objects in runs taken from the rng.
+
+    Each run starts with the original draw's next point, the previous run's
+    object, or a fresh tuple equal to it (== but not ``is``), and lasts 1 to
+    8 rows.
+    """
+    def draw(rng, n):
+        fresh = region.draw(rng, n)
+        out = []
+        while len(out) < n:
+            pick = rng.random()
+            if out and pick < 0.3:
+                p = out[-1]
+            elif out and pick < 0.5:
+                p = tuple([*out[-1]])
+            else:
+                p = fresh[len(out)]
+            out.extend([p] * rng.randint(1, 8))
+        return out[:n]
+
+    return dataclasses.replace(region, draw=draw)
+
+
+def reference_certify(ct, samples, seed):
+    """certify_cyclic's minimum and triple, mapping every drawn triple."""
+    worst, arg = math.inf, None
+    for triple in drawn_triples(ct, samples, seed):
+        r = px.cyclic_residual(ct, *triple)
+        if not math.isfinite(r):
+            return r, triple
+        if r < worst:
+            worst, arg = r, triple
+    return worst, arg
+
+
+def drawn_triples(ct, samples, seed):
+    """The triples a campaign over ct draws at seed."""
+    draw = px.draw_columns([region.draw for region in ct.regions], lambda *xs: xs)
+    return draw(random.Random(seed), samples)
+
+
+def repeated_point(triples):
+    """g of the first triple that repeats its predecessor's objects, else of the first."""
+    for prev, triple in zip(triples, triples[1:]):
+        if all(p is q for p, q in zip(prev, triple)):
+            return triple[0]
+    return triples[0][0]
+
+
+def nan_at(ct, points):
+    """ct whose map is NaN at the given points and at NaN inputs."""
+    nan = (math.nan,) * ct.space.dim
+
+    def t(p):
+        return nan if p in points or any(v != v for v in p) else ct.t(p)
+
+    return dataclasses.replace(ct, t=t)
+
+
+@settings(max_examples=60, deadline=2000, derandomize=True)
+@given(
+    example=st.sampled_from([px.singleton_cyclic_example, px.affine_cyclic_example]),
+    case=st.sampled_from(["plain", "nan", "leaves"]),
+    samples=st.integers(1, 50),
+    depth=st.sampled_from([0, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_runs_of_repeated_triples_equal_the_two_campaigns(example, case, samples, depth, seed):
+    ct = example()
+    ct = dataclasses.replace(ct, regions=tuple(in_runs(r) for r in ct.regions))
+    if case != "plain":
+        g = repeated_point(drawn_triples(ct, samples, seed))
+        # "nan" refutes the summed residual at the repeated triple; "leaves"
+        # sends its reduction's T^3 outside the regions, as off_the_draw does
+        ct = nan_at(ct, {g} if case == "nan" else {ct.t(g)})
+    got = outcome(verify_cyclic, ct, samples, seed, depth)
+    assert got == outcome(two_campaigns, ct, samples, seed, depth)
+    assert outcome(certify_cyclic, ct, samples, seed) == outcome(
+        reference_certify, ct, samples, seed
+    )
+
+
+@settings(max_examples=30, deadline=2000, derandomize=True)
+@given(samples=st.integers(5, 50), seed=st.integers(0, 2**32 - 1))
+def test_repeated_triples_are_probed_as_the_two_campaigns_probe(samples, seed):
+    # the first four samples are the invariance probes, repeats included: a
+    # later triple whose reduction leaves the regions at its second step,
+    # seen by a probe only, must stay unprobed
+    ct = px.affine_cyclic_example()
+    ct = dataclasses.replace(ct, regions=tuple(in_runs(r) for r in ct.regions))
+    triples = drawn_triples(ct, samples, seed)
+    probed = {triple[0] for triple in triples[:4]}
+    g = next((triple[0] for triple in triples[4:] if triple[0] not in probed), None)
+    assume(g is not None)
+    t = ct.t
+    ct = nan_at(ct, {t(t(t(t(g))))})
+    got = outcome(verify_cyclic, ct, samples, seed, 8)
+    assert got == outcome(two_campaigns, ct, samples, seed, 8)
+
+
+def test_equal_but_distinct_zeros_are_mapped_again():
+    # +0.0 and -0.0 compare equal yet may map apart: a run of (0.0,) then a
+    # run of (-0.0,) is two runs, and the map here is NaN at -0.0
+    zero, neg = (0.0,), (-0.0,)
+    regions = tuple(px.singleton_region(p) for p in [(0.0,), (20.0,), (30.0,)])
+    first = dataclasses.replace(regions[0], draw=lambda rng, n: ([zero] * 3 + [neg] * 3)[:n])
+    successor = {0.0: (20.0,), 20.0: (30.0,), 30.0: (0.0,)}
+    calls = []
+
+    def t(p):
+        calls.append(p)
+        return (math.nan,) if math.copysign(1.0, p[0]) < 0 else successor[p[0]]
+
+    ct = px.CyclicTriple(px.real_line(), (first, *regions[1:]), t, 0.5, (20.0, 10.0, 30.0))
+    worst, arg = certify_cyclic(ct, 6, 0)
+    assert math.isnan(worst) and arg[0] is neg
+    assert len(calls) == 3 + 3  # one evaluation per run
+    assert repr((worst, arg)) == repr(reference_certify(ct, 6, 0))
+    calls.clear()
+    got = verify_cyclic(ct, 6, 0, 8)
+    assert math.isnan(got[0]) and got[2] is None
+    assert len(calls) == 9 + 3  # the first run's reduction maps T^3 too
+    assert repr(got) == repr(two_campaigns(ct, 6, 0, 8))
