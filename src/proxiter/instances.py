@@ -47,7 +47,6 @@ from .systems import (
     CElement,
     CertificationReport,
     CPair,
-    CUniverse,
     ExternalFactor,
     ExternalFactorSystem,
     Quadruple,
@@ -259,6 +258,11 @@ def example1_system() -> ExternalFactorSystem:
         return a_contains(x) and b_contains(y) and u == x and v == y
 
     def p_draw(rng: random.Random, n: int) -> list[Quadruple]:
+        """The scalar twin of ``_example1_block``, which draws this stream in arrays.
+
+        A campaign runs it without numpy (the numpy-less CI leg covers it) or
+        once a wrapper has replaced a callable that the block is bound to.
+        """
         # rng.uniform(a, b) spelled out as a + (b - a) * rng.random()
         rand = rng.random
         out = []
@@ -268,19 +272,9 @@ def example1_system() -> ExternalFactorSystem:
             out.append(Quadruple(x, y, x, y))
         return out
 
-    def c_draw(rng: random.Random, n: int) -> list[CElement]:
-        out: list[CElement] = []
-        for _ in range(n):
-            if rng.random() < 0.5:
-                out.append((rng.uniform(0.0, 100.0),))
-            else:
-                out.append((rng.uniform(-100.0, -1.0),))
-        return out
-
     system = ExternalFactorSystem(
         name="e1",
         pair=pair,
-        c_universe=CUniverse("union of both half-lines", c_draw),
         t_a=t_a,
         h_a=t_a,
         t_b=t_b,
@@ -322,7 +316,6 @@ def _single_atom_system(
     return ExternalFactorSystem(
         name=name,
         pair=pair,
-        c_universe=CUniverse("single atom", lambda rng, n: [atom] * n),
         t_a=t_a,
         h_a=lambda x, c: atom,
         t_b=t_b,
@@ -459,12 +452,9 @@ def product_system(
     def p_row(q1: Quadruple, q2: Quadruple) -> Quadruple:
         return Quadruple(q1.x + q2.x, q1.y + q2.y, CPair(q1.u, q2.u), CPair(q1.v, q2.v))
 
-    c_draw = draw_columns((s1.c_universe.draw, s2.c_universe.draw), CPair)
-
     system = ExternalFactorSystem(
         name=f"{s1.name}x{s2.name}",
         pair=pair,
-        c_universe=CUniverse(f"{s1.c_universe.name} x {s2.c_universe.name}", c_draw),
         t_a=lift(s1.t_a, s2.t_a, operator.add),
         h_a=lift(s1.h_a, s2.h_a, CPair),
         t_b=lift(s1.t_b, s2.t_b, operator.add),
@@ -740,16 +730,9 @@ def cyclic3_reduce(ct: CyclicTriple) -> ExternalFactorSystem:
             and v == y
         )
 
-    # a third column of uniforms picks the atom for a quarter of the rows
-    c_draw = draw_columns(
-        (a2.draw, a3.draw, lambda rng, n: [rng.random() for _ in range(n)]),
-        lambda b, c, r: ONE_ATOM if r < 0.25 else b + c,
-    )
-
     return ExternalFactorSystem(
         name="cyclic3-reduction",
         pair=pair,
-        c_universe=CUniverse("second-side pairs plus one atom", c_draw),
         t_a=t,
         h_a=lambda x, c: ONE_ATOM,
         t_b=t,
@@ -1160,15 +1143,18 @@ def load_instance_json(path: str) -> SystemInstance:
         complete = rspec.get("complete")  # None: complete when both ends are closed
         if complete is not None:
             complete = flag(f"regions.{key}.complete", complete)
-        return interval(
-            number(f"regions.{key}.lo", rspec.get("lo", -math.inf)),
-            number(f"regions.{key}.hi", rspec.get("hi", math.inf)),
-            closed_lo=flag(f"regions.{key}.closed_lo", rspec.get("closed_lo", True)),
-            closed_hi=flag(f"regions.{key}.closed_hi", rspec.get("closed_hi", True)),
-            complete=complete,
-            name=rspec.get("name"),
-            **bounds,
-        )
+        lo = number(f"regions.{key}.lo", rspec.get("lo", -math.inf))
+        hi = number(f"regions.{key}.hi", rspec.get("hi", math.inf))
+        closed_lo = flag(f"regions.{key}.closed_lo", rspec.get("closed_lo", True))
+        closed_hi = flag(f"regions.{key}.closed_hi", rspec.get("closed_hi", True))
+        # a NaN end compares false with every point, as do reversed ends
+        if not lo <= hi or (lo == hi and not (closed_lo and closed_hi)):
+            end = "hi" if math.isnan(hi) else "lo"
+            raise InvalidInputError(
+                f"{path}: field 'regions.{key}.{end}': the interval from {lo} to {hi} is empty"
+            )
+        return interval(lo, hi, closed_lo=closed_lo, closed_hi=closed_hi, complete=complete,
+                        name=rspec.get("name"), **bounds)
 
     spec = section("(top level)", spec)
     space_kind = section("space", spec.get("space", {})).get("kind", "real")

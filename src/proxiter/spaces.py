@@ -113,7 +113,7 @@ def _abs_metric(x: Point, y: Point) -> float:
     return abs(x[0] - y[0])
 
 
-#: metrics vector_space(2) and compose_spaces built that grow with each rounded
+#: metrics vector_space and compose_spaces built that grow with each rounded
 #: |x_i - y_i|; a metric wrapped by ``dataclasses.replace`` is not among them
 _MONOTONE_METRICS: weakref.WeakSet = weakref.WeakSet()
 
@@ -122,13 +122,11 @@ def _coordinatewise_monotone(metric: Callable[[Point, Point], float]) -> bool:
     """Whether the metric is nondecreasing in each rounded |x_i - y_i|.
 
     True for the line metric (by identity with the module global, so a
-    rebound one counts), for ``vector_space(2)``'s metric and for
+    rebound one counts), for ``vector_space``'s metric and for
     ``compose_spaces`` of such metrics: rounded subtraction, ``abs``,
     ``e * e``, addition and ``sqrt`` are each monotone.  Each of them is
-    also NaN or infinite wherever a coordinate is.  Other dimensions add
-    with ``sum()``, whose compensated float summation (Python 3.12+) is not
-    a chain of rounded additions, so they are not registered.  A metric
-    that cannot be hashed is not in the registry either.
+    also NaN or infinite wherever a coordinate is.  A metric that cannot be
+    hashed is not in the registry.
     """
     if metric is _abs_metric:
         return True
@@ -161,21 +159,19 @@ def real_line() -> MetricSpace:
 
 
 def vector_space(dim: int) -> MetricSpace:
-    """R^dim under the Euclidean metric; sum-metric products are ``compose_spaces``."""
-    if dim == 2:
-        sqrt = math.sqrt
+    """The Euclidean plane, dim 2 only; other spaces are built with ``compose_spaces``."""
+    if not isinstance(dim, int) or dim != 2:
+        raise InvalidInputError(f"vector_space is the Euclidean plane: dim must be 2, got {dim!r}")
+    sqrt = math.sqrt
 
-        def d(x: Point, y: Point) -> float:
-            x0, x1 = x
-            y0, y1 = y
-            e0, e1 = x0 - y0, x1 - y1
-            return sqrt(e0 * e0 + e1 * e1)
+    def d(x: Point, y: Point) -> float:
+        x0, x1 = x
+        y0, y1 = y
+        e0, e1 = x0 - y0, x1 - y1
+        return sqrt(e0 * e0 + e1 * e1)
 
-        _MONOTONE_METRICS.add(d)
-    else:
-        def d(x: Point, y: Point) -> float:
-            return math.sqrt(sum(e * e for e in map(operator.sub, x, y)))
-    return MetricSpace(f"R^{dim}[euclidean]", dim, d)
+    _MONOTONE_METRICS.add(d)
+    return MetricSpace("R^2[euclidean]", 2, d)
 
 
 def compose_spaces(s1: MetricSpace, s2: MetricSpace) -> MetricSpace:
@@ -281,72 +277,58 @@ def singleton_region(p: Union[float, Sequence[float]], name: Optional[str] = Non
 
 
 def segment_region(a: Sequence[float], b: Sequence[float], name: Optional[str] = None) -> Region:
-    """Closed straight segment between two points of R^d (Euclidean test).
+    """Closed straight segment between two points of the plane (Euclidean test).
 
-    In the plane the projection, the clamp and the distance are unrolled into
-    scalar arithmetic in the generic formula's operation order, so both give
-    the same bits; other dimensions use the generic formula.  Both compare
-    the squared distance with ``GEOMETRY_TOL_SQUARED``, which is the same
-    verdict as comparing its root with ``GEOMETRY_TOL``.
+    The projection, the clamp and the distance are unrolled into scalar
+    arithmetic.  The test compares the squared distance with
+    ``GEOMETRY_TOL_SQUARED``, which is the same verdict as comparing its
+    root with ``GEOMETRY_TOL``.
     """
     pa, pb = as_point(a), as_point(b)
-    direction = tuple(q - p for p, q in zip(pa, pb))
-    length2 = sum(d * d for d in direction)
+    if len(pa) != 2 or len(pb) != 2:
+        raise InvalidInputError(f"segment ends must be points of the plane, got {pa}, {pb}")
+    o0, o1 = pa
+    d0, d1 = pb[0] - o0, pb[1] - o1
+    length2 = d0 * d0 + d1 * d1
     if length2 <= 0.0:
         raise InvalidInputError("degenerate segment")
 
-    if len(pa) == len(pb) == 2:
-        o0, o1 = pa
-        d0, d1 = direction
-
-        def contains(p: Point) -> bool:
-            c0, c1 = p
-            t = ((c0 - o0) * d0 + (c1 - o1) * d1) / length2
-            # max(0.0, t) then min(1.0, t), NaN and -0.0 included
-            t = t if t > 0.0 else 0.0
-            t = t if t < 1.0 else 1.0
-            e0, e1 = c0 - (o0 + t * d0), c1 - (o1 + t * d1)
-            return e0 * e0 + e1 * e1 <= GEOMETRY_TOL_SQUARED
-
-        def draw(rng: random.Random, n: int) -> list[Point]:
-            rand = rng.random
-            return [(o0 + t * d0, o1 + t * d1) for t in [rand() for _ in range(n)]]
-
-        return Region(name or "segment", contains, draw, complete=True)
-
-    def project(p: Point) -> float:
-        return sum((c - o) * d for c, o, d in zip(p, pa, direction)) / length2
-
-    def at(t: float) -> Point:
-        return tuple(o + t * d for o, d in zip(pa, direction))
-
     def contains(p: Point) -> bool:
-        t = min(1.0, max(0.0, project(p)))
-        q = at(t)
-        return sum(e * e for e in map(operator.sub, p, q)) <= GEOMETRY_TOL_SQUARED
+        c0, c1 = p
+        t = ((c0 - o0) * d0 + (c1 - o1) * d1) / length2
+        # max(0.0, t) then min(1.0, t), NaN and -0.0 included
+        t = t if t > 0.0 else 0.0
+        t = t if t < 1.0 else 1.0
+        e0, e1 = c0 - (o0 + t * d0), c1 - (o1 + t * d1)
+        return e0 * e0 + e1 * e1 <= GEOMETRY_TOL_SQUARED
 
     def draw(rng: random.Random, n: int) -> list[Point]:
-        return [at(rng.random()) for _ in range(n)]
+        rand = rng.random
+        return [(o0 + t * d0, o1 + t * d1) for t in [rand() for _ in range(n)]]
 
     return Region(name or "segment", contains, draw, complete=True)
 
 
 def circle_region(center: Sequence[float], radius: float, name: Optional[str] = None) -> Region:
-    """The circle itself (not the disk); a deliberately non-convex region.
+    """The circle itself (not the disk) in the plane; a deliberately non-convex region.
 
     The test is two-sided, so it keeps the root: |r - radius| <= GEOMETRY_TOL.
     """
     c = as_point(center)
+    if len(c) != 2:
+        raise InvalidInputError(f"circle center must be a point of the plane, got {c}")
+    c0, c1 = c
 
     def contains(p: Point) -> bool:
-        r = math.sqrt(sum(e * e for e in map(operator.sub, p, c)))
-        return abs(r - radius) <= GEOMETRY_TOL
+        p0, p1 = p
+        e0, e1 = p0 - c0, p1 - c1
+        return abs(math.sqrt(e0 * e0 + e1 * e1) - radius) <= GEOMETRY_TOL
 
     def draw(rng: random.Random, n: int) -> list[Point]:
         out = []
         for _ in range(n):
             th = rng.uniform(0.0, 2.0 * math.pi)
-            out.append((c[0] + radius * math.cos(th), c[1] + radius * math.sin(th)))
+            out.append((c0 + radius * math.cos(th), c1 + radius * math.sin(th)))
         return out
 
     return Region(name or f"circle(r={radius})", contains, draw, complete=True)

@@ -76,14 +76,6 @@ class ExternalFactor:
 
 
 @dataclass(frozen=True)
-class CUniverse:
-    """Description of the external set C with a seeded sampler."""
-
-    name: str
-    draw: Callable[[random.Random, int], list[CElement]]
-
-
-@dataclass(frozen=True)
 class RelationP:
     """Admissible quadruples, as a predicate plus a deterministic sampler."""
 
@@ -124,8 +116,9 @@ class BlockKernel:
 
 @dataclass(frozen=True)
 class ExternalFactorSystem:
-    """The six maps, the external set, the relation P and the constant.
+    """The six maps, the relation P and the constant.
 
+    The external set C has no object: its members are P's u and v, H's outputs.
     Every map must be pure: its output depends on its arguments only.  A
     system whose external update on a side is that side's point map says so
     by passing the same object as T and H; the engine then evaluates it once
@@ -136,7 +129,6 @@ class ExternalFactorSystem:
 
     name: str
     pair: SetPair
-    c_universe: CUniverse
     t_a: Callable[[Point, CElement], Point]
     h_a: Callable[[Point, CElement], CElement]
     t_b: Callable[[Point, CElement], Point]

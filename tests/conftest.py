@@ -12,7 +12,6 @@ from hypothesis import settings
 
 from proxiter import (
     Atom,
-    CUniverse,
     ExternalFactor,
     ExternalFactorSystem,
     Quadruple,
@@ -56,7 +55,6 @@ def make_permissive_system(lam: float = 0.5) -> ExternalFactorSystem:
     return ExternalFactorSystem(
         name="permissive",
         pair=pair,
-        c_universe=CUniverse("nonnegative reals", lambda rng, n: [(rng.uniform(0.0, 10.0),) for _ in range(n)]),
         t_a=lambda x, c: (x[0] / 2.0 + c[0] / 4.0,),
         h_a=lambda x, c: (c[0] / 2.0,),
         t_b=lambda y, c: ((y[0] - 1.0) / 2.0,),
@@ -89,7 +87,6 @@ def make_two_fixed_point_system() -> ExternalFactorSystem:
     return ExternalFactorSystem(
         name="two-fixed-points",
         pair=pair,
-        c_universe=CUniverse("single atom", lambda rng, n: [atom] * n),
         t_a=lambda x, c: (x[0] ** 2,),
         h_a=lambda x, c: atom,
         t_b=lambda y, c: (y[0] ** 2,),

@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from proxiter import (
     Block,
-    CUniverse,
     ExternalFactor,
     ExternalFactorSystem,
     Quadruple,
@@ -427,7 +426,6 @@ def table_system(fa, fa_next, fb, fb_next, lam):
     system = ExternalFactorSystem(
         name="table",
         pair=pair,
-        c_universe=CUniverse("table", lambda rng, n: []),
         t_a=t_a,
         h_a=t_a,
         t_b=t_b,

@@ -548,6 +548,12 @@ BAD_SPECS = {
     "closed-lo-string": _good_spec_with(regions__a__closed_lo="false"),
     "closed-hi-number": _good_spec_with(regions__a__closed_hi=0),
     "complete-string": _good_spec_with(regions__a__complete="no"),
+    # an empty interval: every sample would be a non-member
+    "interval-reversed": _good_spec_with(regions__a={"lo": 5.0, "hi": 1.0}),
+    "interval-lo-nan": _good_spec_with(regions__a__lo=math.nan),
+    "interval-hi-nan": _good_spec_with(regions__a__hi=math.nan),
+    "interval-point-open-lo": _good_spec_with(regions__a={"lo": 1.0, "hi": 1.0, "closed_lo": False}),
+    "interval-point-open-hi": _good_spec_with(regions__a={"lo": 1.0, "hi": 1.0, "closed_hi": False}),
     # json.load accepts NaN and Infinity; a bad distance or constant is a field error
     "dist-nan": _good_spec_with(dist=math.nan),
     "dist-inf": _good_spec_with(dist=math.inf),
@@ -578,6 +584,11 @@ BAD_SPECS = {
         ("closed-lo-string", "field 'regions.a.closed_lo': must be true or false, got 'false'"),
         ("closed-hi-number", "field 'regions.a.closed_hi': must be true or false, got 0"),
         ("complete-string", "field 'regions.a.complete': must be true or false, got 'no'"),
+        ("interval-reversed", "field 'regions.a.lo': the interval from 5.0 to 1.0 is empty"),
+        ("interval-lo-nan", "field 'regions.a.lo': the interval from nan to 10.0 is empty"),
+        ("interval-hi-nan", "field 'regions.a.hi': the interval from -10.0 to nan is empty"),
+        ("interval-point-open-lo", "field 'regions.a.lo': the interval from 1.0 to 1.0 is empty"),
+        ("interval-point-open-hi", "field 'regions.a.lo': the interval from 1.0 to 1.0 is empty"),
         ("dist-nan", "field 'dist': set distance must be finite"),
         ("dist-inf", "field 'dist': set distance must be finite"),
         ("dist-negative", "field 'dist': set distance cannot be negative"),
@@ -623,7 +634,6 @@ def test_constants_are_the_systems_own_whatever_the_seed(capsys):
             a=dataclasses.replace(e1.pair.a, draw=never),
             b=dataclasses.replace(e1.pair.b, draw=never),
         ),
-        c_universe=dataclasses.replace(e1.c_universe, draw=never),
         p=dataclasses.replace(e1.p, draw=never),
         f_a=px.ExternalFactor(e1.f_a.fn, 0.25),
         f_b=px.ExternalFactor(e1.f_b.fn, 0.5),

@@ -153,7 +153,7 @@ class _Weighted:
 
 def test_an_unhashable_or_unregistered_metric_takes_the_sweep():
     weighted = MetricSpace("w", 1, _Weighted(2.0))
-    for space in (compose_spaces(weighted, real_line()), weighted, vector_space(3)):
+    for space in (compose_spaces(weighted, real_line()), weighted):
         assert not spaces._coordinatewise_monotone(space.metric), space.name
         paired = _contracting_trace(space, 6)
         system = _system(space, 0.9)

@@ -496,7 +496,6 @@ def test_json_instance_with_two_regions_keeps_its_system(tmp_path):
         px.Quadruple((5.442292252959518,), (26.25720304108054,), unit, unit),
         px.Quadruple((3.6995516654807927,), (20.65528859239813,), unit, unit),
     ]
-    assert system.c_universe.draw(random.Random(0), 2) == [unit, unit]
     assert system.t_a((4.0,), unit) == (2.0,) and system.t_b((22.0,), unit) == (23.5,)
     assert system.h_a((4.0,), unit) == unit and system.h_b((22.0,), unit) == unit
     assert system.p.contains((1.0,), (21.0,), unit, unit)

@@ -345,7 +345,6 @@ def one_atom_system(region_a, region_b, t_a, t_b):
     return px.ExternalFactorSystem(
         name="one-atom",
         pair=px.SetPair(px.real_line(), region_a, region_b, dist_ab=0.0),
-        c_universe=px.CUniverse("single atom", lambda rng, n: [ATOM] * n),
         t_a=t_a,
         h_a=lambda x, c: ATOM,
         t_b=t_b,

@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxiter import (
-    CUniverse,
     ExternalFactor,
     ExternalFactorSystem,
     Quadruple,
@@ -277,7 +276,6 @@ def _faulty_system(space_key, slope, offset, faults, pens, log):
     return ExternalFactorSystem(
         name="faulty",
         pair=SetPair(MetricSpace(base.name, dim, metric), region_a, region_b, dist_ab=0.0),
-        c_universe=CUniverse("step counters", lambda rng, n: [(0,)] * n),
         t_a=point_map("a"),
         h_a=count("a"),
         t_b=point_map("b"),

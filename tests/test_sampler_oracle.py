@@ -71,15 +71,6 @@ def ref_product_p(s1, s2):
     return p_draw
 
 
-def ref_product_c(s1, s2):
-    def c_draw(rng, n):
-        left = s1.c_universe.draw(rng, n)
-        right = s2.c_universe.draw(rng, n)
-        return [CPair(a, b) for a, b in zip(left, right)]
-
-    return c_draw
-
-
 def ref_reduction_p(a1, a2, a3):
     def p_draw(rng, n):
         gs = a1.draw(rng, n)
@@ -88,18 +79,6 @@ def ref_reduction_p(a1, a2, a3):
         return [Quadruple(g + g, b + c, ONE_ATOM, b + c) for g, b, c in zip(gs, bs, cs)]
 
     return p_draw
-
-
-def ref_reduction_c(a2, a3):
-    def c_draw(rng, n):
-        out = []
-        bs = a2.draw(rng, n)
-        cs = a3.draw(rng, n)
-        for b, c in zip(bs, cs):
-            out.append(ONE_ATOM if rng.random() < 0.25 else b + c)
-        return out
-
-    return c_draw
 
 
 def ref_certify_cyclic(ct, samples, seed):
@@ -141,7 +120,6 @@ def _cases(json_path):
     cases["json.p"] = (system.p.draw, ref_single_atom_p(system.pair.a, system.pair.b))
     product = SYSTEMS["e1-product"].build()
     cases["e1-product.p"] = (product.p.draw, ref_product_p(e1, e1))
-    cases["e1-product.c"] = (product.c_universe.draw, ref_product_c(e1, e1))
     cases["e1-product.a"] = (product.pair.a.draw, ref_product_region(e1.pair.a, e1.pair.a))
     cases["e1-product.b"] = (product.pair.b.draw, ref_product_region(e1.pair.b, e1.pair.b))
     for name, entry in CYCLIC.items():
@@ -149,7 +127,6 @@ def _cases(json_path):
         a1, a2, a3 = ct.regions
         system = cyclic3_reduce(ct)
         cases[f"{name}.p"] = (system.p.draw, ref_reduction_p(a1, a2, a3))
-        cases[f"{name}.c"] = (system.c_universe.draw, ref_reduction_c(a2, a3))
         cases[f"{name}.a"] = (system.pair.a.draw, ref_product_region(a1, a1))
         cases[f"{name}.b"] = (system.pair.b.draw, ref_product_region(a2, a3))
     return cases
@@ -157,8 +134,8 @@ def _cases(json_path):
 
 CASE_NAMES = [
     "banach-half.p", "banach-affine.p", "json.p",
-    "e1-product.p", "e1-product.c", "e1-product.a", "e1-product.b",
-    *(f"{name}.{part}" for name in CYCLIC for part in "pcab"),
+    "e1-product.p", "e1-product.a", "e1-product.b",
+    *(f"{name}.{part}" for name in CYCLIC for part in "pab"),
 ]
 
 

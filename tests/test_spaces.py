@@ -26,7 +26,6 @@ def test_distance_self_is_zero():
     for space, p in [
         (px.real_line(), (7.25,)),
         (px.compose_spaces(px.real_line(), px.real_line()), (1.0, -2.0)),
-        (px.vector_space(3), (1.0, -2.0, 0.5)),
         (px.vector_space(2), (0.3, 0.4)),
     ]:
         assert px.distance(space, p, p) == 0.0
@@ -45,8 +44,35 @@ def test_metric_space_needs_a_positive_integer_dimension(dim):
 
 
 def test_vector_space_refuses_dimension_zero():
-    with pytest.raises(px.InvalidInputError, match="positive integer dimension"):
+    with pytest.raises(px.InvalidInputError, match="dim must be 2"):
         px.vector_space(0)
+
+
+NON_PLANAR = {
+    "R^1": lambda: px.vector_space(1),
+    "R^3": lambda: px.vector_space(3),
+    "dim-2.0": lambda: px.vector_space(2.0),
+    "segment-3d": lambda: px.segment_region((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    "segment-1d-2d": lambda: px.segment_region((0.0,), (1.0, 0.0)),
+    # the dimension is checked before the segment's length
+    "segment-3d-degenerate": lambda: px.segment_region((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    "circle-3d": lambda: px.circle_region((0.0, 0.0, 0.0), 1.0),
+    "circle-1d": lambda: px.circle_region((0.0,), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_PLANAR))
+def test_euclidean_geometry_refuses_anything_but_the_plane(case):
+    with pytest.raises(px.InvalidInputError, match="plane"):
+        NON_PLANAR[case]()
+
+
+def test_a_circle_has_no_member_off_the_plane():
+    # a point of another dimension is an error, never a member
+    circ = px.circle_region((0.0, 0.0), 1.0)
+    for point in ((1.0,), (1.0, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            circ.contains(point)
 
 
 @pytest.mark.parametrize(
@@ -164,11 +190,6 @@ def test_metric_axioms_on_builtin_spaces():
     spaces = {
         px.real_line(): lambda: (rng.uniform(-50, 50),),
         px.vector_space(2): lambda: (rng.uniform(-50, 50), rng.uniform(-50, 50)),
-        px.vector_space(3): lambda: (
-            rng.uniform(-50, 50),
-            rng.uniform(-50, 50),
-            rng.uniform(-50, 50),
-        ),
         px.compose_spaces(px.real_line(), px.real_line()): lambda: (
             rng.uniform(-50, 50),
             rng.uniform(-50, 50),
@@ -283,37 +304,26 @@ def test_plane_euclidean_metric_matches_generic_formula(x, y):
     assert _bits([metric(x, y)]) == _bits([_generic_euclidean(x, y)])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    a=st.tuples(coord, coord, coord),
-    b=st.tuples(coord, coord, coord),
-    t=st.floats(min_value=-0.5, max_value=1.5),
+    center=st.tuples(st.floats(), st.floats()),
+    angle=st.floats(min_value=0.0, max_value=7.0),
+    radius=st.one_of(st.floats(min_value=0.0, max_value=1e6), st.sampled_from([0.0, math.inf])),
     off=normal_offset,
-    seed=st.integers(min_value=0, max_value=2**32),
 )
-def test_space_segment_keeps_generic_formula(a, b, t, off, seed):
-    if math.dist(a, b) < 1e-6:
-        return
-    at, contains = _generic_segment(a, b)
-    seg = px.segment_region(a, b)
-    q = at(t)
-    p = (q[0] + off, q[1], q[2])
-    for point in (q, p, a, b):
-        assert seg.contains(point) == contains(point)
-    rng = random.Random(seed)
-    expected = [at(rng.random()) for _ in range(20)]
-    assert [_bits(p) for p in seg.draw(random.Random(seed), 20)] == [_bits(p) for p in expected]
-    metric = px.vector_space(3).metric
-    assert _bits([metric(a, p)]) == _bits([_generic_euclidean(a, p)])
+def test_plane_circle_matches_generic_formula(center, angle, radius, off):
+    circ = px.circle_region(center, radius)
+    r = radius + off
+    point = (center[0] + r * math.cos(angle), center[1] + r * math.sin(angle))
+    generic = abs(_generic_euclidean(point, center) - radius) <= px.GEOMETRY_TOL
+    assert circ.contains(point) == generic
 
 
 def test_a_square_beyond_the_largest_double_is_inf_not_an_error():
     # x * x rounds to inf above about 1.34e154, where x ** 2 raised OverflowError
     far = (1e200, 0.0)
     assert px.vector_space(2).metric(far, (0.0, 0.0)) == math.inf
-    assert px.vector_space(3).metric(far + (0.0,), (0.0, 0.0, 0.0)) == math.inf
     assert px.segment_region((0.0, 0.0), (1.0, 0.0)).contains(far) is False
-    assert px.segment_region((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)).contains(far + (0.0,)) is False
     assert px.circle_region((0.0, 0.0), 1.0).contains(far) is False
 
 
@@ -354,7 +364,6 @@ any_coord = st.one_of(special, st.floats())
 SYMMETRY_SPACES = {
     "R": px.real_line(),
     "R^2": px.vector_space(2),
-    "R^3": px.vector_space(3),
     "R^2 x R": px.compose_spaces(px.vector_space(2), px.real_line()),
 }
 

@@ -326,7 +326,6 @@ def mirror_probe(inf_a, inf_b) -> px.ExternalFactorSystem:
     return px.ExternalFactorSystem(
         name="mirror-probe",
         pair=px.SetPair(px.real_line(), region, region, 0.0),
-        c_universe=px.CUniverse("[0,1]", lambda rng, n: [(rng.random(),) for _ in range(n)]),
         t_a=half,
         h_a=half,
         t_b=half,
@@ -355,12 +354,15 @@ def test_the_mirror_probe_needs_its_infima_and_refutes_with_them():
     assert -2.0e-4 <= report.min_residual < -1.9e-4
 
 
-def test_penalties_respect_exact_infima():
-    rng = random.Random(21)
-    for system in (px.example1_system(), px.cyclic3_reduce(px.affine_cyclic_example())):
-        for c in system.c_universe.draw(rng, 2000):
-            assert system.f_a.fn(c) >= system.f_a.inf_value - 1e-12
-            assert system.f_b.fn(c) >= system.f_b.inf_value - 1e-12
+@pytest.mark.parametrize("name", ["e1", "e1-product", "cyclic3-affine-reduction"])
+def test_penalties_respect_exact_infima(name):
+    # the external elements a campaign evaluates: P's u and v, and H's images of them
+    system = KERNEL_SYSTEMS[name]()
+    for q in system.p.draw(random.Random(21), 2000):
+        for u in (q.u, system.h_a(q.x, q.u)):
+            assert system.f_a.fn(u) >= system.f_a.inf_value - 1e-12
+        for v in (q.v, system.h_b(q.y, q.v)):
+            assert system.f_b.fn(v) >= system.f_b.inf_value - 1e-12
 
 
 def test_lambda_outside_unit_interval_rejected():

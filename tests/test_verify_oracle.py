@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxiter import (
-    CUniverse,
     ExternalFactor,
     ExternalFactorSystem,
     Quadruple,
@@ -245,7 +244,6 @@ def _system(space_key, maps, shared, pens, lam, quads, plain, log, consts=(0.0, 
     return ExternalFactorSystem(
         name="generated",
         pair=SetPair(MetricSpace(base.name, dim, metric), box("box-a"), box("box-b"), consts[0]),
-        c_universe=CUniverse("points", lambda rng, n: []),
         t_a=t_a,
         h_a=t_a if shared[0] else external_map("a"),
         t_b=t_b,
