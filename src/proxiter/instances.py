@@ -713,8 +713,6 @@ def cyclic3_reduce(ct: CyclicTriple) -> ExternalFactorSystem:
 
     def f_b_fn(c: CElement) -> float:
         if isinstance(c, Atom):
-            if c == ONE_ATOM:
-                return d23
             raise InvalidInputError(f"unknown atom {c} in the external set")
         return base.metric(c[:d], c[d:])
 
@@ -898,8 +896,8 @@ def singleton_cyclic_example() -> CyclicTriple:
 
 
 def open_interval_pair() -> SetPair:
-    a = interval(0.0, 1.0, closed_lo=False, closed_hi=False, complete=False, name="(0,1)")
-    b = interval(2.0, 3.0, closed_lo=False, closed_hi=False, complete=False, name="(2,3)")
+    a = interval(0.0, 1.0, closed_lo=False, closed_hi=False, name="(0,1)")
+    b = interval(2.0, 3.0, closed_lo=False, closed_hi=False, name="(2,3)")
     return SetPair(real_line(), a, b, dist_ab=1.0)
 
 
@@ -1094,6 +1092,13 @@ _JSON_MAPS: dict[str, tuple[dict[str, float], Callable[..., Callable[..., Point]
     "identity": ({}, lambda: (lambda x, c: (x[0],))),
 }
 
+#: the keys the loader reads at the top level and in each region; any other
+#: key is refused
+_JSON_TOP_KEYS = ("name", "space", "regions", "maps", "lambda", "dist", "infima", "x0", "y0")
+_JSON_REGION_KEYS = (
+    "kind", "lo", "hi", "closed_lo", "closed_hi", "sample_lo", "sample_hi", "name"
+)
+
 
 def load_instance_json(path: str) -> SystemInstance:
     """Build a system instance from a JSON description.
@@ -1123,13 +1128,21 @@ def load_instance_json(path: str) -> SystemInstance:
             )
         return value
 
-    def section(field: str, value) -> dict:
+    def section(field: str, value, keys: Optional[tuple[str, ...]]) -> dict:
+        # a misspelt key would otherwise leave its default in force, unseen;
+        # keys None checks the shape only
         if not isinstance(value, dict):
             raise InvalidInputError(f"{path}: field {field!r} must be an object, got {value!r}")
+        for key in value:
+            if keys is not None and key not in keys:
+                dotted = key if field == "(top level)" else f"{field}.{key}"
+                raise InvalidInputError(
+                    f"{path}: field {dotted!r} is not read; {field} reads {', '.join(keys)}"
+                )
         return value
 
     def region(key: str, rspec) -> Region:
-        rspec = section(f"regions.{key}", rspec)
+        rspec = section(f"regions.{key}", rspec, _JSON_REGION_KEYS)
         kind = rspec.get("kind", "interval")
         if kind != "interval":
             raise InvalidInputError(
@@ -1140,9 +1153,6 @@ def load_instance_json(path: str) -> SystemInstance:
             for k in ("sample_lo", "sample_hi")
             if rspec.get(k) is not None
         }
-        complete = rspec.get("complete")  # None: complete when both ends are closed
-        if complete is not None:
-            complete = flag(f"regions.{key}.complete", complete)
         lo = number(f"regions.{key}.lo", rspec.get("lo", -math.inf))
         hi = number(f"regions.{key}.hi", rspec.get("hi", math.inf))
         closed_lo = flag(f"regions.{key}.closed_lo", rspec.get("closed_lo", True))
@@ -1153,24 +1163,30 @@ def load_instance_json(path: str) -> SystemInstance:
             raise InvalidInputError(
                 f"{path}: field 'regions.{key}.{end}': the interval from {lo} to {hi} is empty"
             )
-        return interval(lo, hi, closed_lo=closed_lo, closed_hi=closed_hi, complete=complete,
-                        name=rspec.get("name"), **bounds)
+        try:
+            return interval(lo, hi, closed_lo=closed_lo, closed_hi=closed_hi,
+                            name=rspec.get("name"), **bounds)
+        except InvalidInputError as exc:
+            # interval()'s message starts with the parameter name of the box end
+            end = str(exc).partition(" ")[0]
+            raise InvalidInputError(f"{path}: field 'regions.{key}.{end}': {exc}") from exc
 
-    spec = section("(top level)", spec)
-    space_kind = section("space", spec.get("space", {})).get("kind", "real")
+    spec = section("(top level)", spec, _JSON_TOP_KEYS)
+    space_kind = section("space", spec.get("space", {}), ("kind",)).get("kind", "real")
     if space_kind != "real":
         raise InvalidInputError(
             f"{path}: field 'space.kind': unsupported space kind {space_kind!r}"
         )
     space = real_line()
-    regions = section("regions", spec.get("regions", {}))
+    regions = section("regions", spec.get("regions", {}), ("a", "b"))
     region_a = region("a", regions.get("a", {}))
     key_b = "b" if "b" in regions else "a"  # one region serves both sides
     region_b = region(key_b, regions.get(key_b, {}))
-    maps = section("maps", spec.get("maps", {}))
+    maps = section("maps", spec.get("maps", {}), ("t_a", "t_b"))
 
     def point_map(key: str) -> Callable[[Point, CElement], Point]:
-        m = dict(section(f"maps.{key}", maps.get(key, {"name": "identity"})))
+        # a map's keys depend on its name, so its parameters are checked below
+        m = dict(section(f"maps.{key}", maps.get(key, {"name": "identity"}), None))
         if "name" not in m:
             raise InvalidInputError(f"{path}: field 'maps.{key}.name' is missing")
         name = m.pop("name")
@@ -1190,7 +1206,7 @@ def load_instance_json(path: str) -> SystemInstance:
     ta, tb = point_map("t_a"), point_map("t_b")
     lam = number("lambda", spec.get("lambda"))
     dist = number("dist", spec.get("dist", 0.0))
-    infima = section("infima", spec.get("infima", {"a": 0.0, "b": 0.0}))
+    infima = section("infima", spec.get("infima", {"a": 0.0, "b": 0.0}), ("a", "b"))
     try:
         pair = SetPair(space, region_a, region_b, dist_ab=dist)
     except InvalidInputError as exc:

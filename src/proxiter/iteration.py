@@ -344,7 +344,6 @@ def weak_fixed_residuals(
 class Violation(NamedTuple):
     beta: Point
     tail_residual: float
-    separation: float
 
 
 def uniqueness_scan(
@@ -369,7 +368,7 @@ def uniqueness_scan(
         w = min(CONFIRM_WINDOW, len(residuals))
         tail = max(residuals[-w:])
         if tail < tol:
-            violations.append(Violation(beta, tail, sep))
+            violations.append(Violation(beta, tail))
     return violations
 
 

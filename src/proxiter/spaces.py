@@ -188,16 +188,11 @@ def compose_spaces(s1: MetricSpace, s2: MetricSpace) -> MetricSpace:
 
 @dataclass(frozen=True)
 class Region:
-    """A membership predicate plus a deterministic seeded sampler.
-
-    The ``complete`` flag is asserted by the instance author; it is not
-    verifiable from samples.
-    """
+    """A membership predicate plus a deterministic seeded sampler."""
 
     name: str
     contains: Callable[[Point], bool]
     draw: Callable[[random.Random, int], list[Point]]
-    complete: bool = False
 
 
 def sample_region(region: Region, n: int, seed: int) -> list[Point]:
@@ -227,10 +222,14 @@ def interval(
     closed_hi: bool = True,
     sample_lo: Optional[float] = None,
     sample_hi: Optional[float] = None,
-    complete: Optional[bool] = None,
     name: Optional[str] = None,
 ) -> Region:
-    """A real interval region; infinite ends get a truncated sampling box."""
+    """A real interval region; infinite ends get a truncated sampling box.
+
+    Both ends of the sampling box, after the nudge off an open end, must be
+    members; otherwise InvalidInputError's message starts with the parameter
+    name, ``sample_lo`` or ``sample_hi``, of the end that is not.
+    """
     s_lo = sample_lo if sample_lo is not None else (lo if math.isfinite(lo) else -100.0)
     s_hi = sample_hi if sample_hi is not None else (hi if math.isfinite(hi) else 100.0)
     if not closed_lo:
@@ -252,6 +251,13 @@ def interval(
         def contains(p: Point) -> bool:
             return lo < p[0] < hi
 
+    if name is None:
+        name = f"{'[' if closed_lo else '('}{lo};{hi}{']' if closed_hi else ')'}"
+    for end, value in (("sample_lo", s_lo), ("sample_hi", s_hi)):
+        if not contains((value,)):
+            raise InvalidInputError(
+                f"{end} {value} of the sampling box [{s_lo}, {s_hi}] is not a member of {name}"
+            )
     span = s_hi - s_lo
 
     def draw(rng: random.Random, n: int) -> list[Point]:
@@ -259,11 +265,7 @@ def interval(
         rand = rng.random
         return [(s_lo + span * rand(),) for _ in range(n)]
 
-    if name is None:
-        name = f"{'[' if closed_lo else '('}{lo};{hi}{']' if closed_hi else ')'}"
-    if complete is None:
-        complete = closed_lo and closed_hi
-    return Region(name, contains, draw, complete)
+    return Region(name, contains, draw)
 
 
 def singleton_region(p: Union[float, Sequence[float]], name: Optional[str] = None) -> Region:
@@ -272,7 +274,6 @@ def singleton_region(p: Union[float, Sequence[float]], name: Optional[str] = Non
         name or f"{{{format_point(pt, 6)}}}",
         lambda q: q == pt,
         lambda rng, n: [pt] * n,
-        complete=True,
     )
 
 
@@ -306,7 +307,7 @@ def segment_region(a: Sequence[float], b: Sequence[float], name: Optional[str] =
         rand = rng.random
         return [(o0 + t * d0, o1 + t * d1) for t in [rand() for _ in range(n)]]
 
-    return Region(name or "segment", contains, draw, complete=True)
+    return Region(name or "segment", contains, draw)
 
 
 def circle_region(center: Sequence[float], radius: float, name: Optional[str] = None) -> Region:
@@ -331,7 +332,7 @@ def circle_region(center: Sequence[float], radius: float, name: Optional[str] = 
             out.append((c0 + radius * math.cos(th), c1 + radius * math.sin(th)))
         return out
 
-    return Region(name or f"circle(r={radius})", contains, draw, complete=True)
+    return Region(name or f"circle(r={radius})", contains, draw)
 
 
 def product_region(r1: Region, r2: Region, d1: int) -> Region:
@@ -357,7 +358,6 @@ def product_region(r1: Region, r2: Region, d1: int) -> Region:
         f"{r1.name}x{r2.name}",
         contains,
         draw_columns((r1.draw, r2.draw), operator.add),
-        complete=r1.complete and r2.complete,
     )
 
 

@@ -127,7 +127,6 @@ class BoundCertificate:
     m: float
     lam: float
     s: float
-    horizon: int
     first_violation: Optional[tuple[int, int]] = None
 
     @property
@@ -166,7 +165,7 @@ def check_l2_bound(paired: PairedTrace, system: ExternalFactorSystem) -> BoundCe
     first = None
     if not _envelope_screened(space.metric, paired, limits, column + row, s):
         first = _first_violation(space.metric, paired, limits)
-    return BoundCertificate(m_const, lam, s, horizon, first)
+    return BoundCertificate(m_const, lam, s, first)
 
 
 def _first_violation(
@@ -341,19 +340,17 @@ def cd_falsify(
     _check_tol(tol)
     dist = pair.dist_ab
     space = pair.space
-    metric, dim = space.metric, space.dim
     for i in range(budget):
         xs, ys = _intake(gen(i), (pair.a, pair.b))
         horizon = min(len(xs), len(ys)) - 1
         k_tail = max(0, horizon - CONFIRM_WINDOW)
-        # the metric is called directly once every window point has the
-        # space's dimension; otherwise distance() raises its usual error
+        # the one-pass sup needs every window point to have the space's
+        # dimension; otherwise distance() raises its usual error
         window_x, window_y = xs[k_tail : horizon + 1], ys[k_tail : horizon + 1]
-        if all(len(p) == dim for p in (*window_x, *window_y)):
+        sup = None
+        if all(len(p) == space.dim for p in (*window_x, *window_y)):
             sup = _line_cross_sup(space, window_x, window_y)
-            if sup is None:
-                sup = tail_sup(lambda n, m: metric(xs[n], ys[m]), k_tail, horizon)
-        else:
+        if sup is None:
             sup = tail_sup(lambda n, m: distance(space, xs[n], ys[m]), k_tail, horizon)
         if abs(sup - dist) > tol:
             continue  # cross distances never reach the pair gap: not admissible

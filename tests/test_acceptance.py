@@ -89,7 +89,7 @@ def test_criterion_3_geometric_envelope_bound():
     cert = px.check_l2_bound(paired, system)  # full index grid, same envelope
     assert cert.ok and cert.m == m_const
     _ok(3, f"diagonal envelope holds for all n (M = {m_const}); "
-           f"full grid check clean over {cert.horizon} steps")
+           f"full grid check clean over {paired.steps} steps")
 
 
 def test_criterion_4_uniqueness():

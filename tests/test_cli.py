@@ -548,6 +548,22 @@ BAD_SPECS = {
     "closed-lo-string": _good_spec_with(regions__a__closed_lo="false"),
     "closed-hi-number": _good_spec_with(regions__a__closed_hi=0),
     "complete-string": _good_spec_with(regions__a__complete="no"),
+    # a sampling box whose ends are not both members draws non-members
+    "sample-box-outside": _good_spec_with(
+        regions__a={"lo": 0, "hi": 10, "sample_lo": 20, "sample_hi": 30}
+    ),
+    "sample-lo-nan": _good_spec_with(regions__a__sample_lo=math.nan),
+    "interval-infinite-ends": _good_spec_with(regions__a={"lo": math.inf, "hi": math.inf}),
+    "half-line-above-box": _good_spec_with(regions__a={"lo": 200}),
+    "half-line-below-box": _good_spec_with(regions__a={"hi": -200}),
+    # a misspelt key would leave its default in force
+    "unknown-top-key": _good_spec_with(lamda=0.9),
+    "unknown-space-key": _good_spec_with(space={"kind": "real", "dim": 1}),
+    "unknown-regions-key": _good_spec_with(regions__c={"lo": 0.0}),
+    "unknown-region-key": _good_spec_with(regions__a__closedhi=False),
+    "unknown-maps-key": _good_spec_with(maps__t_c={"name": "identity"}),
+    "unknown-infima-key": _good_spec_with(infima={"a": 0.0, "c": 5.0}),
+    "infima-misspelt": _good_spec_with(infimum={"a": 5}),
     # an empty interval: every sample would be a non-member
     "interval-reversed": _good_spec_with(regions__a={"lo": 5.0, "hi": 1.0}),
     "interval-lo-nan": _good_spec_with(regions__a__lo=math.nan),
@@ -583,7 +599,22 @@ BAD_SPECS = {
         ("unknown-space-kind", "'space.kind'"),
         ("closed-lo-string", "field 'regions.a.closed_lo': must be true or false, got 'false'"),
         ("closed-hi-number", "field 'regions.a.closed_hi': must be true or false, got 0"),
-        ("complete-string", "field 'regions.a.complete': must be true or false, got 'no'"),
+        ("complete-string", "field 'regions.a.complete' is not read; regions.a reads kind,"),
+        ("sample-box-outside", "field 'regions.a.sample_lo': sample_lo 20.0 of the sampling box "
+                               "[20.0, 30.0] is not a member of [0.0;10.0]"),
+        ("sample-lo-nan", "field 'regions.a.sample_lo': sample_lo nan"),
+        ("interval-infinite-ends", "field 'regions.a.sample_lo': sample_lo -100.0"),
+        ("half-line-above-box", "field 'regions.a.sample_hi': sample_hi 100.0 of the sampling "
+                                "box [200.0, 100.0]"),
+        ("half-line-below-box", "field 'regions.a.sample_lo': sample_lo -100.0 of the sampling "
+                                "box [-100.0, -200.0]"),
+        ("unknown-top-key", "field 'lamda' is not read; (top level) reads name, space,"),
+        ("unknown-space-key", "field 'space.dim' is not read; space reads kind"),
+        ("unknown-regions-key", "field 'regions.c' is not read; regions reads a, b"),
+        ("unknown-region-key", "field 'regions.a.closedhi' is not read"),
+        ("unknown-maps-key", "field 'maps.t_c' is not read; maps reads t_a, t_b"),
+        ("unknown-infima-key", "field 'infima.c' is not read; infima reads a, b"),
+        ("infima-misspelt", "field 'infimum' is not read"),
         ("interval-reversed", "field 'regions.a.lo': the interval from 5.0 to 1.0 is empty"),
         ("interval-lo-nan", "field 'regions.a.lo': the interval from nan to 10.0 is empty"),
         ("interval-hi-nan", "field 'regions.a.hi': the interval from -10.0 to nan is empty"),

@@ -171,7 +171,7 @@ def reference_check_l2_bound(paired, system):
                 break
         if first is not None:
             break
-    return BoundCertificate(m_const, lam, s, horizon, first)
+    return BoundCertificate(m_const, lam, s, first)
 
 
 def _outcome(fn, *args):

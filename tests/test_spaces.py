@@ -123,9 +123,25 @@ def test_sample_region_negative_count():
 
 
 def test_sampler_exhaustion_raises():
-    broken = px.Region("broken", lambda p: True, lambda rng, n: [], complete=False)
+    broken = px.Region("broken", lambda p: True, lambda rng, n: [])
     with pytest.raises(px.EstimationFailureError):
         px.sample_region(broken, 2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, kwargs, end",
+    [
+        (200.0, math.inf, {}, "sample_hi"),  # the default box [200, 100] is reversed
+        (-math.inf, -200.0, {}, "sample_lo"),
+        (math.inf, math.inf, {}, "sample_lo"),
+        (0.0, 10.0, {"sample_lo": 20.0, "sample_hi": 30.0}, "sample_lo"),
+        (0.0, 10.0, {"sample_hi": math.nan}, "sample_hi"),
+        (0.0, 1.0, {"sample_lo": 1.0, "closed_hi": False}, "sample_lo"),
+    ],
+)
+def test_interval_refuses_a_sampling_box_end_outside_it(lo, hi, kwargs, end):
+    with pytest.raises(px.InvalidInputError, match=f"^{end} .* of the sampling box"):
+        px.interval(lo, hi, **kwargs)
 
 
 def test_open_interval_membership():
@@ -133,7 +149,6 @@ def test_open_interval_membership():
     assert not region.contains((0.0,))
     assert not region.contains((1.0,))
     assert region.contains((0.5,))
-    assert not region.complete
 
 
 def _reference_interval_contains(lo, hi, closed_lo, closed_hi, v):
@@ -150,6 +165,11 @@ def _reference_interval_contains(lo, hi, closed_lo, closed_hi, v):
                (-math.inf, math.inf)]
 )
 def test_interval_membership_matches_the_per_call_expression(lo, hi, closed_lo, closed_hi):
+    if lo == hi and not (closed_lo and closed_hi):
+        # an empty interval: no end of its sampling box is a member
+        with pytest.raises(px.InvalidInputError, match="of the sampling box"):
+            px.interval(lo, hi, closed_lo=closed_lo, closed_hi=closed_hi)
+        return
     region = px.interval(lo, hi, closed_lo=closed_lo, closed_hi=closed_hi)
     for v in (math.nan, math.inf, -math.inf, -0.0, 0.0, lo, hi, 0.5, -0.5, 5e-324):
         want = _reference_interval_contains(lo, hi, closed_lo, closed_hi, v)

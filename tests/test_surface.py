@@ -16,6 +16,10 @@ Every parameter of a module-level function or method is read in its body: a
 parameter the body ignores is a setting that changes nothing.  Nested defs
 and lambdas are exempt, since they fill the map and sampler protocols, and
 so is a method's self or cls.
+
+Every annotated field of a class in the package is read as an attribute
+(``obj.field``) somewhere in src/ or perfbench/: a field nothing reads is
+stored for no report or check.
 """
 
 from __future__ import annotations
@@ -204,3 +208,38 @@ def test_the_unread_parameter_guard_flags_a_leftover_seed():
     assert _unread(ast.parse(source), "m.py") == [
         "m.py:1 resolve_constants(seed)", "m.py:4 report(constants)",
     ]
+
+
+def _record_fields(path: Path):
+    """('file:line Class.field', field) for each annotated field of a class."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield f"{path.name}:{stmt.lineno} {node.name}.{stmt.target.id}", stmt.target.id
+
+
+def _attribute_loads() -> set[str]:
+    """Every name loaded as an attribute, ``obj.name``, in src/ or perfbench/."""
+    return {
+        node.attr
+        for top in CALLERS
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_record_field_has_a_reader():
+    """Lenient by name: a field counts as read when any object's attribute of
+    that name is loaded, so a field sharing a name such as ``lam`` with a read
+    field of another class passes unread."""
+    loads = _attribute_loads()
+    unread = [
+        label
+        for path in sorted(PACKAGE.glob("*.py"))
+        for label, field in _record_fields(path)
+        if field not in loads
+    ]
+    assert not unread, "record fields nothing reads: " + ", ".join(unread)

@@ -310,7 +310,7 @@ def test_intake_names_the_first_point_outside():
         _intake(candidate, REGIONS[:2])
 
 
-EVERYWHERE = Region("everywhere", lambda p: True, lambda rng, n: [], complete=True)
+EVERYWHERE = Region("everywhere", lambda p: True, lambda rng, n: [])
 cd_term = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, 0.25, math.nan]))
 
 
