@@ -16,7 +16,7 @@ import operator
 import random
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError, ProxiterError, RefutedError
 from .iteration import PairedTrace, run_paired
@@ -25,7 +25,6 @@ from .spaces import (
     Point,
     Region,
     SetPair,
-    as_point,
     circle_region,
     compose_spaces,
     draw_columns,
@@ -57,6 +56,7 @@ from .systems import (
     resolve_constants,
     verify_contraction,
 )
+from .validators import GeometricTerms
 
 
 # ---------------------------------------------------------------------------
@@ -910,23 +910,21 @@ def circle_origin_pair() -> SetPair:
 
 def _geometric(
     target: float, c: float, ratio: float, sign: float, floor: float = 0.0
-) -> list[Point]:
-    # the floor keeps strictly-open boundaries unreached despite float absorption;
-    # `floor if floor > v else v` is max(v, floor), NaN included
-    return [
-        (target + sign * (floor if floor > v else v),)
-        for v in [c * ratio ** n for n in range(80)]
-    ]
+) -> GeometricTerms:
+    # the floor keeps strictly-open boundaries unreached despite float absorption
+    return GeometricTerms(target, c, ratio, sign, floor)
 
 
-def pair_cd_generator(name: str, seed: int) -> Callable[[int], tuple[list[Point], list[Point]]]:
+def pair_cd_generator(
+    name: str, seed: int
+) -> Callable[[int], tuple[Sequence[Point], Sequence[Point]]]:
     """Candidate pairs converging in distance toward the facing boundary.
 
     For the half-line pair they settle on member points; for the open pair
     the first sequence escapes toward the missing endpoint.
     """
 
-    def gen(i: int) -> tuple[list[Point], list[Point]]:
+    def gen(i: int) -> tuple[Sequence[Point], Sequence[Point]]:
         rng = random.Random(f"cd:{name}:{seed}:{i}")
         c1, c2 = rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5)
         r1, r2 = rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7)
@@ -945,14 +943,14 @@ def pair_cd_generator(name: str, seed: int) -> Callable[[int], tuple[list[Point]
 
 def pair_uc_generator(
     name: str, seed: int
-) -> Callable[[int], tuple[list[Point], list[Point], list[Point]]]:
+) -> Callable[[int], tuple[Sequence[Point], Sequence[Point], Sequence[Point]]]:
     """Candidate triples approaching the pair distance from two first-set paths.
 
     On the circle the first candidate puts the two paths at exactly antipodal
     rest points, the known failure of the collapse property there.
     """
 
-    def gen(i: int) -> tuple[list[Point], list[Point], list[Point]]:
+    def gen(i: int) -> tuple[Sequence[Point], Sequence[Point], Sequence[Point]]:
         rng = random.Random(f"uc:{name}:{seed}:{i}")
         if name == "e1-pair":
             c1, c2, c3 = (rng.uniform(0.05, 0.5) * 80.0 for _ in range(3))
@@ -1115,10 +1113,14 @@ def load_instance_json(path: str) -> SystemInstance:
         raise InvalidInputError(f"{path}: cannot read the instance file: {exc}") from exc
 
     def number(field: str, value) -> float:
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise InvalidInputError(f"{path}: field {field!r} must be a number, got {value!r}")
+        # float(true) and float("0.5") succeed: only JSON numbers are numbers,
+        # and an integer too large for a float is not one
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                return float(value)
+            except OverflowError:
+                pass
+        raise InvalidInputError(f"{path}: field {field!r} must be a number, got {value!r}")
 
     def flag(field: str, value) -> bool:
         # bool("false") is True: only JSON true and false are flags
@@ -1222,14 +1224,16 @@ def load_instance_json(path: str) -> SystemInstance:
     def start(field: str, home: Region, seed: int) -> Point:
         if field not in spec:
             return sample_region(home, 1, seed)[0]
-        try:
-            point = as_point(spec[field])
-        except (TypeError, ValueError):
-            point = ()
-        if len(point) != 1:  # the space is the real line
+        value = spec[field]
+        coords = value if isinstance(value, list) else [value]
+        if len(coords) != 1:  # the space is the real line
             raise InvalidInputError(
-                f"{path}: field {field!r} must be a number or a list of one number, "
-                f"got {spec[field]!r}"
+                f"{path}: field {field!r} must be a number or a list of one number, got {value!r}"
+            )
+        point = (number(field, coords[0]),)
+        if not home.contains(point):
+            raise InvalidInputError(
+                f"{path}: field {field!r}: {format_point(point)} is not a member of {home.name}"
             )
         return point
 

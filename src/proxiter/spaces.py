@@ -154,6 +154,24 @@ def _line_cross_sup(
     return max(max(a) - min(b), max(b) - min(a))
 
 
+#: the membership predicates interval() built
+_INTERVAL_PREDICATES: weakref.WeakSet = weakref.WeakSet()
+
+
+def _interval_predicate(contains: Callable[[Point], bool]) -> bool:
+    """Whether contains is a predicate interval() built.
+
+    Such a predicate compares p[0] with two fixed ends by ``<=`` or ``<``,
+    so it holds at every point whose first coordinate lies between those
+    of two members.  A predicate that cannot be weakly referenced is not in
+    the registry; neither is one that a wrapper replaced.
+    """
+    try:
+        return contains in _INTERVAL_PREDICATES
+    except TypeError:
+        return False
+
+
 def real_line() -> MetricSpace:
     return MetricSpace("R", 1, _abs_metric)
 
@@ -251,6 +269,7 @@ def interval(
         def contains(p: Point) -> bool:
             return lo < p[0] < hi
 
+    _INTERVAL_PREDICATES.add(contains)
     if name is None:
         name = f"{'[' if closed_lo else '('}{lo};{hi}{']' if closed_hi else ')'}"
     for end, value in (("sample_lo", s_lo), ("sample_hi", s_hi)):

@@ -7,7 +7,9 @@ while only finitely many candidates are examined.
 
 from __future__ import annotations
 
+import collections.abc
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -18,6 +20,7 @@ from .spaces import (
     Region,
     SetPair,
     _coordinatewise_monotone,
+    _interval_predicate,
     _line_cross_sup,
     distance,
     format_point,
@@ -288,12 +291,77 @@ def _aitken_limit(points: Sequence[Point]) -> Point:
     return tuple(round(v, 12) for v in out)
 
 
-def _intake(candidate: Sequence, regions: Sequence[Region]) -> tuple[tuple[Point, ...], ...]:
-    """A generated candidate as point tuples, each at least 2 terms long and in its region."""
-    seqs = tuple(tuple(map(tuple, seq)) for seq in candidate)
+class GeometricTerms(collections.abc.Sequence):
+    """A falsifier candidate of 80 points, each computed when read.
+
+    Term n is ``(target + sign * (floor if floor > v else v),)`` with
+    ``v = c * ratio ** n``, so a NaN v is kept.  Indexing takes negative
+    indices, and a slice gives a tuple of points.  ``_intake`` may admit
+    the sequence from its two hull ends without computing the rest.
+    """
+
+    __slots__ = ("target", "c", "ratio", "sign", "floor")
+
+    def __init__(self, target: float, c: float, ratio: float, sign: float, floor: float):
+        self.target, self.c, self.ratio, self.sign, self.floor = target, c, ratio, sign, floor
+
+    def __len__(self) -> int:
+        return 80
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._term, range(*index.indices(80))))
+        n = operator.index(index)
+        if n < 0:
+            n += 80
+        if not 0 <= n < 80:
+            raise IndexError("candidate term index out of range")
+        return self._term(n)
+
+    def _term(self, n: int) -> Point:
+        v = self.c * self.ratio ** n
+        floor = self.floor
+        return (self.target + self.sign * (floor if floor > v else v),)
+
+    def _admitted_on(self, region: Region) -> bool:
+        """Whether every term is a member of an interval() region, judged from two hull ends.
+
+        With c >= 0, 0 <= ratio <= 1 and target, c, sign and floor finite,
+        ``ratio ** n`` is in [0, 1] for a pow that errs by under one ulp, so
+        each term's v is between c * 0 and c * 1 = c.  Rounded
+        multiplication, ``max``, multiplication by a finite sign and
+        addition are each monotone, so every term lies between the target
+        moved by max(floor, 0) and term 0, and an interval holds every point
+        between two members.  Anything else is False, left to the point by
+        point check.
+        """
+        target, c, ratio, sign, floor = self.target, self.c, self.ratio, self.sign, self.floor
+        if not (_interval_predicate(region.contains) and 0.0 <= c < math.inf
+                and 0.0 <= ratio <= 1.0 and math.isfinite(target)
+                and math.isfinite(sign) and math.isfinite(floor)):
+            return False
+        low = (target + sign * (floor if floor > 0.0 else 0.0),)
+        return region.contains(low) and region.contains(self._term(0))
+
+
+def _intake(candidate: Sequence, regions: Sequence[Region]) -> tuple[Sequence[Point], ...]:
+    """A generated candidate, each sequence at least 2 terms long and in its region.
+
+    GeometricTerms admitted on its region from its hull ends is kept as it
+    is, its terms uncomputed; any other sequence is copied to point tuples
+    and checked point by point.
+    """
+    seqs = tuple(
+        seq
+        if isinstance(seq, GeometricTerms) and i < len(regions) and seq._admitted_on(regions[i])
+        else tuple(map(tuple, seq))
+        for i, seq in enumerate(candidate)
+    )
     if min(len(seq) for seq in seqs) < 2:
         raise InvalidInputError("candidate sequences must have at least 2 terms")
     for seq, region in zip(seqs, regions):
+        if isinstance(seq, GeometricTerms):
+            continue
         if not all(map(region.contains, seq)):
             p = next(p for p in seq if not region.contains(p))
             raise InvalidInputError(f"generator produced {p} outside region {region.name}")
@@ -344,21 +412,28 @@ def cd_falsify(
         xs, ys = _intake(gen(i), (pair.a, pair.b))
         horizon = min(len(xs), len(ys)) - 1
         k_tail = max(0, horizon - CONFIRM_WINDOW)
+        # every later read is of x_{k_tail}.. or the window of y: the last
+        # CONFIRM_WINDOW + 1 points of xs are in this tail
+        tail = xs[k_tail:]
+        window_x, window_y = tail[: horizon + 1 - k_tail], ys[k_tail : horizon + 1]
         # the one-pass sup needs every window point to have the space's
         # dimension; otherwise distance() raises its usual error
-        window_x, window_y = xs[k_tail : horizon + 1], ys[k_tail : horizon + 1]
         sup = None
         if all(len(p) == space.dim for p in (*window_x, *window_y)):
             sup = _line_cross_sup(space, window_x, window_y)
         if sup is None:
-            sup = tail_sup(lambda n, m: distance(space, xs[n], ys[m]), k_tail, horizon)
+            sup = tail_sup(
+                lambda n, m: distance(space, window_x[n - k_tail], window_y[m - k_tail]),
+                k_tail,
+                horizon,
+            )
         if abs(sup - dist) > tol:
             continue  # cross distances never reach the pair gap: not admissible
-        if not _settled(pair.space, xs, tol):
-            return CDCounterexample(i, xs, ys, "no-cauchy-window", None)
-        limit = _aitken_limit(xs) if len(xs) >= 3 else xs[-1]
+        if not _settled(pair.space, tail, tol):
+            return CDCounterexample(i, tuple(xs), tuple(ys), "no-cauchy-window", None)
+        limit = _aitken_limit(tail) if len(xs) >= 3 else tail[-1]
         if not pair.a.contains(limit):
-            return CDCounterexample(i, xs, ys, "limit-escapes-region", limit)
+            return CDCounterexample(i, tuple(xs), tuple(ys), "limit-escapes-region", limit)
     return None
 
 
@@ -412,11 +487,12 @@ def uc_falsify(
     for i in range(budget):
         xs, zs, ys = _intake(gen(i), (pair.a, pair.a, pair.b))
         n = min(len(xs), len(zs), len(ys))
-        if abs(rho(i, xs[n - 1], ys[n - 1]) - dist) > tol:
+        y = ys[n - 1]
+        if abs(rho(i, xs[n - 1], y) - dist) > tol:
             continue
-        if abs(rho(i, zs[n - 1], ys[n - 1]) - dist) > tol:
+        if abs(rho(i, zs[n - 1], y) - dist) > tol:
             continue
         sep = min(rho(i, xs[j], zs[j]) for j in range(n - min(CONFIRM_WINDOW, n), n))
         if sep > 10.0 * tol:
-            return UCCounterexample(i, xs, zs, ys, sep)
+            return UCCounterexample(i, tuple(xs), tuple(zs), tuple(ys), sep)
     return None

@@ -577,6 +577,17 @@ BAD_SPECS = {
     "lambda-one": _good_spec_with(**{"lambda": 1.0}),
     "lambda-negative": _good_spec_with(**{"lambda": -0.5}),
     "lambda-nan": _good_spec_with(**{"lambda": math.nan}),
+    # float(True) and float("0.5") succeed; only JSON numbers are numbers
+    "dist-true": _good_spec_with(dist=True),
+    "infima-true": _good_spec_with(infima={"a": True}),
+    "lambda-string": _good_spec_with(**{"lambda": "0.5"}),
+    "bound-false": _good_spec_with(regions__a__hi=False),
+    "dist-int-beyond-float": _good_spec_with(dist=10**400),
+    "start-string": _good_spec_with(x0="0.5"),
+    "start-list-true": _good_spec_with(y0=[True]),
+    # a start outside its region is a field error, not a refused quadruple
+    "start-outside-a": _good_spec_with(x0=50),
+    "start-outside-b": _good_spec_with(regions__b={"lo": 20.0, "hi": 30.0}, y0=[0.0]),
 }
 
 
@@ -626,6 +637,15 @@ BAD_SPECS = {
         ("lambda-one", "field 'lambda': contraction constant must be in [0,1)"),
         ("lambda-negative", "field 'lambda': contraction constant must be in [0,1)"),
         ("lambda-nan", "field 'lambda': contraction constant must be in [0,1)"),
+        ("dist-true", "field 'dist' must be a number, got True"),
+        ("infima-true", "field 'infima.a' must be a number, got True"),
+        ("lambda-string", "field 'lambda' must be a number, got '0.5'"),
+        ("bound-false", "field 'regions.a.hi' must be a number, got False"),
+        ("dist-int-beyond-float", "field 'dist' must be a number, got 1000"),
+        ("start-string", "field 'x0' must be a number, got '0.5'"),
+        ("start-list-true", "field 'y0' must be a number, got True"),
+        ("start-outside-a", "field 'x0': 50 is not a member of [-10.0;10.0]"),
+        ("start-outside-b", "field 'y0': 0 is not a member of [20.0;30.0]"),
     ],
 )
 def test_bad_instance_file_is_an_error_not_a_traceback(capsys, tmp_path, case, needle):
@@ -637,6 +657,25 @@ def test_bad_instance_file_is_an_error_not_a_traceback(capsys, tmp_path, case, n
     code, out, err = run_cli(capsys, "run", "--instance", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and str(path) in err and needle in err
+
+
+@pytest.mark.parametrize(
+    "spec, needle",
+    [
+        ({"regions": {"a": {"lo": 0, "hi": 1}}, "lambda": 0.5, "dist": True,
+          "infima": {"a": True}}, "field 'dist'"),
+        ({"regions": {"a": {"lo": 0, "hi": 1}}, "lambda": 0.5, "infima": {"a": True}},
+         "field 'infima.a'"),
+        ({"regions": {"a": {"lo": 0, "hi": 1}}, "lambda": "0.5"}, "field 'lambda'"),
+    ],
+)
+def test_verify_refuses_a_json_boolean_or_string_for_a_number(capsys, tmp_path, spec, needle):
+    # these certified on samples when true read as 1.0 and "0.5" as 0.5
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "verify", "--instance", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: {needle} must be a number")
 
 
 def _count_calls(monkeypatch, name, modules):

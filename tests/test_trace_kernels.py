@@ -17,12 +17,12 @@ import math
 from typing import Callable
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxiter import Atom, CPair, SetPair, interval, real_line, vector_space
 from proxiter.errors import InvalidInputError, NumericFailureError, ProxiterError
-from proxiter.instances import _geometric
+from proxiter.instances import PAIRS, _geometric, pair_cd_generator, pair_uc_generator
 from proxiter.iteration import (
     CONFIRM_WINDOW,
     CSV_CHUNK_ROWS,
@@ -35,10 +35,12 @@ from proxiter.iteration import (
 from proxiter.spaces import Region, distance, format_point
 from proxiter.validators import (
     CDCounterexample,
+    GeometricTerms,
     _aitken_limit,
     _intake,
     cd_falsify,
     tail_sup,
+    uc_falsify,
 )
 
 
@@ -280,7 +282,7 @@ def test_tail_sup_keeps_the_first_of_tied_zeros(first, second):
 )
 def test_geometric_matches_the_max_comprehension(target, c, ratio, sign, floor):
     args = (target, c, ratio, sign) if floor is None else (target, c, ratio, sign, floor)
-    assert repr(_geometric(*args)) == repr(reference_geometric(*args))
+    assert repr(list(_geometric(*args))) == repr(reference_geometric(*args))
 
 
 REGIONS = (interval(0.0, 1.0), interval(-1.0, 0.5, closed_hi=False), interval(-2.0, 2.0))
@@ -308,6 +310,119 @@ def test_intake_names_the_first_point_outside():
     candidate = ([(0.5,), (0.25,)], [(0.0,), (0.75,), (0.9,)])
     with pytest.raises(InvalidInputError, match=r"^generator produced \(0\.75,\) outside region"):
         _intake(candidate, REGIONS[:2])
+
+
+# regions a geometric candidate can be admitted on from its hull ends, then
+# an unregistered predicate and an interval's predicate behind a wrapper
+_UNIT = interval(0.0, 1.0)
+HULL_REGIONS = (
+    interval(0.0, math.inf, sample_hi=100.0),
+    interval(-math.inf, -1.0, sample_lo=-100.0),
+    interval(0.0, 1.0, closed_lo=False, closed_hi=False),
+    interval(2.0, 3.0, closed_lo=False, closed_hi=False),
+    interval(-1.0, 0.5, closed_hi=False),
+    interval(0.0, 2.0, closed_lo=False),
+    interval(0.0, math.inf, closed_lo=False, sample_hi=100.0),
+    interval(-math.inf, math.inf),
+    Region("unregistered", lambda p: 0.0 <= p[0] <= 1.0, lambda rng, n: []),
+    Region("wrapped", lambda p: _UNIT.contains(p), lambda rng, n: []),
+)
+
+
+@st.composite
+def geometric_sequences(draw):
+    """((target, c, ratio, sign, floor), region): half the time the generators'
+    own forms, on their regions and at their edges; else anything, anywhere."""
+    edge = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+    if draw(st.booleans()):
+        target, sign, floor, region = draw(st.sampled_from([
+            (0.0, 1.0, 0.0, HULL_REGIONS[0]),
+            (-1.0, -1.0, 0.0, HULL_REGIONS[1]),
+            (1.0, -1.0, 1e-13, HULL_REGIONS[2]),
+            (2.0, 1.0, 1e-13, HULL_REGIONS[3]),
+        ]))
+        c = draw(st.one_of(st.floats(0.05, 40.0), st.sampled_from([0.0, -0.0, 0.5, 1.0])))
+        ratio = draw(st.one_of(st.floats(0.3, 0.7), st.sampled_from([0.0, -0.0, 1.0])))
+        region = draw(st.one_of(st.just(region), st.sampled_from(HULL_REGIONS)))
+        return (target, c, ratio, sign, floor), region
+    target = draw(st.one_of(st.sampled_from([0.0, -1.0, 1.0, 2.0]), st.floats(-4.0, 4.0), edge))
+    c = draw(st.one_of(st.floats(0.0, 40.0), st.sampled_from([5e-324, -1.0, 1e308]), edge))
+    ratio = draw(st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.3, 0.7, 1.0, 1.0000000000000002, -0.5, 5e-324]),
+        edge,
+    ))
+    sign = draw(st.sampled_from([1.0, -1.0, 0.0, math.nan, math.inf]))
+    floor = draw(st.one_of(st.sampled_from([0.0, 1e-13, -1e-13, -0.5, 2.5]), edge))
+    return (target, c, ratio, sign, floor), draw(st.sampled_from(HULL_REGIONS))
+
+
+# c infinite and ratio 0: term 0 and the lower end are members of [0, inf),
+# every later term is inf * 0, NaN
+@example(
+    drawn=[((0.0, math.inf, 0.0, 1.0, 0.0), HULL_REGIONS[0]),
+           ((-1.0, 4.0, 1.0, -1.0, 0.0), HULL_REGIONS[1])],
+    index=-1,
+    cut=(None, None, -1),
+)
+@settings(max_examples=100, deadline=None)
+@given(
+    drawn=st.lists(geometric_sequences(), min_size=2, max_size=2),
+    index=st.integers(-80, 79),
+    cut=st.tuples(
+        st.one_of(st.none(), st.integers(-90, 90)),
+        st.one_of(st.none(), st.integers(-90, 90)),
+        st.one_of(st.none(), st.integers(-3, 3).filter(bool)),
+    ),
+)
+def test_geometric_admission_matches_the_region_loop(drawn, index, cut):
+    # admitted from its hull ends or checked term by term, a lazy candidate
+    # is accepted or refused exactly as its materialised list
+    lazy = [_geometric(*args) for args, _ in drawn]
+    lists = [reference_geometric(*args) for args, _ in drawn]
+    regions = [region for _, region in drawn]
+    for seq, ref in zip(lazy, lists):
+        assert len(seq) == len(ref) == 80
+        assert repr(list(seq)) == repr(ref)
+        assert repr(seq[index]) == repr(ref[index])
+        assert repr(list(seq[slice(*cut)])) == repr(ref[slice(*cut)])
+    got = outcome(lambda: tuple(map(tuple, _intake(lazy, regions))))
+    assert got == outcome(reference_intake, lists, regions)
+
+
+@pytest.mark.parametrize("index", [80, -81])
+def test_geometric_terms_end_at_80(index):
+    with pytest.raises(IndexError):
+        _geometric(0.0, 1.0, 0.5, 1.0)[index]
+
+
+@pytest.mark.parametrize(
+    "falsify, make",
+    [(cd_falsify, pair_cd_generator), (uc_falsify, pair_uc_generator)],
+    ids=["cd", "uc"],
+)
+def test_scans_compute_few_terms_per_candidate(monkeypatch, falsify, make):
+    # admitted from two hull ends, a candidate of 80 terms computes only
+    # those the falsifier reads: about CONFIRM_WINDOW + 1 per sequence
+    computed = []
+    term = GeometricTerms._term
+
+    def counted(self, n):
+        computed.append(n)
+        return term(self, n)
+
+    monkeypatch.setattr(GeometricTerms, "_term", counted)
+    gen = make("e1-pair", 1)
+    before = []
+
+    def counting_gen(i):
+        before.append(len(computed))
+        return gen(i)
+
+    assert falsify(PAIRS["e1-pair"].build(), counting_gen, 2000, 1e-6) is None
+    before.append(len(computed))
+    assert len(before) == 2001
+    assert max(b - a for a, b in zip(before, before[1:])) <= 30
 
 
 EVERYWHERE = Region("everywhere", lambda p: True, lambda rng, n: [])
